@@ -1,6 +1,6 @@
 //! Resilience-path cost: the two kernel primitives behind the fleet's
-//! self-healing. Checkpoint capture (snapshot + serialize) is what every
-//! auto-checkpoint cycle pays on the worker thread; recovery (decode +
+//! self-healing. Checkpoint capture (serializing the kernel into a reused
+//! buffer) is what every auto-checkpoint cycle pays on the worker thread; recovery (decode +
 //! restore + journal replay) is what a supervisor restart pays before the
 //! cluster serves again. Complements the `fleet-chaos` experiment, which
 //! measures the same paths end to end through the supervised worker and
@@ -33,17 +33,22 @@ fn loaded_sim(spec: &helios_trace::ClusterSpec) -> Simulator<'_> {
     sim
 }
 
-/// Checkpoint capture latency: one snapshot + wire serialization of the
-/// loaded kernel, the per-cycle cost `FleetHealth::checkpoint_write_secs_total`
-/// accumulates (minus the disk mirror).
+/// Checkpoint capture latency: one wire serialization of the loaded
+/// kernel into a reused buffer, the encode pass of the per-cycle cost
+/// `FleetHealth::checkpoint_write_secs_total` accumulates (minus the
+/// checksum and the disk mirror).
 fn bench_checkpoint_write(c: &mut Criterion) {
     let spec = preset(ClusterId::Venus);
     let sim = loaded_sim(&spec);
+    let mut buf = Vec::new();
 
     let mut g = c.benchmark_group("resilience");
     g.sample_size(10);
     g.bench_function("checkpoint_write_venus_10k", |b| {
-        b.iter(|| black_box(sim.snapshot().to_bytes()))
+        b.iter(|| {
+            sim.snapshot_into(&mut buf);
+            black_box(buf.len())
+        })
     });
     g.finish();
 }

@@ -7,22 +7,30 @@
 //!
 //! Restart = restore the newest generation that still decodes cleanly +
 //! replay the admission journal segments recorded after it. Every
-//! generation carries an FNV-64 checksum taken at write time, so a
-//! bit-flipped or truncated blob is *detected* (not silently restored)
+//! generation carries an XXH64 checksum (seed 0) taken at write time, so
+//! a bit-flipped or truncated blob is *detected* (not silently restored)
 //! and recovery falls back to the previous generation. Journal segments
 //! record admitted jobs **post-clamp** in admission order, which is
 //! exactly the information the deterministic kernel needs to re-produce
 //! the interrupted run bit for bit (batched admission == one-shot is
 //! pinned by the PR-5 equivalence suite).
 //!
+//! A checkpoint costs one encode pass over the kernel state
+//! ([`Simulator::snapshot_into`], straight from the kernel's arrays into
+//! the buffer of the generation the ring last evicted) plus one checksum
+//! pass at memory speed.
+//!
 //! ## Disk layout
 //!
 //! With [`CheckpointConfig::dir`] set, generation `i` lands in slot
 //! `i % generations`: `<cluster>-slot<k>.ckpt` (header + kernel blob +
-//! checksum, written to a `.tmp` and atomically renamed) and
+//! XXH64 trailer, written to a `.tmp` and atomically renamed) and
 //! `<cluster>-slot<k>.journal` (append-only frames, each tagged with the
 //! generation index it extends and individually checksummed — a torn
-//! tail frame is dropped at load, never replayed). Monotonically
+//! tail frame is dropped at load, never replayed). This is on-disk format
+//! version 2 ([`CHECKPOINT_VERSION`]; journal frames carry it in their
+//! magic, `HELJRNL2`). Version 1 trailers were FNV-1a; a version-1
+//! directory is refused by name rather than read. Monotonically
 //! increasing generation indices make slot reuse unambiguous: the
 //! loader orders slots by the index embedded in the header.
 //!
@@ -31,18 +39,20 @@
 //! [`Fleet::recover`](crate::Fleet::recover) is at-least-once, because
 //! delivered counters die with the process.
 
-use helios_sim::{ByteReader, ByteWriter, SimJob, SimSnapshot, JOB_WIRE_BYTES};
+use helios_sim::{ByteReader, ByteWriter, SimJob, SimSnapshot, Simulator, JOB_WIRE_BYTES};
 use helios_trace::{ClusterId, HeliosError, HeliosResult};
 use std::collections::VecDeque;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-/// Magic prefix of an on-disk checkpoint-generation file.
+/// Magic prefix of an on-disk checkpoint-generation file; the format
+/// version ([`CHECKPOINT_VERSION`]) follows it.
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"HELCKPT1";
-/// Magic prefix of every admission-journal frame.
-pub const JOURNAL_MAGIC: [u8; 8] = *b"HELJRNL1";
-/// On-disk checkpoint/journal format version.
-pub const CHECKPOINT_VERSION: u32 = 1;
+/// Magic prefix of every admission-journal frame. Frames carry no version
+/// field, so the magic's last byte is the format version.
+pub const JOURNAL_MAGIC: [u8; 8] = *b"HELJRNL2";
+/// On-disk checkpoint/journal format version (2: XXH64 trailers).
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// Auto-checkpointing knobs of a [`Fleet`](crate::Fleet) worker.
 #[derive(Debug, Clone, PartialEq)]
@@ -118,7 +128,7 @@ pub(crate) struct Generation {
     pub clock: i64,
     /// Serialized kernel snapshot ([`SimSnapshot::to_bytes`]).
     pub bytes: Vec<u8>,
-    /// FNV-64 of `bytes` at write time; recovery refuses a generation
+    /// XXH64 of `bytes` at write time; recovery refuses a generation
     /// whose checksum no longer matches (bit flips are detected, not
     /// silently restored).
     pub checksum: u64,
@@ -168,14 +178,67 @@ fn le_u32(bytes: &[u8]) -> u32 {
     u32::from_le_bytes(buf)
 }
 
-/// Order-sensitive FNV-1a over a byte slice.
-pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// XXH64 with seed 0 (xxHash's 64-bit variant): four independent 8-byte
+/// lanes over 32-byte stripes, then the tail in 8-, 4- and 1-byte steps
+/// and a final avalanche. The checksum of ring generations, slot-file
+/// trailers and journal frames.
+pub(crate) fn xxh64(bytes: &[u8]) -> u64 {
+    const P1: u64 = 0x9E37_79B1_85EB_CA87;
+    const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+    const P3: u64 = 0x1656_67B1_9E37_79F9;
+    const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+    const P5: u64 = 0x27D4_EB2F_1656_67C5;
+    fn xxh_round(acc: u64, lane: u64) -> u64 {
+        acc.wrapping_add(lane.wrapping_mul(P2))
+            .rotate_left(31)
+            .wrapping_mul(P1)
     }
-    h
+    let mut stripes = bytes.chunks_exact(32);
+    let mut h = if bytes.len() >= 32 {
+        let mut lanes = [P1.wrapping_add(P2), P2, 0, 0u64.wrapping_sub(P1)];
+        for stripe in &mut stripes {
+            for (acc, lane) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
+                *acc = xxh_round(*acc, le_u64(lane));
+            }
+        }
+        let [v1, v2, v3, v4] = lanes;
+        let h = v1
+            .rotate_left(1)
+            .wrapping_add(v2.rotate_left(7))
+            .wrapping_add(v3.rotate_left(12))
+            .wrapping_add(v4.rotate_left(18));
+        lanes.iter().fold(h, |h, &acc| {
+            (h ^ xxh_round(0, acc)).wrapping_mul(P1).wrapping_add(P4)
+        })
+    } else {
+        P5
+    };
+    h = h.wrapping_add(bytes.len() as u64);
+    let mut words = stripes.remainder().chunks_exact(8);
+    for word in &mut words {
+        h = (h ^ xxh_round(0, le_u64(word)))
+            .rotate_left(27)
+            .wrapping_mul(P1)
+            .wrapping_add(P4);
+    }
+    let mut rest = words.remainder();
+    if let Some((word, after)) = rest.split_first_chunk::<4>() {
+        h = (h ^ u64::from(u32::from_le_bytes(*word)).wrapping_mul(P1))
+            .rotate_left(23)
+            .wrapping_mul(P2)
+            .wrapping_add(P3);
+        rest = after;
+    }
+    for &b in rest {
+        h = (h ^ u64::from(b).wrapping_mul(P5))
+            .rotate_left(11)
+            .wrapping_mul(P1);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(P3);
+    h ^ (h >> 32)
 }
 
 /// Walk `ring` newest-to-oldest, returning the first generation that
@@ -185,7 +248,7 @@ pub(crate) fn recover_from(ring: &VecDeque<Generation>, cluster: &str) -> Helios
     for i in (0..ring.len()).rev() {
         // guard: allow(panic, reason = "i ranges over ring.len() of the same ring; no mutation inside the loop")
         let g = &ring[i];
-        if fnv64(&g.bytes) != g.checksum {
+        if xxh64(&g.bytes) != g.checksum {
             fallbacks += 1;
             continue;
         }
@@ -221,8 +284,12 @@ pub(crate) struct CheckpointManager {
     cfg: CheckpointConfig,
     ring: VecDeque<Generation>,
     next_index: u64,
+    /// The buffer of the generation the ring last evicted; the next
+    /// generation is encoded into it.
+    spare: Vec<u8>,
     /// Checkpoint blobs written and total write nanoseconds (snapshot
-    /// serialization + disk mirror), for the resilience bench records.
+    /// serialization + checksum + disk mirror), for the resilience bench
+    /// records.
     writes: u64,
     write_nanos: u64,
 }
@@ -235,8 +302,7 @@ impl CheckpointManager {
         cluster: ClusterId,
         cfg: CheckpointConfig,
         resume_index: u64,
-        bytes: Vec<u8>,
-        clock: i64,
+        sim: &Simulator<'_>,
     ) -> HeliosResult<Self> {
         cfg.validate()?;
         let mut m = CheckpointManager {
@@ -244,10 +310,11 @@ impl CheckpointManager {
             cfg,
             ring: VecDeque::new(),
             next_index: resume_index,
+            spare: Vec::new(),
             writes: 0,
             write_nanos: 0,
         };
-        m.checkpoint(bytes, clock)?;
+        m.checkpoint(sim)?;
         Ok(m)
     }
 
@@ -259,16 +326,20 @@ impl CheckpointManager {
         cycle.is_multiple_of(self.cfg.every_cycles)
     }
 
-    /// Store a new newest generation (evicting past the ring bound) and
-    /// mirror it to disk when configured. Returns the generation index.
-    pub fn checkpoint(&mut self, bytes: Vec<u8>, clock: i64) -> HeliosResult<u64> {
+    /// Encode `sim` as a new newest generation, mirror it to disk when
+    /// configured, and evict past the ring bound. Returns the generation
+    /// index.
+    pub fn checkpoint(&mut self, sim: &Simulator<'_>) -> HeliosResult<u64> {
         // guard: allow(determinism, reason = "checkpoint write-time telemetry for the resilience bench; never feeds kernel state")
         let t0 = std::time::Instant::now();
+        let mut bytes = std::mem::take(&mut self.spare);
+        sim.snapshot_into(&mut bytes);
+        let clock = sim.now();
         let index = self.next_index;
         self.next_index += 1;
-        let checksum = fnv64(&bytes);
+        let checksum = xxh64(&bytes);
         if let Some(dir) = self.cfg.dir.clone() {
-            self.write_slot(&dir, index, clock, &bytes, checksum)?;
+            self.write_slot(&dir, index, clock, &bytes)?;
         }
         self.ring.push_back(Generation {
             index,
@@ -278,8 +349,12 @@ impl CheckpointManager {
             journal: Vec::new(),
             drained: 0,
         });
+        // Evict only now that the new generation is in the ring: a failed
+        // encode or disk write above leaves every retained one intact.
         while self.ring.len() > self.cfg.generations {
-            self.ring.pop_front();
+            if let Some(evicted) = self.ring.pop_front() {
+                self.spare = evicted.bytes;
+            }
         }
         self.writes += 1;
         self.write_nanos += t0.elapsed().as_nanos() as u64;
@@ -386,14 +461,7 @@ impl CheckpointManager {
         }
     }
 
-    fn write_slot(
-        &mut self,
-        dir: &Path,
-        index: u64,
-        clock: i64,
-        bytes: &[u8],
-        checksum: u64,
-    ) -> HeliosResult<()> {
+    fn write_slot(&mut self, dir: &Path, index: u64, clock: i64, bytes: &[u8]) -> HeliosResult<()> {
         std::fs::create_dir_all(dir)
             .map_err(|e| HeliosError::io(format!("creating {}", dir.display()), &e))?;
         let mut w = ByteWriter::new();
@@ -403,11 +471,9 @@ impl CheckpointManager {
         w.u64(index);
         w.i64(clock);
         w.bytes(bytes);
-        let payload = w.into_bytes();
-        let mut framed = payload;
-        let tail = fnv64(&framed);
+        let mut framed = w.into_bytes();
+        let tail = xxh64(&framed);
         framed.extend_from_slice(&tail.to_le_bytes());
-        debug_assert_eq!(checksum, fnv64(bytes));
         let slot = index % self.cfg.generations as u64;
         write_atomic(&ckpt_path(dir, self.cluster, slot), &framed)?;
         // A fresh generation starts with an empty journal: reset the
@@ -427,7 +493,7 @@ impl CheckpointManager {
             w.job(job);
         }
         let mut frame = w.into_bytes();
-        let tail = fnv64(&frame);
+        let tail = xxh64(&frame);
         frame.extend_from_slice(&tail.to_le_bytes());
         let slot = index % self.cfg.generations as u64;
         let path = journal_path(dir, self.cluster, slot);
@@ -473,21 +539,15 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> HeliosResult<()> {
 }
 
 /// Decode one on-disk generation file (header + kernel blob + trailing
-/// FNV-64). Truncation, bit flips, and cluster mismatches are typed
+/// XXH64). Magic and version are checked before the checksum, so a file
+/// of another format version is refused by name rather than reported as
+/// corrupt. Truncation, bit flips, and cluster mismatches are typed
 /// [`HeliosError::Snapshot`] errors.
 fn decode_slot(bytes: &[u8], cluster: ClusterId) -> HeliosResult<(u64, i64, Vec<u8>)> {
     let ctx = "decoding checkpoint generation";
-    if bytes.len() < 8 {
+    let Some((payload, tail)) = bytes.split_last_chunk::<8>() else {
         return Err(HeliosError::snapshot(ctx, "file shorter than its checksum"));
-    }
-    let (payload, tail) = bytes.split_at(bytes.len() - 8);
-    let stored = le_u64(tail);
-    if fnv64(payload) != stored {
-        return Err(HeliosError::snapshot(
-            ctx,
-            "checksum mismatch: generation is corrupt or torn",
-        ));
-    }
+    };
     let mut r = ByteReader::new(payload, ctx);
     if r.raw(CHECKPOINT_MAGIC.len())? != CHECKPOINT_MAGIC {
         return Err(r.err("bad magic: not a checkpoint generation"));
@@ -497,6 +557,9 @@ fn decode_slot(bytes: &[u8], cluster: ClusterId) -> HeliosResult<(u64, i64, Vec<
         return Err(r.err(format!(
             "unsupported checkpoint version {version} (this build reads {CHECKPOINT_VERSION})"
         )));
+    }
+    if xxh64(payload) != u64::from_le_bytes(*tail) {
+        return Err(r.err("checksum mismatch: generation is corrupt or torn"));
     }
     let code = r.u8()?;
     if code != crate::config::cluster_code(cluster) {
@@ -544,7 +607,7 @@ fn decode_journal(bytes: &[u8]) -> Vec<(u64, Vec<SimJob>)> {
         let (frame, _) = rest.split_at(frame_len);
         let (payload, tail) = frame.split_at(frame_len - 8);
         let stored = le_u64(tail);
-        if fnv64(payload) != stored {
+        if xxh64(payload) != stored {
             break;
         }
         let decode = || -> HeliosResult<(u64, Vec<SimJob>)> {
@@ -571,9 +634,9 @@ fn decode_journal(bytes: &[u8]) -> Vec<(u64, Vec<SimJob>)> {
 /// attaching each generation's journal segments (frames tagged with a
 /// generation index that no retained slot explains extend the youngest
 /// older generation, preserving admission order). Returns the ring and
-/// the next free generation index. Slots that fail their checksum are
-/// retained as corrupt generations so [`recover_from`] reports them as
-/// fallbacks rather than silently skipping.
+/// the next free generation index. Slots that do not decode are skipped;
+/// when none decodes, the error carries the reason the first was skipped
+/// (a version-1 directory is refused by its version, not as "missing").
 pub(crate) fn load_ring(
     dir: &Path,
     cluster: ClusterId,
@@ -582,16 +645,17 @@ pub(crate) fn load_ring(
     cfg.validate()?;
     let mut gens: Vec<Generation> = Vec::new();
     let mut frames: Vec<(u64, Vec<SimJob>)> = Vec::new();
+    let mut first_skip: Option<(PathBuf, HeliosError)> = None;
     for slot in 0..cfg.generations as u64 {
         let cpath = ckpt_path(dir, cluster, slot);
         match std::fs::read(&cpath) {
-            Ok(bytes) => {
-                // A corrupt slot could only occupy the ring (with an
-                // unsatisfiable checksum) if we could say where it
-                // belongs — without a trusted decoded index we must
-                // drop it, so decode failures are skipped here.
-                if let Ok((index, clock, blob)) = decode_slot(&bytes, cluster) {
-                    let checksum = fnv64(&blob);
+            // A corrupt slot could only occupy the ring (with an
+            // unsatisfiable checksum) if we could say where it belongs —
+            // without a trusted decoded index we must drop it, so decode
+            // failures are skipped here.
+            Ok(bytes) => match decode_slot(&bytes, cluster) {
+                Ok((index, clock, blob)) => {
+                    let checksum = xxh64(&blob);
                     gens.push(Generation {
                         index,
                         clock,
@@ -601,7 +665,10 @@ pub(crate) fn load_ring(
                         drained: 0,
                     });
                 }
-            }
+                Err(e) => {
+                    first_skip.get_or_insert((cpath.clone(), e));
+                }
+            },
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
             Err(e) => {
                 return Err(HeliosError::io(format!("reading {}", cpath.display()), &e));
@@ -612,13 +679,17 @@ pub(crate) fn load_ring(
         }
     }
     if gens.is_empty() {
+        let found = format!(
+            "{}: no checkpoint generation found under {}",
+            cluster.name(),
+            dir.display()
+        );
         return Err(HeliosError::snapshot(
             "recovering fleet from disk",
-            format!(
-                "{}: no checkpoint generation found under {}",
-                cluster.name(),
-                dir.display()
-            ),
+            match first_skip {
+                Some((path, e)) => format!("{found}; {} was skipped: {e}", path.display()),
+                None => found,
+            },
         ));
     }
     gens.sort_by_key(|g| g.index);
@@ -644,6 +715,7 @@ pub(crate) fn load_ring(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use helios_sim::{FaultConfig, Policy, SNAPSHOT_VERSION, SNAPSHOT_VERSION_FAULTS};
 
     fn job(id: u64) -> SimJob {
         SimJob {
@@ -656,27 +728,85 @@ mod tests {
         }
     }
 
-    fn blob(tag: u8) -> Vec<u8> {
-        // Not a decodable snapshot — the disk round-trip test only cares
-        // about bytes + checksum; recovery requires `real_blob`.
-        vec![tag; 64]
+    fn kernel(cluster: ClusterId) -> Simulator<'static> {
+        Simulator::new(&helios_trace::preset(cluster), Policy::Fifo.build())
     }
 
-    /// A genuinely decodable kernel snapshot, since [`recover_from`]
-    /// checksums *and* decodes each candidate generation.
-    fn real_blob() -> Vec<u8> {
-        let spec = helios_trace::preset(ClusterId::Venus);
-        let sim = helios_sim::Simulator::new(&spec, helios_sim::Policy::Fifo.build());
-        sim.snapshot().to_bytes()
+    /// A Venus kernel halfway through `n` one-GPU jobs: its blob holds
+    /// finished, running and pending work.
+    fn loaded_venus(n: u64, faults: bool) -> Simulator<'static> {
+        let mut sim = kernel(ClusterId::Venus);
+        if faults {
+            sim.enable_faults(&FaultConfig::with_mtbf_hours(24.0))
+                .expect("valid fault config");
+        }
+        let jobs: Vec<SimJob> = (0..n).map(job).collect();
+        sim.push_jobs(&jobs).expect("valid jobs");
+        sim.run_until(n as i64 / 2);
+        sim
+    }
+
+    fn newest_bytes(m: &CheckpointManager) -> &[u8] {
+        m.ring.back().map_or(&[], |g| &g.bytes)
+    }
+
+    #[test]
+    fn xxh64_known_answers() {
+        assert_eq!(xxh64(b""), 0xef46_db37_51d8_e999);
+        assert_eq!(xxh64(b"abc"), 0x44bc_2cf5_ad77_0999);
+        assert_eq!(
+            xxh64(b"Nobody inspects the spammish repetition"),
+            0xfbce_a83c_8a37_8bf1
+        );
+        // 47 bytes: one stripe, then an 8-, a 4- and three 1-byte steps.
+        let ramp: Vec<u8> = (0..47).collect();
+        assert_eq!(xxh64(&ramp), 0x0d98_83a0_3e7b_fbb8);
+    }
+
+    #[test]
+    fn every_bit_flip_and_truncation_of_a_kernel_blob_changes_the_checksum() {
+        let mut blob = Vec::new();
+        loaded_venus(8, false).snapshot_into(&mut blob);
+        let sum = xxh64(&blob);
+        for cut in 0..blob.len() {
+            assert_ne!(xxh64(&blob[..cut]), sum, "truncated to {cut} bytes");
+        }
+        for bit in 0..blob.len() * 8 {
+            blob[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(xxh64(&blob), sum, "bit {bit} flipped");
+            blob[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+
+    #[test]
+    fn generations_encode_into_recycled_buffers_byte_identically() {
+        let cfg = CheckpointConfig::default().generations(1);
+        let big = loaded_venus(256, false);
+        let mut m = CheckpointManager::new(ClusterId::Venus, cfg, 0, &big).expect("seeded");
+        // Evicting generation 0 leaves its (longer) buffer as the spare.
+        m.checkpoint(&big).expect("gen 1");
+        for sim in [loaded_venus(16, false), loaded_venus(64, true)] {
+            let spare = m.spare.len();
+            m.checkpoint(&sim).expect("recycled generation");
+            let want = sim.snapshot().to_bytes();
+            assert!(spare > want.len(), "the recycled buffer held a longer blob");
+            assert_eq!(newest_bytes(&m), want);
+        }
+        assert_eq!(newest_bytes(&m)[8], SNAPSHOT_VERSION_FAULTS as u8);
+        let recovered = m.recover().expect("clean generation");
+        assert!(recovered.snapshot.fault.is_some());
+        m.checkpoint(&big).expect("grows past the spare");
+        assert_eq!(newest_bytes(&m), big.snapshot().to_bytes());
+        assert_eq!(newest_bytes(&m)[8], SNAPSHOT_VERSION as u8);
     }
 
     #[test]
     fn ring_is_bounded_and_journals_fold_on_collapse() {
         let cfg = CheckpointConfig::default().generations(2).every_cycles(1);
-        let mut m = CheckpointManager::new(ClusterId::Venus, cfg, 0, real_blob(), i64::MIN)
-            .expect("seeded");
+        let sim = kernel(ClusterId::Venus);
+        let mut m = CheckpointManager::new(ClusterId::Venus, cfg, 0, &sim).expect("seeded");
         m.note_admitted(&[job(0), job(1)]).expect("in-memory");
-        m.checkpoint(real_blob(), 100).expect("gen 1");
+        m.checkpoint(&sim).expect("gen 1");
         m.note_admitted(&[job(2)]).expect("in-memory");
         m.note_drained(3);
         assert_eq!(m.newest_index(), 1);
@@ -695,32 +825,39 @@ mod tests {
         assert_eq!(m.newest_index(), 0);
         assert_eq!(m.journal_len(), 3, "dropped journals folded in");
         // Fresh re-baseline keeps monotone indices.
-        assert_eq!(m.checkpoint(real_blob(), 200).expect("gen 2"), 2);
+        assert_eq!(m.checkpoint(&sim).expect("gen 2"), 2);
     }
 
     #[test]
     fn truncation_is_detected_like_bit_flips() {
         let cfg = CheckpointConfig::default();
-        let mut m = CheckpointManager::new(ClusterId::Earth, cfg, 7, blob(9), 50).expect("seeded");
+        let sim = kernel(ClusterId::Earth);
+        let mut m = CheckpointManager::new(ClusterId::Earth, cfg, 7, &sim).expect("seeded");
         assert_eq!(m.newest_index(), 7);
         m.corrupt_newest(9); // odd seed: truncate
         let err = m.recover().expect_err("sole generation is corrupt");
         assert!(matches!(err, HeliosError::Snapshot { .. }), "{err}");
     }
 
-    #[test]
-    fn disk_ring_round_trips_with_torn_journal_tail() {
+    fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
-            "helios-ckpt-test-{}-{:?}",
+            "helios-ckpt-{tag}-{}-{:?}",
             std::process::id(),
             std::thread::current().id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    #[test]
+    fn disk_ring_round_trips_with_torn_journal_tail() {
+        let dir = temp_dir("test");
         let cfg = CheckpointConfig::default().generations(2).dir(&dir);
-        let mut m = CheckpointManager::new(ClusterId::Saturn, cfg.clone(), 0, blob(3), i64::MIN)
-            .expect("seeded");
+        let sim = kernel(ClusterId::Saturn);
+        let mut m =
+            CheckpointManager::new(ClusterId::Saturn, cfg.clone(), 0, &sim).expect("seeded");
         m.note_admitted(&[job(10), job(11)]).expect("journaled");
-        m.checkpoint(blob(4), 300).expect("gen 1");
+        m.checkpoint(&sim).expect("gen 1");
         m.note_admitted(&[job(12)]).expect("journaled");
 
         // Tear the newest journal's tail: append half a frame.
@@ -764,6 +901,36 @@ mod tests {
             ring[0].journal.iter().map(|j| j.id).collect::<Vec<_>>(),
             [10, 11, 12],
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn version_one_directory_is_refused_by_name() {
+        // A version-1 slot: the same header layout. Its trailer is never
+        // read, because the version is checked first, so any 8 bytes do.
+        let dir = temp_dir("v1");
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let mut w = ByteWriter::new();
+        w.raw(&CHECKPOINT_MAGIC);
+        w.u32(1);
+        w.u8(crate::config::cluster_code(ClusterId::Venus));
+        w.u64(0);
+        w.i64(i64::MIN);
+        w.bytes(&kernel(ClusterId::Venus).snapshot().to_bytes());
+        let mut slot = w.into_bytes();
+        slot.extend_from_slice(&[0; 8]);
+        std::fs::write(ckpt_path(&dir, ClusterId::Venus, 0), &slot).expect("v1 slot");
+
+        let config = crate::FleetConfig::new()
+            .with_cluster(crate::ClusterConfig::new(ClusterId::Venus, Policy::Fifo))
+            .with_checkpoint(CheckpointConfig::default().dir(&dir));
+        let Err(err) = crate::Fleet::recover(&config) else {
+            panic!("a v1 directory must be refused");
+        };
+        assert!(matches!(err, HeliosError::Snapshot { .. }), "{err}");
+        let msg = err.to_string();
+        assert!(msg.contains("checkpoint version 1 "), "{msg}");
+        assert!(msg.contains("slot0.ckpt"), "{msg}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -52,9 +52,10 @@ pub struct FleetHealth {
     /// Checkpoint generations written since launch (including the launch
     /// generation and post-recovery re-baselines).
     pub checkpoint_writes: u64,
-    /// Wall-clock time spent writing checkpoints (serialization + disk
-    /// mirror), seconds; divide by [`checkpoint_writes`](Self::checkpoint_writes)
-    /// for the mean write latency.
+    /// Wall-clock time spent writing checkpoints (serialization +
+    /// checksum + disk mirror), seconds; divide by
+    /// [`checkpoint_writes`](Self::checkpoint_writes) for the mean write
+    /// latency.
     pub checkpoint_write_secs_total: f64,
     /// Monotone kernel-event heartbeat: total events the worker has
     /// processed across its lifetime (survives restarts). A watchdog

@@ -451,7 +451,7 @@ fn attach_observers(sim: &mut Simulator<'static>, ctx: &WorkerCtx, snap: Option<
                     .queue
                     .iter()
                     // guard: allow(panic, reason = "queue entries index the snapshot's own job table; decode rejects out-of-range")
-                    .map(|&(_, _, idx)| predicted_work(&s.jobs[idx as usize].job))
+                    .map(|&(_, idx)| predicted_work(&s.jobs[idx].job))
                     .sum();
             }
         }
@@ -577,8 +577,7 @@ pub(crate) fn spawn_worker(
                 ctx.cfg.cluster,
                 runtime.checkpoint.clone(),
                 resume_index,
-                sim.snapshot().to_bytes(),
-                sim.now(),
+                &sim,
             ) {
                 Ok(m) => m,
                 Err(e) => {
@@ -778,11 +777,11 @@ fn pump(
 /// Write a checkpoint generation now, applying any scheduled chaos
 /// corruption to the freshly written blob.
 fn checkpoint_now(
-    sim: &mut Simulator<'static>,
+    sim: &Simulator<'static>,
     manager: &mut CheckpointManager,
     ctx: &mut WorkerCtx,
 ) -> HeliosResult<()> {
-    let index = manager.checkpoint(sim.snapshot().to_bytes(), sim.now())?;
+    let index = manager.checkpoint(sim)?;
     let (writes, nanos) = manager.write_stats();
     ctx.health.set_write_stats(writes, nanos);
     if let Some((chaos_cfg, _)) = &ctx.chaos {
@@ -802,7 +801,8 @@ fn snapshot_cmd(
 ) -> HeliosResult<Vec<u8>> {
     ctx.cycle += 1;
     admit(sim, manager, ctx, false)?;
-    let bytes = sim.snapshot().to_bytes();
+    let mut bytes = Vec::new();
+    sim.snapshot_into(&mut bytes);
     publish(
         &ctx.status,
         ctx.cfg.cluster,
@@ -991,7 +991,9 @@ fn recover(
         }
     }
     ctx.batch_pending = false;
-    if checkpoint_rebaseline(&mut rebuilt, manager).is_err() {
+    // The fresh post-recovery generation captures snapshot + replay in
+    // one blob, giving monotone generation indices and a journal reset.
+    if manager.checkpoint(&rebuilt).is_err() {
         return Err(crashed(ctx, restarts));
     }
     manager.note_drained(rec.suppress);
@@ -1020,15 +1022,6 @@ fn recover(
     ctx.health.clear_cancel();
     ctx.health.set_state(WorkerState::Healthy);
     Ok(())
-}
-
-/// The fresh post-recovery generation: captures snapshot + replay in one
-/// blob, giving monotone generation indices and a journal reset.
-fn checkpoint_rebaseline(
-    sim: &mut Simulator<'static>,
-    manager: &mut CheckpointManager,
-) -> HeliosResult<u64> {
-    manager.checkpoint(sim.snapshot().to_bytes(), sim.now())
 }
 
 /// Publish a fresh [`ClusterStatus`] from the kernel's incrementally

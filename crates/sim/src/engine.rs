@@ -22,9 +22,10 @@ use crate::job::{JobOutcome, SimJob};
 use crate::observer::{ClusterView, SimEvent, SimObserver};
 use crate::policy::{FifoPolicy, JobView, PriorityPolicy, SchedulingPolicy, SjfPolicy, SrtfPolicy};
 use crate::pool::{Allocation, NodePool, Placement};
-use crate::snapshot::{spec_fingerprint, JobStateSnap, SimSnapshot, VcSnap};
+use crate::snapshot::{spec_fingerprint, JobStateSnap, QueueKey, SimSnapshot, SnapView, VcView};
 use helios_trace::{ClusterSpec, HeliosError, HeliosResult};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// The built-in scheduling policies of the paper's Fig. 11, kept as a
 /// serializable constructor table over the [`SchedulingPolicy`] objects in
@@ -113,49 +114,13 @@ pub struct SimResult {
     pub outcomes: Vec<JobOutcome>,
 }
 
-/// Totally-ordered f64 key for queue ordering.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct Key(f64, u64);
-
-impl Eq for Key {}
-
-impl PartialOrd for Key {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Key {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0
-            .total_cmp(&other.0)
-            .then_with(|| self.1.cmp(&other.1))
-    }
-}
-
-/// Sentinel for the `i64` timestamp fields of [`JobState`]: "not set".
-/// (Plain sentinels instead of `Option<i64>` keep the per-job record at
-/// ~88 bytes — the kernel is memory-bound on this array at full scale.)
+/// Sentinel for the `i64` timestamp fields of [`JobStateSnap`]: "not
+/// set".
 const UNSET: i64 = i64::MIN;
 
-#[derive(Debug)]
-struct JobState {
-    job: SimJob,
-    remaining: i64,
-    started_at: i64,
-    first_start: i64,
-    end: i64,
-    epoch: u32,
-    preemptions: u32,
-    /// Index of this job inside its VC's `running` / `running_allocs`
-    /// vectors while running (enables O(1) swap-removal); meaningless
-    /// otherwise.
-    run_slot: u32,
-}
-
-impl JobState {
+impl JobStateSnap {
     fn new(job: SimJob) -> Self {
-        JobState {
+        JobStateSnap {
             job,
             remaining: job.duration.max(1),
             started_at: UNSET,
@@ -189,7 +154,7 @@ enum EventKind {
 
 pub(crate) struct VcState {
     pub(crate) pool: NodePool,
-    pub(crate) queue: MinHeap<(Key, usize)>,
+    pub(crate) queue: MinHeap<(QueueKey, usize)>,
     pub(crate) running: Vec<usize>,
     /// `running_allocs[i]` is the live allocation of job `running[i]` —
     /// slot-parallel so the cold `Allocation` payload stays out of the
@@ -317,7 +282,7 @@ pub struct Simulator<'a> {
     backfill: bool,
     policy: Box<dyn SchedulingPolicy + 'a>,
     observers: Vec<Box<dyn SimObserver + 'a>>,
-    states: Vec<JobState>,
+    states: Vec<JobStateSnap>,
     vcs: Vec<VcState>,
     stats: ClusterStats,
     /// Pending arrivals as state indices, sorted by (submit, index) and
@@ -340,7 +305,7 @@ pub struct Simulator<'a> {
     trial_log: Vec<(u32, i64)>,
     scratch_victims: Vec<(f64, usize)>,
     scratch_ends: Vec<(i64, usize)>,
-    scratch_rest: Vec<(Key, usize)>,
+    scratch_rest: Vec<(QueueKey, usize)>,
     /// Blocked-head memoization toggle (on by default; the equivalence
     /// tests flip it off to pin memoized == exhaustive rescanning).
     memo_enabled: bool,
@@ -545,66 +510,48 @@ impl<'a> Simulator<'a> {
     /// not) included. Restoring via [`Simulator::restore`] and continuing
     /// reproduces the uninterrupted run's outcomes byte-identically.
     pub fn snapshot(&self) -> SimSnapshot {
+        self.view().into_snapshot()
+    }
+
+    /// Serialize the complete kernel state into `out` (replacing its
+    /// contents, reusing its allocation) — the bytes of
+    /// `self.snapshot().to_bytes()`, encoded straight from the kernel's
+    /// own arrays without an intermediate [`SimSnapshot`].
+    pub fn snapshot_into(&self, out: &mut Vec<u8>) {
+        self.view().encode_into(out);
+    }
+
+    fn view(&self) -> SnapView<'_> {
         debug_assert!(
             self.vcs.iter().all(|vc| !vc.held_head),
             "kernel invariant: held_head is transient within one event"
         );
         let mut policy_state = Vec::new();
         self.policy.save_state(&mut policy_state);
-        SimSnapshot {
+        SnapView {
             placement: self.placement,
             backfill: self.backfill,
             memo_enabled: self.memo_enabled,
-            policy_name: self.policy.name().to_string(),
+            policy_name: self.policy.name(),
             spec_fingerprint: spec_fingerprint(&self.spec),
             horizon: self.horizon,
             finished: self.finished as u64,
-            jobs: self
-                .states
-                .iter()
-                .map(|s| JobStateSnap {
-                    job: s.job,
-                    remaining: s.remaining,
-                    started_at: s.started_at,
-                    first_start: s.first_start,
-                    end: s.end,
-                    epoch: s.epoch,
-                    preemptions: s.preemptions,
-                    run_slot: s.run_slot,
-                })
-                .collect(),
+            jobs: &self.states,
             vcs: self
                 .vcs
                 .iter()
-                .map(|vc| VcSnap {
-                    free: vc.pool.free_counts().to_vec(),
-                    queue: vc
-                        .queue
-                        .as_slice()
-                        .iter()
-                        .map(|&(Key(key, id), idx)| (key, id, idx as u64))
-                        .collect(),
-                    running: vc.running.iter().map(|&idx| idx as u64).collect(),
-                    running_allocs: vc
-                        .running_allocs
-                        .iter()
-                        .map(|a| a.slices().to_vec())
-                        .collect(),
+                .map(|vc| VcView {
+                    free: vc.pool.free_counts(),
+                    queue: vc.queue.as_slice(),
+                    running: &vc.running,
+                    running_allocs: &vc.running_allocs,
                 })
                 .collect(),
-            pending_arrivals: self.arrivals[self.next_arrival..]
-                .iter()
-                .map(|&idx| idx as u64)
-                .collect(),
-            finishes: self
-                .finishes
-                .as_slice()
-                .iter()
-                .map(|&(t, idx, epoch)| (t, idx as u64, epoch))
-                .collect(),
-            completed: self.completed.iter().map(|&idx| idx as u64).collect(),
-            policy_state,
-            fault: self.fault.as_deref().map(|f| f.to_snap()),
+            pending_arrivals: self.arrivals.get(self.next_arrival..).unwrap_or_default(),
+            finishes: self.finishes.as_slice(),
+            completed: &self.completed,
+            policy_state: Cow::Owned(policy_state),
+            fault: self.fault.as_deref().map(|f| Cow::Owned(f.to_snap())),
         }
     }
 
@@ -659,9 +606,9 @@ impl<'a> Simulator<'a> {
             None => None,
         };
         let n_jobs = snap.jobs.len();
-        let check_idx = |idx: u64, what: &str| -> HeliosResult<usize> {
-            if (idx as usize) < n_jobs {
-                Ok(idx as usize)
+        let check_idx = |idx: usize, what: &str| -> HeliosResult<usize> {
+            if idx < n_jobs {
+                Ok(idx)
             } else {
                 Err(HeliosError::snapshot(
                     ctx,
@@ -669,20 +616,7 @@ impl<'a> Simulator<'a> {
                 ))
             }
         };
-        let states: Vec<JobState> = snap
-            .jobs
-            .iter()
-            .map(|j| JobState {
-                job: j.job,
-                remaining: j.remaining,
-                started_at: j.started_at,
-                first_start: j.first_start,
-                end: j.end,
-                epoch: j.epoch,
-                preemptions: j.preemptions,
-                run_slot: j.run_slot,
-            })
-            .collect();
+        let states = snap.jobs.clone();
         let mut stats = ClusterStats::default();
         let mut vcs = Vec::with_capacity(snap.vcs.len());
         for (v, (vc_snap, vc_spec)) in snap.vcs.iter().zip(&spec.vcs).enumerate() {
@@ -710,8 +644,8 @@ impl<'a> Simulator<'a> {
                 }
             }
             let mut queue_data = Vec::with_capacity(vc_snap.queue.len());
-            for &(key, id, idx) in &vc_snap.queue {
-                queue_data.push((Key(key, id), check_idx(idx, "a queue entry")?));
+            for &(key, idx) in &vc_snap.queue {
+                queue_data.push((key, check_idx(idx, "a queue entry")?));
             }
             if !is_heap(&queue_data) {
                 return Err(HeliosError::snapshot(
@@ -744,11 +678,6 @@ impl<'a> Simulator<'a> {
                 }
                 running.push(idx);
             }
-            let running_allocs: Vec<Allocation> = vc_snap
-                .running_allocs
-                .iter()
-                .map(|slices| slices.iter().copied().collect())
-                .collect();
             // True free counts (not `pool.free_gpus()`, which excludes
             // offline nodes): busy must mean "held by a running gang".
             stats.busy_gpus += pool.capacity() - vc_snap.free.iter().sum::<u32>();
@@ -761,7 +690,7 @@ impl<'a> Simulator<'a> {
                 pool,
                 queue: MinHeap::from_heap_vec(queue_data),
                 running,
-                running_allocs,
+                running_allocs: vc_snap.running_allocs.clone(),
                 held_head: false,
                 memo: None,
             });
@@ -843,7 +772,7 @@ impl<'a> Simulator<'a> {
         self.next_arrival = 0;
         for &job in jobs {
             let idx = self.states.len();
-            self.states.push(JobState::new(job));
+            self.states.push(JobStateSnap::new(job));
             self.arrivals.push(idx);
         }
         let states = &self.states;
@@ -1109,7 +1038,7 @@ impl<'a> Simulator<'a> {
             }
             EventKind::Arrive { idx } => {
                 let vc = self.states[idx].job.vc as usize;
-                let key = Key(
+                let key = QueueKey(
                     self.policy.queue_key(&self.states[idx].view()),
                     self.states[idx].job.id,
                 );
@@ -1286,7 +1215,7 @@ impl<'a> Simulator<'a> {
             f.stats.killed_jobs += 1;
             f.stats.lost_gpu_secs += lost as f64 * f64::from(job.gpus);
         }
-        let key = Key(self.policy.queue_key(&self.states[idx].view()), job.id);
+        let key = QueueKey(self.policy.queue_key(&self.states[idx].view()), job.id);
         self.vcs[vc].queue.push((key, idx));
         self.stats.queued_jobs += 1;
         let view = ClusterView::new(&self.vcs, &self.stats, self.fault.as_deref());
@@ -1646,7 +1575,7 @@ impl<'a> Simulator<'a> {
             let job = s.job;
             let alloc = self.remove_running(vc, idx);
             self.release_on(vc, &alloc, now);
-            let key = Key(
+            let key = QueueKey(
                 self.policy.queue_key(&self.states[idx].view()),
                 self.states[idx].job.id,
             );

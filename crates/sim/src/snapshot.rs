@@ -20,11 +20,18 @@
 //! frame their own envelopes around per-cluster payloads. Decoding never
 //! panics: every malformed input surfaces as
 //! [`HeliosError::Snapshot`].
+//!
+//! There is one encoder, over a borrowed view of the state. A live
+//! kernel lends its own arrays to it
+//! ([`Simulator::snapshot_into`](crate::Simulator::snapshot_into)), so a
+//! checkpoint never copies the job table; [`SimSnapshot::to_bytes`] lends
+//! the snapshot's fields to the same code.
 
 use crate::fault::FaultSnap;
 use crate::job::SimJob;
-use crate::pool::Placement;
+use crate::pool::{Allocation, Placement};
 use helios_trace::{ClusterSpec, HeliosError, HeliosResult};
+use std::borrow::Cow;
 
 /// Magic prefix of a serialized [`SimSnapshot`].
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"HSIMSNAP";
@@ -66,12 +73,12 @@ pub struct SimSnapshot {
     /// Per-VC pool/queue/running state, in VC order.
     pub vcs: Vec<VcSnap>,
     /// Unconsumed arrival cursor tail (state indices, submit-sorted).
-    pub pending_arrivals: Vec<u64>,
+    pub pending_arrivals: Vec<usize>,
     /// The finish heap's backing array verbatim: `(time, state index,
     /// epoch)`.
-    pub finishes: Vec<(i64, u64, u32)>,
+    pub finishes: Vec<(i64, usize, u32)>,
     /// Finished but not yet drained (state indices).
-    pub completed: Vec<u64>,
+    pub completed: Vec<usize>,
     /// Opaque policy payload from `SchedulingPolicy::save_state`.
     pub policy_state: Vec<u8>,
     /// Failure-injection state (`None` when injection is disabled; its
@@ -80,9 +87,11 @@ pub struct SimSnapshot {
     pub fault: Option<FaultSnap>,
 }
 
-/// One job's execution state inside a [`SimSnapshot`]. Field semantics
-/// mirror the kernel's internal per-job record; `i64::MIN` is the "not
-/// set" sentinel for the timestamp fields.
+/// One job's execution state: the kernel's own per-job record, which a
+/// [`SimSnapshot`] copies and the encoder reads as is. `i64::MIN` is the
+/// "not set" sentinel for the timestamp fields (plain sentinels instead
+/// of `Option<i64>` keep the record at 88 bytes — the kernel is
+/// memory-bound on this array at full scale).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobStateSnap {
     /// The job as submitted.
@@ -99,8 +108,31 @@ pub struct JobStateSnap {
     pub epoch: u32,
     /// Times preempted so far.
     pub preemptions: u32,
-    /// Slot in the VC's running vectors while running.
+    /// Index of this job inside its VC's `running` / `running_allocs`
+    /// vectors while running (enables O(1) swap-removal); meaningless
+    /// otherwise.
     pub run_slot: u32,
+}
+
+/// The kernel's total queue order: the policy's queue key, ties broken
+/// by job id (`f64::total_cmp`, so every key is ordered).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct QueueKey(pub f64, pub u64);
+
+impl Eq for QueueKey {}
+
+impl PartialOrd for QueueKey {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for QueueKey {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.0
+            .total_cmp(&other.0)
+            .then_with(|| self.1.cmp(&other.1))
+    }
 }
 
 /// One VC's state inside a [`SimSnapshot`].
@@ -108,15 +140,53 @@ pub struct JobStateSnap {
 pub struct VcSnap {
     /// Per-node free-GPU counts — the pool's complete logical state.
     pub free: Vec<u32>,
-    /// The policy queue's backing heap array verbatim: `(key, job id,
-    /// state index)`. The `(key, job id)` pair is the kernel's total
-    /// queue order.
-    pub queue: Vec<(f64, u64, u64)>,
+    /// The policy queue's backing heap array verbatim: `(key, state
+    /// index)`.
+    pub queue: Vec<(QueueKey, usize)>,
     /// Running jobs (state indices), slot order.
-    pub running: Vec<u64>,
-    /// `running_allocs[i]` is the `(node, gpus)` slice list of
-    /// `running[i]`'s live allocation.
-    pub running_allocs: Vec<Vec<(u32, u32)>>,
+    pub running: Vec<usize>,
+    /// `running_allocs[i]` is `running[i]`'s live allocation.
+    pub running_allocs: Vec<Allocation>,
+}
+
+impl VcSnap {
+    fn view(&self) -> VcView<'_> {
+        VcView {
+            free: &self.free,
+            queue: &self.queue,
+            running: &self.running,
+            running_allocs: &self.running_allocs,
+        }
+    }
+}
+
+/// Kernel state borrowed in wire order: what the one HSIMSNAP encoder
+/// reads. A live kernel lends its own arrays; a [`SimSnapshot`] lends its
+/// fields. The policy payload and the failure state are built on demand
+/// by a live kernel, hence the `Cow`s.
+pub(crate) struct SnapView<'a> {
+    pub placement: Placement,
+    pub backfill: bool,
+    pub memo_enabled: bool,
+    pub policy_name: &'a str,
+    pub spec_fingerprint: u64,
+    pub horizon: i64,
+    pub finished: u64,
+    pub jobs: &'a [JobStateSnap],
+    pub vcs: Vec<VcView<'a>>,
+    pub pending_arrivals: &'a [usize],
+    pub finishes: &'a [(i64, usize, u32)],
+    pub completed: &'a [usize],
+    pub policy_state: Cow<'a, [u8]>,
+    pub fault: Option<Cow<'a, FaultSnap>>,
+}
+
+/// One VC of a [`SnapView`].
+pub(crate) struct VcView<'a> {
+    pub free: &'a [u32],
+    pub queue: &'a [(QueueKey, usize)],
+    pub running: &'a [usize],
+    pub running_allocs: &'a [Allocation],
 }
 
 /// Order-sensitive FNV-1a fingerprint of the spec facts the kernel state
@@ -353,10 +423,64 @@ fn placement_from(code: u8, r: &ByteReader<'_>) -> HeliosResult<Placement> {
     }
 }
 
-impl SimSnapshot {
-    /// Serialize to the versioned binary wire format.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
+impl SnapView<'_> {
+    /// Upper bound on the encoded size: exact but for the failure
+    /// section, which is bounded per node and per event.
+    fn wire_bound(&self) -> usize {
+        let vcs: usize = self
+            .vcs
+            .iter()
+            .map(|vc| {
+                32 + vc.free.len() * 4
+                    + vc.queue.len() * 24
+                    + vc.running.len() * 8
+                    + vc.running_allocs
+                        .iter()
+                        .map(|a| 8 + a.slices().len() * 8)
+                        .sum::<usize>()
+            })
+            .sum();
+        let fault = self
+            .fault
+            .as_ref()
+            .map_or(0, |f| 512 + f.nodes.len() * 64 + f.events.len() * 24);
+        SNAPSHOT_MAGIC.len()
+            + 4
+            + 3
+            + 8
+            + self.policy_name.len()
+            + 3 * 8
+            + 8
+            + self.jobs.len() * (JOB_WIRE_BYTES + 44)
+            + 8
+            + vcs
+            + 8
+            + self.pending_arrivals.len() * 8
+            + 8
+            + self.finishes.len() * 20
+            + 8
+            + self.completed.len() * 8
+            + 8
+            + self.policy_state.len()
+            + fault
+    }
+
+    /// Encode into `out`, replacing its contents — the only HSIMSNAP
+    /// encoder. `out`'s allocation is reused when it is large enough. A
+    /// fresh buffer is sized exactly; an outgrown one is freed first and
+    /// replaced with an eighth of headroom, so a buffer recycled across a
+    /// growing kernel's checkpoints is not reallocated every time.
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
+        let need = self.wire_bound();
+        out.clear();
+        if out.capacity() < need {
+            let headroom = if out.capacity() == 0 { 0 } else { need / 8 };
+            *out = Vec::new();
+            out.reserve_exact(need + headroom);
+        }
+        let mut w = ByteWriter {
+            buf: std::mem::take(out),
+        };
         w.buf.extend_from_slice(&SNAPSHOT_MAGIC);
         w.u32(if self.fault.is_some() {
             SNAPSHOT_VERSION_FAULTS
@@ -366,12 +490,12 @@ impl SimSnapshot {
         w.u8(placement_code(self.placement));
         w.u8(self.backfill as u8);
         w.u8(self.memo_enabled as u8);
-        w.str(&self.policy_name);
+        w.str(self.policy_name);
         w.u64(self.spec_fingerprint);
         w.i64(self.horizon);
         w.u64(self.finished);
         w.u64(self.jobs.len() as u64);
-        for j in &self.jobs {
+        for j in self.jobs {
             w.job(&j.job);
             w.i64(j.remaining);
             w.i64(j.started_at);
@@ -384,47 +508,105 @@ impl SimSnapshot {
         w.u64(self.vcs.len() as u64);
         for vc in &self.vcs {
             w.u64(vc.free.len() as u64);
-            for &f in &vc.free {
+            for &f in vc.free {
                 w.u32(f);
             }
             w.u64(vc.queue.len() as u64);
-            for &(key, id, idx) in &vc.queue {
+            for &(QueueKey(key, id), idx) in vc.queue {
                 w.f64(key);
                 w.u64(id);
-                w.u64(idx);
+                w.u64(idx as u64);
             }
             w.u64(vc.running.len() as u64);
-            for &idx in &vc.running {
-                w.u64(idx);
+            for &idx in vc.running {
+                w.u64(idx as u64);
             }
             w.u64(vc.running_allocs.len() as u64);
-            for alloc in &vc.running_allocs {
-                w.u64(alloc.len() as u64);
-                for &(node, gpus) in alloc {
+            for alloc in vc.running_allocs {
+                w.u64(alloc.slices().len() as u64);
+                for &(node, gpus) in alloc.slices() {
                     w.u32(node);
                     w.u32(gpus);
                 }
             }
         }
         w.u64(self.pending_arrivals.len() as u64);
-        for &idx in &self.pending_arrivals {
-            w.u64(idx);
+        for &idx in self.pending_arrivals {
+            w.u64(idx as u64);
         }
         w.u64(self.finishes.len() as u64);
-        for &(t, idx, epoch) in &self.finishes {
+        for &(t, idx, epoch) in self.finishes {
             w.i64(t);
-            w.u64(idx);
+            w.u64(idx as u64);
             w.u32(epoch);
         }
         w.u64(self.completed.len() as u64);
-        for &idx in &self.completed {
-            w.u64(idx);
+        for &idx in self.completed {
+            w.u64(idx as u64);
         }
         w.bytes(&self.policy_state);
         if let Some(fault) = &self.fault {
             fault.encode(&mut w);
         }
-        w.into_bytes()
+        debug_assert!(w.buf.len() <= need, "wire_bound under-estimates");
+        *out = w.into_bytes();
+    }
+
+    /// An owned copy of the viewed state.
+    pub(crate) fn into_snapshot(self) -> SimSnapshot {
+        SimSnapshot {
+            placement: self.placement,
+            backfill: self.backfill,
+            memo_enabled: self.memo_enabled,
+            policy_name: self.policy_name.to_string(),
+            spec_fingerprint: self.spec_fingerprint,
+            horizon: self.horizon,
+            finished: self.finished,
+            jobs: self.jobs.to_vec(),
+            vcs: self
+                .vcs
+                .iter()
+                .map(|vc| VcSnap {
+                    free: vc.free.to_vec(),
+                    queue: vc.queue.to_vec(),
+                    running: vc.running.to_vec(),
+                    running_allocs: vc.running_allocs.to_vec(),
+                })
+                .collect(),
+            pending_arrivals: self.pending_arrivals.to_vec(),
+            finishes: self.finishes.to_vec(),
+            completed: self.completed.to_vec(),
+            policy_state: self.policy_state.into_owned(),
+            fault: self.fault.map(Cow::into_owned),
+        }
+    }
+}
+
+impl SimSnapshot {
+    fn view(&self) -> SnapView<'_> {
+        SnapView {
+            placement: self.placement,
+            backfill: self.backfill,
+            memo_enabled: self.memo_enabled,
+            policy_name: &self.policy_name,
+            spec_fingerprint: self.spec_fingerprint,
+            horizon: self.horizon,
+            finished: self.finished,
+            jobs: &self.jobs,
+            vcs: self.vcs.iter().map(VcSnap::view).collect(),
+            pending_arrivals: &self.pending_arrivals,
+            finishes: &self.finishes,
+            completed: &self.completed,
+            policy_state: Cow::Borrowed(&self.policy_state),
+            fault: self.fault.as_ref().map(Cow::Borrowed),
+        }
+    }
+
+    /// Serialize to the versioned binary wire format.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.view().encode_into(&mut out);
+        out
     }
 
     /// Decode from the versioned binary wire format. Trailing garbage,
@@ -474,12 +656,13 @@ impl SimSnapshot {
             let n_queue = r.len(24)?;
             let mut queue = Vec::with_capacity(n_queue);
             for _ in 0..n_queue {
-                queue.push((r.f64()?, r.u64()?, r.u64()?));
+                let key = QueueKey(r.f64()?, r.u64()?);
+                queue.push((key, r.u64()? as usize));
             }
             let n_running = r.len(8)?;
             let mut running = Vec::with_capacity(n_running);
             for _ in 0..n_running {
-                running.push(r.u64()?);
+                running.push(r.u64()? as usize);
             }
             let n_allocs = r.len(8)?;
             let mut running_allocs = Vec::with_capacity(n_allocs);
@@ -489,7 +672,7 @@ impl SimSnapshot {
                 for _ in 0..n_slices {
                     slices.push((r.u32()?, r.u32()?));
                 }
-                running_allocs.push(slices);
+                running_allocs.push(slices.into_iter().collect());
             }
             vcs.push(VcSnap {
                 free,
@@ -501,17 +684,17 @@ impl SimSnapshot {
         let n_arr = r.len(8)?;
         let mut pending_arrivals = Vec::with_capacity(n_arr);
         for _ in 0..n_arr {
-            pending_arrivals.push(r.u64()?);
+            pending_arrivals.push(r.u64()? as usize);
         }
         let n_fin = r.len(20)?;
         let mut finishes = Vec::with_capacity(n_fin);
         for _ in 0..n_fin {
-            finishes.push((r.i64()?, r.u64()?, r.u32()?));
+            finishes.push((r.i64()?, r.u64()? as usize, r.u32()?));
         }
         let n_done = r.len(8)?;
         let mut completed = Vec::with_capacity(n_done);
         for _ in 0..n_done {
-            completed.push(r.u64()?);
+            completed.push(r.u64()? as usize);
         }
         let policy_state = r.bytes()?;
         let fault = if version == SNAPSHOT_VERSION_FAULTS {
@@ -577,9 +760,9 @@ mod tests {
             }],
             vcs: vec![VcSnap {
                 free: vec![0, 8, 3],
-                queue: vec![(100.0, 7, 0), (101.5, 9, 0)],
+                queue: vec![(QueueKey(100.0, 7), 0), (QueueKey(101.5, 9), 0)],
                 running: vec![0],
-                running_allocs: vec![vec![(0, 8)]],
+                running_allocs: vec![[(0, 8)].into_iter().collect()],
             }],
             pending_arrivals: vec![0],
             finishes: vec![(700, 0, 2)],

@@ -5,8 +5,8 @@
 
 use helios_energy::EnergyAwarePolicy;
 use helios_sim::{
-    jobs_from_trace, JobOutcome, Policy, SchedulingPolicy, SimSnapshot, Simulator, SrtfPolicy,
-    TiresiasPolicy,
+    jobs_from_trace, FaultConfig, JobOutcome, Policy, SchedulingPolicy, SimSnapshot, Simulator,
+    SrtfPolicy, TiresiasPolicy, SNAPSHOT_VERSION, SNAPSHOT_VERSION_FAULTS,
 };
 use helios_trace::{generate, preset, profile_for, ClusterId, GeneratorConfig, HeliosError};
 
@@ -138,4 +138,47 @@ fn restore_rejects_mismatched_cluster_and_policy() {
         .err()
         .expect("cross-policy restore must fail");
     assert!(matches!(err, HeliosError::Snapshot { .. }), "{err}");
+}
+
+#[test]
+fn snapshot_into_a_recycled_longer_buffer_equals_to_bytes() {
+    // The checkpoint path encodes each generation into the buffer of an
+    // evicted one: whatever that buffer held before must not leak into
+    // the blob.
+    let trace = generate(
+        &profile_for(ClusterId::Venus),
+        &GeneratorConfig {
+            scale: 0.05,
+            seed: 3,
+        },
+    )
+    .unwrap();
+    let (lo, hi) = trace.calendar.month_range(5);
+    let jobs = jobs_from_trace(&trace, lo, hi);
+    let mid = lo + (hi - lo) / 2;
+    let kernel = |jobs: &[_], faults: bool| {
+        let mut sim = Simulator::new(&trace.spec, Policy::Fifo.build());
+        if faults {
+            sim.enable_faults(&FaultConfig::with_mtbf_hours(24.0))
+                .unwrap();
+        }
+        sim.push_jobs(jobs).unwrap();
+        sim.run_until(mid);
+        sim
+    };
+    let full = kernel(&jobs, false);
+    let mut buf = Vec::new();
+    for (faults, version) in [(false, SNAPSHOT_VERSION), (true, SNAPSHOT_VERSION_FAULTS)] {
+        full.snapshot_into(&mut buf);
+        assert_eq!(buf, full.snapshot().to_bytes());
+        let longer = buf.len();
+        let shorter = kernel(&jobs[..jobs.len() / 2], faults);
+        shorter.snapshot_into(&mut buf);
+        let want = shorter.snapshot().to_bytes();
+        assert!(want.len() < longer, "the buffer held a longer blob");
+        assert_eq!(buf, want, "faults: {faults}");
+        assert_eq!(buf[8], version as u8);
+        let snap = SimSnapshot::from_bytes(&buf).unwrap();
+        assert_eq!(snap.fault.is_some(), faults);
+    }
 }
