@@ -2,6 +2,7 @@
 //! artifact (table or figure) as plain text (the rows/series the paper
 //! reports) plus a JSON value for machine consumption.
 
+use helios::SchedulePolicy;
 use helios_analysis::cdf::Cdf;
 use helios_analysis::report::{fmt_count, fmt_secs, TextTable};
 use helios_analysis::{clusters, jobs, users, vc};
@@ -17,8 +18,8 @@ use helios_predict::{
 };
 use helios_sim::{
     group_delay_ratios, jobs_from_trace, per_vc_queue_delay, schedule_stats, simulate,
-    simulate_with, FaultConfig, FifoPolicy, KernelConfig, Placement, Policy, PriorityPolicy,
-    SchedulingPolicy, SimConfig, SimJob, Simulator, SjfPolicy, SrtfPolicy, TiresiasPolicy,
+    simulate_with, FaultConfig, FifoPolicy, KernelConfig, Placement, Policy, SchedulingPolicy,
+    SimConfig, SimJob, Simulator,
 };
 use helios_trace::{
     generate_helios, generate_philly, GeneratorConfig, HeliosError, Trace, SECS_PER_DAY,
@@ -397,7 +398,7 @@ impl Context {
     /// Restrict (or extend) the scheduler experiments to one policy — or
     /// `"all"` for every shipped policy including Tiresias. Accepts the
     /// `repro --policy` values: `fifo|sjf|srtf|qssf|tiresias|all`
-    /// (case-insensitive; the valid set is `POLICY_TABLE`). A `drain:`
+    /// (case-insensitive; the valid set is [`POLICIES`]). A `drain:`
     /// prefix (e.g. `drain:fifo`) wraps every selected policy in the
     /// proactive-drain layer ([`DrainPolicy`]), which marks
     /// high-failure-risk nodes draining before they fail.
@@ -409,11 +410,8 @@ impl Context {
         self.drain = drain;
         self.policies = if choice.eq_ignore_ascii_case("all") {
             POLICIES.to_vec()
-        } else if let Some((label, _)) = POLICY_TABLE
-            .iter()
-            .find(|(l, _)| l.eq_ignore_ascii_case(choice))
-        {
-            vec![*label]
+        } else if let Some(policy) = shipped(choice) {
+            vec![policy.label()]
         } else {
             return Err(HeliosError::UnknownName {
                 kind: "policy",
@@ -477,13 +475,12 @@ impl Context {
                 traces.len(),
                 policies.len()
             );
-            let seed = self.cfg.seed;
             let faults = self.faults;
             let drain = self.drain;
             let runs: Vec<SchedulerRun> = traces
                 .par_iter()
                 .with_min_len(1)
-                .map(|t| run_schedulers_with(t, seed, &policies, faults.as_ref(), drain))
+                .map(|t| run_schedulers_with(t, &policies, faults.as_ref(), drain))
                 .collect();
             self.sched = Some(runs);
         }
@@ -508,8 +505,9 @@ impl Context {
                 .par_iter()
                 .with_min_len(1)
                 .map(|&label| {
+                    let policy = shipped(label).expect("label validated by set_policy_choice");
                     let jobs: Vec<SimJob>;
-                    let jobs_ref: &[SimJob] = if label == "QSSF" {
+                    let jobs_ref: &[SimJob] = if policy == SchedulePolicy::Qssf {
                         // QSSF with randomized priorities matching
                         // Helios-like estimation error.
                         jobs = noisy_oracle_priorities(t, lo, hi, 0.8, seed ^ 0xF1);
@@ -517,12 +515,7 @@ impl Context {
                     } else {
                         &base
                     };
-                    let policy = if label == "QSSF" {
-                        Box::new(PriorityPolicy::named("QSSF")) as Box<dyn SchedulingPolicy>
-                    } else {
-                        baseline_policy(label)
-                    };
-                    let policy = maybe_drain(policy, faults.as_ref(), drain);
+                    let policy = maybe_drain(policy.build(), faults.as_ref(), drain);
                     timed_run(
                         "Philly",
                         label,
@@ -609,7 +602,8 @@ impl Context {
                         .expect("series replay on a valid trace");
                     let eval_start = t.calendar.month_start(5);
                     let eval_end = eval_start + 21 * SECS_PER_DAY;
-                    let mut svc = CesService::new(scaled_ces_config(t.spec.nodes));
+                    let mut svc =
+                        CesService::new(CesServiceConfig::default().scaled_to(t.spec.nodes));
                     (
                         t.spec.id.name().to_string(),
                         svc.evaluate(t, &series, eval_start, eval_end)
@@ -632,7 +626,7 @@ impl Context {
                 .expect("series replay on a valid trace");
             let eval_start = t.calendar.month_start(2);
             let eval_end = eval_start + 14 * SECS_PER_DAY;
-            let mut svc = CesService::new(scaled_ces_config(t.spec.nodes));
+            let mut svc = CesService::new(CesServiceConfig::default().scaled_to(t.spec.nodes));
             let eval = svc
                 .evaluate(t, &series, eval_start, eval_end)
                 .expect("evaluation window within calendar");
@@ -642,39 +636,23 @@ impl Context {
     }
 }
 
-/// CES thresholds proportional to cluster size (defaults target the
-/// 130–320-node paper clusters; scaled runs shrink them).
-fn scaled_ces_config(nodes: u32) -> CesServiceConfig {
-    let mut cfg = CesServiceConfig::default();
-    let k = (nodes as f64 / 140.0).clamp(0.05, 3.0);
-    cfg.control.buffer_nodes = (3.0 * k).max(1.0);
-    cfg.control.xi_hist = (1.0 * k).max(0.25);
-    cfg.control.xi_future = (1.0 * k).max(0.25);
-    cfg
-}
-
-type PolicyCtor = fn() -> Box<dyn SchedulingPolicy>;
-
-/// Single source of truth for the scheduler-experiment policies: label →
-/// constructor, canonical column order. `None` marks QSSF, whose policy
-/// object comes from its trained service ([`QssfService::scheduling_policy`]).
-const POLICY_TABLE: [(&str, Option<PolicyCtor>); 5] = [
-    ("FIFO", Some(|| Box::new(FifoPolicy))),
-    ("SJF", Some(|| Box::new(SjfPolicy))),
-    ("QSSF", None),
-    ("SRTF", Some(|| Box::new(SrtfPolicy))),
-    ("TIRESIAS", Some(|| Box::new(TiresiasPolicy::default()))),
+/// Every shipped scheduler-experiment policy, canonical column order. The
+/// façade's [`SchedulePolicy`] builds each policy object; QSSF's comes
+/// with priorities from its trained service (or the noisy oracle on
+/// Philly).
+const SHIPPED: [SchedulePolicy; 5] = [
+    SchedulePolicy::Fifo,
+    SchedulePolicy::Sjf,
+    SchedulePolicy::Qssf,
+    SchedulePolicy::Srtf,
+    SchedulePolicy::Tiresias,
 ];
 
-/// Policy object for one QSSF-agnostic policy label (validated against
-/// `POLICY_TABLE` by [`Context::set_policy_choice`]).
-fn baseline_policy(label: &str) -> Box<dyn SchedulingPolicy> {
-    let ctor = POLICY_TABLE
-        .iter()
-        .find(|(l, _)| *l == label)
-        .and_then(|(_, c)| *c)
-        .expect("label validated against POLICY_TABLE by set_policy_choice");
-    ctor()
+/// The shipped policy behind a label (case-insensitive).
+fn shipped(label: &str) -> Option<SchedulePolicy> {
+    SHIPPED
+        .into_iter()
+        .find(|p| p.label().eq_ignore_ascii_case(label))
 }
 
 /// Wrap a policy in the proactive-drain layer when `--policy drain:<inner>`
@@ -751,22 +729,15 @@ fn timed_run(
 }
 
 /// Run the selected scheduling policies on one cluster's September jobs
-/// through the pluggable kernel, one policy per rayon thread
-/// (failure-free, no drain wrapper — the legacy entry point).
-pub fn run_schedulers(trace: &Trace, seed: u64, policies: &[&'static str]) -> SchedulerRun {
-    run_schedulers_with(trace, seed, policies, None, false)
-}
-
-/// [`run_schedulers`] with an optional fault model (failure injection in
-/// every kernel) and optional proactive-drain wrapping of each policy.
+/// through the pluggable kernel, one policy per rayon thread, with an
+/// optional fault model (failure injection in every kernel) and optional
+/// proactive-drain wrapping of each policy.
 pub fn run_schedulers_with(
     trace: &Trace,
-    seed: u64,
     policies: &[&'static str],
     faults: Option<&FaultConfig>,
     drain: bool,
 ) -> SchedulerRun {
-    let _ = seed;
     let cal = &trace.calendar;
     let (lo, hi) = cal.month_range(5); // September
     let base = jobs_from_trace(trace, lo, hi);
@@ -776,31 +747,26 @@ pub fn run_schedulers_with(
         .par_iter()
         .with_min_len(1)
         .map(|&label| {
-            if label == "QSSF" {
+            let policy = shipped(label).expect("label validated by set_policy_choice");
+            let scored;
+            let jobs: &[SimJob] = if policy == SchedulePolicy::Qssf {
                 // QSSF: train on April–August, score September causally.
                 let mut qssf = QssfService::new(QssfConfig::default());
                 qssf.train(trace, 0, lo).expect("training window non-empty");
-                let scored = qssf.assign_priorities(trace, lo, hi);
-                timed_run(
-                    &cluster,
-                    label,
-                    &trace.spec,
-                    &scored,
-                    maybe_drain(qssf.scheduling_policy(), faults, drain),
-                    &kcfg,
-                    faults,
-                )
+                scored = qssf.assign_priorities(trace, lo, hi);
+                &scored
             } else {
-                timed_run(
-                    &cluster,
-                    label,
-                    &trace.spec,
-                    &base,
-                    maybe_drain(baseline_policy(label), faults, drain),
-                    &kcfg,
-                    faults,
-                )
-            }
+                &base
+            };
+            timed_run(
+                &cluster,
+                label,
+                &trace.spec,
+                jobs,
+                maybe_drain(policy.build(), faults, drain),
+                &kcfg,
+                faults,
+            )
         })
         .collect();
     let mut outcomes = BTreeMap::new();
@@ -816,18 +782,18 @@ pub fn run_schedulers_with(
     }
 }
 
-/// Every shipped scheduler-experiment policy, canonical column order
-/// (derived from `POLICY_TABLE`).
+/// Labels of every shipped scheduler-experiment policy, canonical column
+/// order.
 pub const POLICIES: [&str; 5] = [
-    POLICY_TABLE[0].0,
-    POLICY_TABLE[1].0,
-    POLICY_TABLE[2].0,
-    POLICY_TABLE[3].0,
-    POLICY_TABLE[4].0,
+    SHIPPED[0].label(),
+    SHIPPED[1].label(),
+    SHIPPED[2].label(),
+    SHIPPED[3].label(),
+    SHIPPED[4].label(),
 ];
 
-/// The paper's Fig. 11 / Table 3 policy set (the default): everything in
-/// `POLICY_TABLE` except the follow-up Tiresias discipline.
+/// The paper's Fig. 11 / Table 3 policy set (the default): every shipped
+/// policy except the follow-up Tiresias discipline.
 pub const PAPER_POLICIES: [&str; 4] = ["FIFO", "SJF", "QSSF", "SRTF"];
 
 // ---------------------------------------------------------------------------
@@ -1814,7 +1780,7 @@ fn pred_ces(ctx: &mut Context) -> ExperimentOutput {
     let actual: Vec<f64> = test_idx.iter().map(|&i| values[i + h]).collect();
 
     // GBDT (the CES service forecaster).
-    let mut svc = CesService::new(scaled_ces_config(earth.spec.nodes));
+    let mut svc = CesService::new(CesServiceConfig::default().scaled_to(earth.spec.nodes));
     svc.train(&series, cal, split)
         .expect("training series long enough");
     let gbdt_pred = svc
@@ -3017,15 +2983,12 @@ mod tests {
 
     #[test]
     fn policy_lists_are_consistent_with_the_table() {
-        // Every selectable label must resolve to a kernel policy (or QSSF).
+        // Every selectable label must resolve to a kernel policy of the
+        // same name.
         for label in POLICIES {
-            assert!(
-                POLICY_TABLE.iter().any(|(l, _)| *l == label),
-                "{label} missing from POLICY_TABLE"
-            );
-            if label != "QSSF" {
-                assert_eq!(baseline_policy(label).name(), label);
-            }
+            let policy = shipped(label).unwrap_or_else(|| panic!("{label} not shipped"));
+            assert_eq!(policy.label(), label);
+            assert_eq!(policy.build().name(), label);
         }
         for label in PAPER_POLICIES {
             assert!(POLICIES.contains(&label), "{label} not a shipped policy");

@@ -2,7 +2,6 @@
 //! over the occupancy series, driving the prediction-guided DRS control
 //! loop of `helios-energy`.
 
-use crate::framework::{Action, HistoryStore, Service};
 use helios_energy::{run_control_loop, CesConfig, CesOutcome, DrsPolicy, NodeSeries};
 use helios_predict::features::series::{build_series_dataset, features_at, SeriesFeatureConfig};
 use helios_predict::gbdt::{Gbdt, GbdtParams};
@@ -43,6 +42,21 @@ impl Default for CesServiceConfig {
                 seed: 23,
             },
         }
+    }
+}
+
+impl CesServiceConfig {
+    /// These settings with the DRS thresholds scaled to a cluster of
+    /// `nodes` nodes. The defaults target the paper's 130–320-node
+    /// clusters, so the buffer and both trend thresholds are multiplied by
+    /// `k = nodes / 140` (clamped to `[0.05, 3]`), with floors of one
+    /// buffer node and a quarter-node threshold.
+    pub fn scaled_to(mut self, nodes: u32) -> Self {
+        let k = (nodes as f64 / 140.0).clamp(0.05, 3.0);
+        self.control.buffer_nodes = (self.control.buffer_nodes * k).max(1.0);
+        self.control.xi_hist = (self.control.xi_hist * k).max(0.25);
+        self.control.xi_future = (self.control.xi_future * k).max(0.25);
+        self
     }
 }
 
@@ -197,60 +211,6 @@ impl CesService {
     }
 }
 
-impl Service for CesService {
-    fn name(&self) -> &str {
-        "ces"
-    }
-
-    fn update_model(&mut self, history: &HistoryStore) -> HeliosResult<()> {
-        let now = history.now();
-        let bin = 600;
-        if now < 30 * bin {
-            return Ok(());
-        }
-        let series = helios_energy::node_series_from_trace(
-            history.trace(),
-            bin,
-            helios_sim::Placement::Consolidate,
-        )?;
-        let train_end = ((now - series.t0) / bin) as usize;
-        if train_end > self.cfg.features.min_index() + self.cfg.features.horizon + 10 {
-            self.train(&series, &history.trace().calendar, train_end)?;
-        }
-        Ok(())
-    }
-
-    fn orchestrate(&mut self, history: &HistoryStore, now: i64) -> HeliosResult<Vec<Action>> {
-        if !self.is_trained() {
-            return Ok(vec![Action::None]);
-        }
-        let bin = 600;
-        let series = helios_energy::node_series_from_trace(
-            history.trace(),
-            bin,
-            helios_sim::Placement::Consolidate,
-        )?;
-        let t = ((now - series.t0) / bin) as usize;
-        if t < self.cfg.features.min_index() || t >= series.len() {
-            return Ok(vec![Action::None]);
-        }
-        let f = self.forecast(&series, &history.trace().calendar, t, t + 1)?[0];
-        let running = series.running[t];
-        Ok(
-            if f + self.cfg.control.buffer_nodes < running - self.cfg.control.xi_future {
-                let sleep = (running - f - self.cfg.control.buffer_nodes).max(0.0) as u32;
-                vec![Action::SleepNodes { nodes: sleep }]
-            } else if f > running {
-                vec![Action::WakeNodes {
-                    nodes: (f - running).ceil() as u32,
-                }]
-            } else {
-                vec![Action::None]
-            },
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -327,5 +287,47 @@ mod tests {
         for (a, r) in eval.guided.active.iter().zip(&eval.guided.running) {
             assert!(a + 1e-9 >= *r, "active {a} < running {r}");
         }
+    }
+
+    #[test]
+    fn thresholds_scale_with_cluster_size() {
+        let thresholds = |cfg: &CesServiceConfig| {
+            (
+                cfg.control.buffer_nodes,
+                cfg.control.xi_hist,
+                cfg.control.xi_future,
+            )
+        };
+        let default = CesServiceConfig::default();
+        // k = 1 at 140 nodes: the defaults pass through unchanged.
+        assert_eq!(
+            thresholds(&default.clone().scaled_to(140)),
+            thresholds(&default)
+        );
+        // Upper clamp: k stops at 3 however large the cluster.
+        for nodes in [420, 10_000] {
+            assert_eq!(
+                thresholds(&default.clone().scaled_to(nodes)),
+                (9.0, 3.0, 3.0)
+            );
+        }
+        // Lower clamp: k stops at 0.05 (7 nodes); the defaults then sit on
+        // their floors, so larger thresholds show the clamp itself.
+        assert_eq!(thresholds(&default.clone().scaled_to(1)), (1.0, 0.25, 0.25));
+        let mut large = CesServiceConfig::default();
+        large.control.buffer_nodes = 100.0;
+        large.control.xi_hist = 40.0;
+        large.control.xi_future = 60.0;
+        for nodes in [0, 1, 7] {
+            assert_eq!(
+                thresholds(&large.clone().scaled_to(nodes)),
+                (100.0 * 0.05, 40.0 * 0.05, 60.0 * 0.05)
+            );
+        }
+        // Only the three thresholds move.
+        let scaled = default.clone().scaled_to(1_000);
+        assert_eq!(scaled.control.hist_window, default.control.hist_window);
+        assert_eq!(scaled.control.future_window, default.control.future_window);
+        assert_eq!(scaled.control.reboot_secs, default.control.reboot_secs);
     }
 }

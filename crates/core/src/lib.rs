@@ -1,16 +1,23 @@
 //! # helios-core
 //!
-//! The paper's primary contribution: a prediction-based GPU-cluster
-//! management framework (§4, Fig. 10). A plug-and-play [`Service`] registry
-//! is driven by a Model Update Engine (periodic refits from the history
-//! store) and a Resource Orchestrator (predictions → actions). Two services
-//! reproduce the paper's case studies:
+//! The paper's two prediction-based management services (§4, Fig. 10):
 //!
 //! * [`QssfService`] — Quasi-Shortest-Service-First scheduling
 //!   (Algorithm 1): GBDT + rolling-history GPU-time prediction feeding the
 //!   `helios-sim` Priority policy;
 //! * [`CesService`] — Cluster Energy Saving (Algorithm 2): GBDT node-demand
 //!   forecasting feeding the `helios-energy` DRS control loop.
+//!
+//! Fig. 10's framework roles live in these services and the kernel, not in
+//! a separate driver:
+//!
+//! * **Model Update Engine** — [`QssfService::train`] fits the model on
+//!   history, and [`QssfService::assign_priorities`] calls
+//!   [`QssfService::observe`] on every job as the replay clock passes its
+//!   end, so predictions only ever see finished jobs;
+//! * **Resource Orchestrator** — the kernel's `PriorityPolicy` orders jobs
+//!   by the assigned priorities, and [`CesService::evaluate`] runs the DRS
+//!   control loop over the forecast.
 //!
 //! ```
 //! use helios_core::{QssfConfig, QssfService};
@@ -25,9 +32,7 @@
 //! ```
 
 pub mod ces;
-pub mod framework;
 pub mod qssf;
 
 pub use ces::{CesEvaluation, CesService, CesServiceConfig};
-pub use framework::{Action, Framework, HistoryStore, Service};
 pub use qssf::{noisy_oracle_priorities, QssfConfig, QssfService};

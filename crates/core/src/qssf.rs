@@ -7,12 +7,11 @@
 //! *GPU time*, so large short jobs don't starve fleets of small ones.
 //! Jobs are then scheduled lowest-P-first without preemption.
 
-use crate::framework::{Action, HistoryStore, Service};
 use helios_predict::features::job::{build_training_matrix, FeatureExtractor};
 use helios_predict::gbdt::{Gbdt, GbdtParams};
 use helios_predict::rolling::RollingEstimator;
 use helios_predict::text::strip_run_suffix;
-use helios_sim::{PriorityPolicy, SchedulingPolicy, SimJob};
+use helios_sim::SimJob;
 use helios_trace::{HeliosError, HeliosResult, JobRecord, NameId, Trace};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
@@ -191,45 +190,6 @@ impl QssfService {
     pub fn is_trained(&self) -> bool {
         self.model.is_some()
     }
-
-    /// The queue discipline QSSF drives on the pluggable kernel: the
-    /// priorities this service writes into [`SimJob::priority`] (via
-    /// [`QssfService::assign_priorities`]), ordered lowest-first by the
-    /// kernel's [`PriorityPolicy`]. Hand the boxed policy to
-    /// `Simulator::new` or `Session::schedule_with`.
-    pub fn scheduling_policy(&self) -> Box<dyn SchedulingPolicy> {
-        Box::new(PriorityPolicy::named("QSSF"))
-    }
-}
-
-impl Service for QssfService {
-    fn name(&self) -> &str {
-        "qssf"
-    }
-
-    fn update_model(&mut self, history: &HistoryStore) -> HeliosResult<()> {
-        let now = history.now();
-        if now > 0 && history.finished_jobs().any(|j| j.is_gpu()) {
-            self.train(history.trace(), 0, now)?;
-        }
-        Ok(())
-    }
-
-    fn orchestrate(&mut self, history: &HistoryStore, now: i64) -> HeliosResult<Vec<Action>> {
-        if !self.is_trained() {
-            return Ok(vec![Action::None]);
-        }
-        // Score jobs submitted in the last orchestration window (1 min).
-        let trace = history.trace().clone();
-        Ok(trace
-            .gpu_jobs()
-            .filter(|j| j.submit >= now - 60 && j.submit < now)
-            .map(|j| Action::SetJobPriority {
-                job_id: j.id,
-                priority: self.priority(j, &trace),
-            })
-            .collect())
-    }
 }
 
 /// Synthetic priorities for traces lacking the attributes QSSF needs — the
@@ -351,7 +311,9 @@ mod tests {
     fn scheduling_policy_object_matches_priority_enum() {
         // QSSF routed through the pluggable kernel must reproduce the
         // legacy Priority-enum path outcome for outcome.
-        use helios_sim::{simulate, simulate_with, KernelConfig, Policy, SimConfig};
+        use helios_sim::{
+            simulate, simulate_with, KernelConfig, Policy, PriorityPolicy, SimConfig,
+        };
         let t = trace();
         let (lo, hi) = t.calendar.month_range(5);
         let mut svc = QssfService::new(QssfConfig::default());
@@ -361,27 +323,10 @@ mod tests {
         let pluggable = simulate_with(
             &t.spec,
             &scored,
-            svc.scheduling_policy(),
+            Box::new(PriorityPolicy::named("QSSF")),
             &KernelConfig::default(),
         )
         .unwrap();
         assert_eq!(legacy.outcomes, pluggable.outcomes);
-    }
-
-    #[test]
-    fn service_trait_flow() {
-        use crate::framework::HistoryStore;
-        use std::sync::Arc;
-        let t = Arc::new(trace());
-        let mut h = HistoryStore::new(t.clone());
-        h.advance_to(t.calendar.month_end(2)).unwrap();
-        let mut svc = QssfService::new(QssfConfig::default());
-        svc.update_model(&h).unwrap();
-        assert!(svc.is_trained());
-        let actions = svc.orchestrate(&h, h.now()).unwrap();
-        // Either scored some jobs or had none in the last minute.
-        assert!(actions
-            .iter()
-            .all(|a| matches!(a, Action::SetJobPriority { .. } | Action::None)));
     }
 }

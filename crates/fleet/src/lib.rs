@@ -31,10 +31,11 @@
 //!   clamped to the cluster's current horizon, so streamed jobs can never
 //!   trip the kernel's time-regression guard.
 //! * **Queries never pause simulation**: [`Fleet::status`] reads the
-//!   last published [`ClusterStatus`] from shared memory — queue depths,
-//!   per-VC utilization, and QSSF-style ETA estimates maintained by a
-//!   `SimObserver` over the kernel's incremental `ClusterStats` — plus
-//!   live ingestion counters from atomics. No worker round-trip.
+//!   last published [`ClusterStatus`] from shared memory — queue depths
+//!   and per-VC utilization from the kernel's incremental `ClusterStats`,
+//!   and QSSF-style ETA estimates summed over each VC's queue at publish
+//!   time — plus live ingestion counters from atomics. No worker
+//!   round-trip.
 //! * **Snapshot/restore**: [`Fleet::snapshot`] checkpoints every hosted
 //!   scheduler (engine cursors, finish heap, pool occupancy, policy
 //!   state, pending queues) into one versioned binary frame;

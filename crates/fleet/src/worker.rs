@@ -17,7 +17,7 @@ use crate::chaos::{ChaosConfig, ChaosObserver, ChaosShared};
 use crate::checkpoint::{CheckpointConfig, CheckpointManager};
 use crate::config::{ClusterConfig, WatchdogConfig};
 use crate::status::{ClusterStatus, FleetHealth, VcStatus, WorkerState};
-use helios_sim::{ClusterView, JobOutcome, SimEvent, SimJob, SimObserver, SimSnapshot, Simulator};
+use helios_sim::{JobOutcome, SimJob, SimSnapshot, Simulator};
 use helios_trace::{ClusterId, ClusterSpec, HeliosError, HeliosResult};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{
@@ -352,37 +352,11 @@ pub(crate) fn worker_died(cluster: &str) -> HeliosError {
 /// Outstanding work one queued job represents, in GPU·seconds: the QSSF
 /// priority score (predicted GPU time) when the producer supplied one,
 /// else the oracle `gpus × duration` proxy.
-pub(crate) fn predicted_work(job: &SimJob) -> f64 {
+fn predicted_work(job: &SimJob) -> f64 {
     if job.priority > 0.0 {
         job.priority
     } else {
         job.gpus as f64 * job.duration.max(1) as f64
-    }
-}
-
-/// Observer maintaining per-VC outstanding queued work (GPU·seconds)
-/// incrementally from kernel events: submissions and preemptions add a
-/// job's predicted work, starts remove it. Backs the ETA estimates in
-/// [`VcStatus::eta_secs`](crate::VcStatus::eta_secs).
-struct QueuedWorkTracker(Arc<Mutex<Vec<f64>>>);
-
-impl SimObserver for QueuedWorkTracker {
-    fn on_event(&mut self, event: &SimEvent, _cluster: &ClusterView<'_>) {
-        let (vc, delta) = match event {
-            SimEvent::Submit { job, .. } | SimEvent::Preempt { job, .. } => {
-                (job.vc, predicted_work(job))
-            }
-            SimEvent::Start { job, .. } => (job.vc, -predicted_work(job)),
-            SimEvent::Finish { .. } | SimEvent::NodeFail { .. } | SimEvent::NodeRepair { .. } => {
-                return
-            }
-        };
-        let mut work = lock(&self.0);
-        // guard: allow(panic, reason = "vc ids are validated against the spec at submit; the tracker vec is sized to the spec")
-        let cell = &mut work[vc as usize];
-        // Clamp drift: the subtraction is exact in practice, but queued
-        // work must never go negative in a status report.
-        *cell = (*cell + delta).max(0.0);
     }
 }
 
@@ -393,7 +367,6 @@ struct WorkerCtx {
     shards: Vec<Receiver<SimJob>>,
     depths: Vec<Arc<AtomicUsize>>,
     status: Arc<Mutex<ClusterStatus>>,
-    work: Arc<Mutex<Vec<f64>>>,
     health: Arc<HealthCell>,
     chaos: Option<(ChaosConfig, Arc<ChaosShared>)>,
     max_restarts: u32,
@@ -436,27 +409,10 @@ fn build_sim(
     }
 }
 
-/// Re-seed the queued-work tracker and re-attach observers. Snapshots
-/// don't carry observer state: the tracker's canonical value is the
-/// restored queues; the chaos observer re-joins its *shared* counter so
+/// Re-attach observers and the liveness pulse. Snapshots don't carry
+/// observer state: the chaos observer re-joins its *shared* counter so
 /// trip-once semantics survive the restart.
-fn attach_observers(sim: &mut Simulator<'static>, ctx: &WorkerCtx, snap: Option<&SimSnapshot>) {
-    {
-        let mut seeded = lock(&ctx.work);
-        seeded.iter_mut().for_each(|w| *w = 0.0);
-        if let Some(s) = snap {
-            for (vc, vs) in s.vcs.iter().enumerate() {
-                // guard: allow(panic, reason = "snapshot decode validates vc count and queue indices against the job table")
-                seeded[vc] = vs
-                    .queue
-                    .iter()
-                    // guard: allow(panic, reason = "queue entries index the snapshot's own job table; decode rejects out-of-range")
-                    .map(|&(_, idx)| predicted_work(&s.jobs[idx].job))
-                    .sum();
-            }
-        }
-    }
-    sim.observe(Box::new(QueuedWorkTracker(Arc::clone(&ctx.work))));
+fn attach_observers(sim: &mut Simulator<'static>, ctx: &WorkerCtx) {
     if let Some((chaos_cfg, shared)) = &ctx.chaos {
         sim.observe(Box::new(ChaosObserver::new(
             chaos_cfg,
@@ -533,13 +489,12 @@ pub(crate) fn spawn_worker(
                     return;
                 }
             };
-            let (boot_snap, resume_index) = match &boot {
-                Boot::Fresh => (None, 0),
-                Boot::Restore(s) => (Some(s), 0),
+            let resume_index = match &boot {
+                Boot::Fresh | Boot::Restore(_) => 0,
                 Boot::Recover {
-                    snapshot,
                     replay,
                     resume_index,
+                    ..
                 } => {
                     if !replay.is_empty() {
                         if let Err(e) = sim.push_jobs(replay) {
@@ -547,7 +502,7 @@ pub(crate) fn spawn_worker(
                             return;
                         }
                     }
-                    (Some(snapshot), *resume_index)
+                    *resume_index
                 }
             };
             let mut ctx = WorkerCtx {
@@ -555,7 +510,6 @@ pub(crate) fn spawn_worker(
                 shards: shard_rxs,
                 depths: thread_depths,
                 status: thread_status,
-                work: Arc::new(Mutex::new(vec![0.0; thread_spec.vcs.len()])),
                 health: thread_health,
                 chaos: runtime
                     .chaos
@@ -569,7 +523,7 @@ pub(crate) fn spawn_worker(
                 batch_pending: false,
                 cfg,
             };
-            attach_observers(&mut sim, &ctx, boot_snap);
+            attach_observers(&mut sim, &ctx);
             // The launch generation guarantees the supervisor always has
             // at least one checkpoint to restore — a panic on the very
             // first cycle recovers to the just-booted state.
@@ -589,7 +543,7 @@ pub(crate) fn spawn_worker(
                 .set_checkpoint(manager.newest_index(), manager.newest_clock(), 0);
             let (writes, nanos) = manager.write_stats();
             ctx.health.set_write_stats(writes, nanos);
-            publish(&ctx.status, ctx.cfg.cluster, &sim, &lock(&ctx.work), 0);
+            publish(&ctx.status, ctx.cfg.cluster, &sim, 0);
             // Ready only after the first status publish, so a query
             // issued the moment launch/restore returns already sees the
             // kernel's real state.
@@ -759,13 +713,7 @@ fn pump(
     if manager.due(ctx.cycle) {
         checkpoint_now(sim, manager, ctx)?;
     }
-    publish(
-        &ctx.status,
-        ctx.cfg.cluster,
-        sim,
-        &lock(&ctx.work),
-        ctx.cycle,
-    );
+    publish(&ctx.status, ctx.cfg.cluster, sim, ctx.cycle);
     ctx.health.set_checkpoint(
         manager.newest_index(),
         manager.newest_clock(),
@@ -803,13 +751,7 @@ fn snapshot_cmd(
     admit(sim, manager, ctx, false)?;
     let mut bytes = Vec::new();
     sim.snapshot_into(&mut bytes);
-    publish(
-        &ctx.status,
-        ctx.cfg.cluster,
-        sim,
-        &lock(&ctx.work),
-        ctx.cycle,
-    );
+    publish(&ctx.status, ctx.cfg.cluster, sim, ctx.cycle);
     Ok(bytes)
 }
 
@@ -827,13 +769,7 @@ fn complete_cmd(
         return Ok(Step::Cancelled);
     }
     let outcomes = drain_outcomes(sim, manager, ctx);
-    publish(
-        &ctx.status,
-        ctx.cfg.cluster,
-        sim,
-        &lock(&ctx.work),
-        ctx.cycle,
-    );
+    publish(&ctx.status, ctx.cfg.cluster, sim, ctx.cycle);
     Ok(Step::Done(outcomes))
 }
 
@@ -978,7 +914,7 @@ fn recover(
     if !rec.replay.is_empty() && rebuilt.push_jobs(&rec.replay).is_err() {
         return Err(crashed(ctx, restarts));
     }
-    attach_observers(&mut rebuilt, ctx, Some(&rec.snapshot));
+    attach_observers(&mut rebuilt, ctx);
     manager.collapse_to(rec.generation);
     if ctx.batch_pending && !ctx.batch.is_empty() {
         // The crash hit between shard drain and journal acknowledgment:
@@ -1009,13 +945,7 @@ fn recover(
     ctx.health.set_write_stats(writes, nanos);
     ctx.health
         .add_recovery_nanos(t0.elapsed().as_nanos() as u64);
-    publish(
-        &ctx.status,
-        ctx.cfg.cluster,
-        sim,
-        &lock(&ctx.work),
-        ctx.cycle,
-    );
+    publish(&ctx.status, ctx.cfg.cluster, sim, ctx.cycle);
     // Disarm any watchdog cancellation before resuming: the retried
     // command starts with a clean token (the caller re-arms it if the
     // recovered worker stalls again).
@@ -1025,16 +955,10 @@ fn recover(
 }
 
 /// Publish a fresh [`ClusterStatus`] from the kernel's incrementally
-/// maintained aggregates. The ingestion-side counters and health are
-/// zeroed here; `Fleet::status` overlays them from atomics at query
-/// time.
-fn publish(
-    status: &Mutex<ClusterStatus>,
-    cluster: ClusterId,
-    sim: &Simulator<'_>,
-    work: &[f64],
-    cycle: u64,
-) {
+/// maintained aggregates, plus each VC's queued work summed over its
+/// queue. The ingestion-side counters and health are zeroed here;
+/// `Fleet::status` overlays them from atomics at query time.
+fn publish(status: &Mutex<ClusterStatus>, cluster: ClusterId, sim: &Simulator<'_>, cycle: u64) {
     let view = sim.cluster_view();
     let vcs = (0..view.num_vcs())
         .map(|vc| VcStatus {
@@ -1042,8 +966,12 @@ fn publish(
             queued: view.vc_queue_len(vc),
             busy_gpus: view.vc_busy_gpus(vc),
             capacity_gpus: view.vc_capacity_gpus(vc),
-            // guard: allow(panic, reason = "work tracker is seeded with one slot per VC of the same cluster view")
-            queued_work: work[vc],
+            // Folded from +0.0: `Iterator::sum` of an empty f64 iterator
+            // is -0.0, which would print as a negative ETA.
+            queued_work: sim
+                .queued_jobs(vc)
+                .map(predicted_work)
+                .fold(0.0, |sum, work| sum + work),
         })
         .collect();
     let fresh = ClusterStatus {

@@ -368,3 +368,104 @@ fn soak_smoke_streams_jobs_across_all_presets() {
     let drained: usize = outcomes.iter().map(|(_, o)| o.len()).sum();
     assert_eq!(drained as u64, submitted_total, "every job drained");
 }
+
+/// Outstanding work of one queued job as the fleet defines it: the
+/// supplied priority score when positive, else `gpus × duration`.
+fn expected_work(job: &SimJob) -> f64 {
+    if job.priority > 0.0 {
+        job.priority
+    } else {
+        job.gpus as f64 * job.duration.max(1) as f64
+    }
+}
+
+/// `n` jobs on `vc`, all submitted at `submit`, in mixed gang sizes and
+/// durations; every other job carries an integral priority score, the
+/// rest fall back to the oracle proxy (integral sums stay exact in any
+/// summation order).
+fn backlog(vc: u16, n: u64, submit: i64) -> Vec<SimJob> {
+    (0..n)
+        .map(|k| {
+            let gpus = [1, 2, 4, 8][k as usize % 4];
+            let duration = 1_800 + (k as i64 % 5) * 900;
+            SimJob {
+                id: k,
+                vc,
+                gpus,
+                submit,
+                duration,
+                priority: if k % 2 == 0 {
+                    (3 * gpus as i64 * duration / 2) as f64
+                } else {
+                    0.0
+                },
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn restored_empty_vcs_report_positive_zero_work() {
+    // `-0.0` passes a `>= 0.0` check but prints as a negative ETA, so the
+    // sign bit itself is pinned.
+    let config =
+        FleetConfig::new().with_cluster(ClusterConfig::new(ClusterId::Venus, Policy::Fifo));
+    let fleet = Fleet::launch(&config).unwrap();
+    for job in backlog(0, 40, 0) {
+        fleet.submit(ClusterId::Venus, job).unwrap();
+    }
+    fleet.advance(600).unwrap();
+    let restored = Fleet::restore(&fleet.snapshot().unwrap()).unwrap();
+    for f in [&fleet, &restored] {
+        let status = f.status(ClusterId::Venus).unwrap();
+        let empty: Vec<_> = status.vcs.iter().filter(|v| v.queued == 0).collect();
+        assert!(empty.len() > 1, "only VC 0 received jobs");
+        for vc in empty {
+            assert_eq!(vc.queued_work.to_bits(), 0.0f64.to_bits(), "VC {}", vc.vc);
+            assert_eq!(vc.eta_secs().to_bits(), 0.0f64.to_bits(), "VC {}", vc.vc);
+        }
+    }
+    fleet.shutdown().unwrap();
+    restored.shutdown().unwrap();
+}
+
+#[test]
+fn queued_work_matches_the_kernel_queue() {
+    // Overfill one VC at t=0, advance the fleet, and compare its published
+    // queued work with the backlog a plain FIFO kernel leaves at the same
+    // horizon: under FIFO a job is queued at `horizon` iff it started
+    // after it.
+    let config =
+        FleetConfig::new().with_cluster(ClusterConfig::new(ClusterId::Venus, Policy::Fifo));
+    let fleet = Fleet::launch(&config).unwrap();
+    let vc = 0u16;
+    let capacity = fleet.status(ClusterId::Venus).unwrap().vcs[vc as usize].capacity_gpus;
+    let jobs = backlog(vc, 2 * capacity as u64, 0);
+    for job in &jobs {
+        fleet.submit(ClusterId::Venus, *job).unwrap();
+    }
+    let horizon = 2_000;
+    fleet.advance(horizon).unwrap();
+    let status = fleet.status(ClusterId::Venus).unwrap();
+    let published = &status.vcs[vc as usize];
+    fleet.shutdown().unwrap();
+
+    let mut sim = Simulator::new(&preset(ClusterId::Venus), Policy::Fifo.build());
+    sim.push_jobs(&jobs).unwrap();
+    sim.run_to_completion();
+    let started: std::collections::HashMap<u64, i64> = sim
+        .drain_outcomes()
+        .iter()
+        .map(|o| (o.id, o.start))
+        .collect();
+    let waiting: Vec<&SimJob> = jobs.iter().filter(|j| started[&j.id] > horizon).collect();
+    let expected: f64 = waiting.iter().map(|j| expected_work(j)).sum();
+
+    assert!(!waiting.is_empty(), "the backlog must outlast the horizon");
+    assert_eq!(published.queued, waiting.len());
+    assert_eq!(published.queued_work, expected);
+    assert_eq!(
+        published.eta_secs(),
+        expected / published.capacity_gpus as f64
+    );
+}

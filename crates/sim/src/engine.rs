@@ -505,6 +505,19 @@ impl<'a> Simulator<'a> {
         ClusterView::new(&self.vcs, &self.stats, self.fault.as_deref())
     }
 
+    /// The jobs waiting in one VC's queue, in heap (not queue-key) order;
+    /// empty for an unknown VC. Between events this is every queued job of
+    /// the VC, so service layers can aggregate over the queue without
+    /// tracking it event by event.
+    pub fn queued_jobs(&self, vc: usize) -> impl Iterator<Item = &SimJob> + '_ {
+        self.vcs
+            .get(vc)
+            .into_iter()
+            .flat_map(|v| v.queue.as_slice())
+            .filter_map(|&(_, idx)| self.states.get(idx))
+            .map(|s| &s.job)
+    }
+
     /// Capture the complete resumable kernel state; see
     /// [`SimSnapshot`] for what is (and is
     /// not) included. Restoring via [`Simulator::restore`] and continuing
@@ -1931,6 +1944,23 @@ mod tests {
         sim.push_jobs(&[job(2, 8, 500, 10)]).unwrap();
         sim.run_to_completion();
         assert_eq!(sim.unfinished_jobs(), 0);
+    }
+
+    #[test]
+    fn queued_jobs_lists_exactly_the_waiting_jobs() {
+        // One 8-GPU node: job 0 runs, jobs 1 and 2 wait behind it.
+        let jobs = vec![job(0, 8, 0, 1_000), job(1, 8, 10, 10), job(2, 4, 20, 10)];
+        let mut sim = Simulator::new(&spec(1), Box::new(FifoPolicy));
+        sim.push_jobs(&jobs).unwrap();
+        sim.run_until(20);
+        let mut queued: Vec<u64> = sim.queued_jobs(0).map(|j| j.id).collect();
+        queued.sort_unstable();
+        assert_eq!(queued, vec![1, 2]);
+        assert_eq!(queued.len(), sim.cluster_view().vc_queue_len(0));
+        // An unknown VC is empty, not a panic.
+        assert_eq!(sim.queued_jobs(7).count(), 0);
+        sim.run_to_completion();
+        assert_eq!(sim.queued_jobs(0).count(), 0);
     }
 
     #[test]

@@ -17,7 +17,7 @@ pub type HeliosResult<T> = std::result::Result<T, HeliosError>;
 #[derive(Debug, Clone, PartialEq)]
 pub enum HeliosError {
     /// A configuration value is out of range or inconsistent
-    /// (e.g. `scale <= 0`, `update_period == 0`).
+    /// (e.g. `scale <= 0`, `lambda` outside `[0, 1]`).
     InvalidConfig {
         /// The offending field or parameter name.
         field: &'static str,
@@ -31,13 +31,6 @@ pub enum HeliosError {
         what: &'static str,
         /// Where / why, e.g. the requested window.
         detail: String,
-    },
-    /// The history cursor was asked to move backwards in time.
-    HistoryRegression {
-        /// The cursor's current position (seconds).
-        current: i64,
-        /// The requested (earlier) position.
-        requested: i64,
     },
     /// A job handed to the simulator can never be placed on the cluster.
     InvalidJob {
@@ -72,15 +65,6 @@ pub enum HeliosError {
     Cluster {
         /// Cluster name ("Venus", ...).
         cluster: String,
-        /// The underlying failure.
-        source: Box<HeliosError>,
-    },
-    /// A failure inside one registered service of the management framework,
-    /// tagged with the service name so multi-service ticks stay
-    /// attributable.
-    Service {
-        /// Service name ("qssf", "ces", ...).
-        service: String,
         /// The underlying failure.
         source: Box<HeliosError>,
     },
@@ -192,14 +176,6 @@ impl HeliosError {
             source: Box::new(self),
         }
     }
-
-    /// Tag an error with the service a framework tick was driving.
-    pub fn for_service(self, service: impl Into<String>) -> Self {
-        HeliosError::Service {
-            service: service.into(),
-            source: Box::new(self),
-        }
-    }
 }
 
 impl fmt::Display for HeliosError {
@@ -211,10 +187,6 @@ impl fmt::Display for HeliosError {
             HeliosError::EmptyInput { what, detail } => {
                 write!(f, "empty input: no {what} ({detail})")
             }
-            HeliosError::HistoryRegression { current, requested } => write!(
-                f,
-                "history cursor cannot move backwards (now at {current}s, requested {requested}s)"
-            ),
             HeliosError::InvalidJob { job_id, reason } => {
                 write!(f, "job {job_id} can never be scheduled: {reason}")
             }
@@ -233,9 +205,6 @@ impl fmt::Display for HeliosError {
             }
             HeliosError::Cluster { cluster, source } => {
                 write!(f, "[{cluster}] {source}")
-            }
-            HeliosError::Service { service, source } => {
-                write!(f, "service `{service}`: {source}")
             }
             HeliosError::Io { context, message } => {
                 write!(f, "I/O error while {context}: {message}")
@@ -284,9 +253,7 @@ impl fmt::Display for HeliosError {
 impl std::error::Error for HeliosError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            HeliosError::Cluster { source, .. } | HeliosError::Service { source, .. } => {
-                Some(source.as_ref())
-            }
+            HeliosError::Cluster { source, .. } => Some(source.as_ref()),
             _ => None,
         }
     }
@@ -300,9 +267,9 @@ mod tests {
     fn display_carries_context() {
         let e = HeliosError::invalid_config("scale", "must be in (0, 1], got 0");
         assert!(e.to_string().contains("scale"));
-        let e = HeliosError::HistoryRegression {
-            current: 100,
-            requested: 50,
+        let e = HeliosError::InvalidJob {
+            job_id: 100,
+            reason: "requests 50 GPUs".into(),
         };
         assert!(e.to_string().contains("100"));
         assert!(e.to_string().contains("50"));

@@ -74,7 +74,7 @@ fn main() -> helios::error::Result<()> {
     // Baseline FIFO, then the custom policy with a streaming queue-length
     // observer attached to the same run.
     let mut queue_len = QueueLengthObserver::new();
-    session.schedule(SchedulePolicy::Fifo)?.schedule_observed(
+    session.schedule(SchedulePolicy::Fifo)?.schedule_with(
         Box::new(UserFairness::new(user_of)),
         vec![Box::new(&mut queue_len)],
     )?;

@@ -37,14 +37,14 @@
 //! Scheduling is open: built-in policies go through
 //! [`SchedulePolicy`] constructors, and any user-defined
 //! `helios_sim::SchedulingPolicy` trait object runs through the same
-//! pipeline via [`session::Session::schedule_with`] (with streaming
-//! `SimObserver` metrics via [`session::Session::schedule_observed`]).
-//! See `examples/custom_policy.rs`.
+//! pipeline via [`session::Session::schedule_with`], which also takes the
+//! `SimObserver`s that stream the run's kernel events. See
+//! `examples/custom_policy.rs`.
 //!
 //! The member crates remain available for deep access:
 //! [`trace`] (synthesis), [`analysis`] (§3 statistics), [`predict`]
 //! (GBDT/ARIMA/LSTM), [`sim`] (pluggable discrete-event scheduler kernel),
-//! [`core`] (service framework), [`energy`] (CES/DRS + energy-aware
+//! [`core`] (the QSSF and CES services), [`energy`] (CES/DRS + energy-aware
 //! policy), [`faults`] (failure prediction, proactive drains, goodput
 //! over the kernel's failure injection — see
 //! [`session::Session::with_failures`]), [`fleet`] (sharded,

@@ -147,7 +147,7 @@ pub enum SchedulePolicy {
 
 impl SchedulePolicy {
     /// Display label ("FIFO", "QSSF", ...).
-    pub fn label(self) -> &'static str {
+    pub const fn label(self) -> &'static str {
         match self {
             SchedulePolicy::Fifo => "FIFO",
             SchedulePolicy::Sjf => "SJF",
@@ -694,23 +694,15 @@ impl Session {
     }
 
     /// Stage 4, open-kernel form: run a user-defined [`SchedulingPolicy`]
-    /// trait object over the evaluation window. The run is recorded under
-    /// the policy's [`name`](SchedulingPolicy::name); re-running the same
-    /// name replaces the previous outcome. Jobs carry their QSSF-agnostic
+    /// trait object over the evaluation window, streaming every kernel
+    /// lifecycle event of the run through `observers` (pass `Vec::new()`
+    /// for none). Lend borrowed observers (`Box::new(&mut occ)`) to read
+    /// their series after the call returns. The run is recorded under the
+    /// policy's [`name`](SchedulingPolicy::name); re-running the same name
+    /// replaces the previous outcome. Jobs carry their QSSF-agnostic
     /// defaults (`priority` = submission time) — priority-driven custom
     /// policies should key off job attributes or their own state.
-    pub fn schedule_with(
-        &mut self,
-        policy: Box<dyn SchedulingPolicy + '_>,
-    ) -> Result<&mut Session> {
-        self.run_schedule(None, policy, Vec::new())
-    }
-
-    /// [`Session::schedule_with`] plus streaming observer registration:
-    /// every kernel lifecycle event of the run flows through `observers`.
-    /// Lend borrowed observers (`Box::new(&mut occ)`) to read their series
-    /// after the call returns.
-    pub fn schedule_observed<'o>(
+    pub fn schedule_with<'o>(
         &mut self,
         policy: Box<dyn SchedulingPolicy + 'o>,
         observers: Vec<Box<dyn SimObserver + 'o>>,
@@ -904,14 +896,7 @@ fn compute_qssf(trace: &Trace, cfg: QssfConfig, train_hi: i64) -> Result<QssfSer
 fn compute_ces(trace: &Trace, knobs: &Knobs, lo: i64, hi: i64) -> Result<CesEvaluation> {
     let series = node_series_from_trace(trace, 600, knobs.placement)?;
     let eval_end = (lo + 21 * SECS_PER_DAY).min(hi);
-    let mut cfg = knobs.ces.clone();
-    // Control thresholds scale with cluster size (defaults target the
-    // paper's 130–320-node clusters).
-    let k = (trace.spec.nodes as f64 / 140.0).clamp(0.05, 3.0);
-    cfg.control.buffer_nodes = (cfg.control.buffer_nodes * k).max(1.0);
-    cfg.control.xi_hist = (cfg.control.xi_hist * k).max(0.25);
-    cfg.control.xi_future = (cfg.control.xi_future * k).max(0.25);
-    let mut svc = CesService::new(cfg);
+    let mut svc = CesService::new(knobs.ces.clone().scaled_to(trace.spec.nodes));
     svc.evaluate(trace, &series, lo, eval_end)
 }
 

@@ -149,26 +149,3 @@ fn trace_roundtrips_through_csv() {
         assert_eq!(t.names.base(a.name), names.base(b.name));
     }
 }
-
-#[test]
-fn framework_runs_both_services() {
-    use helios_core::{Framework, Service};
-    use std::sync::Arc;
-    let t = Arc::new(trace());
-    let mut fw = Framework::new(t.clone(), 7 * SECS_PER_DAY).unwrap();
-    fw.register(Box::new(QssfService::new(QssfConfig::default())));
-    fw.register(Box::new(CesService::new(CesServiceConfig::default())));
-    assert_eq!(
-        fw.service_names(),
-        vec!["qssf".to_string(), "ces".to_string()]
-    );
-    // Tick through two months weekly; both services must produce actions
-    // without panicking.
-    let mut total_actions = 0;
-    for week in 4..9 {
-        let actions = fw.tick(week * 7 * SECS_PER_DAY).unwrap();
-        total_actions += actions.iter().map(|a| a.len()).sum::<usize>();
-    }
-    assert!(total_actions > 0);
-    let _ = QssfService::new(QssfConfig::default()).name();
-}

@@ -183,39 +183,6 @@ fn empty_job_set_is_an_empty_input_error() {
 }
 
 #[test]
-fn backwards_history_cursor_is_a_regression_error() {
-    use helios::core::{Framework, HistoryStore};
-    use std::sync::Arc;
-    let trace = Arc::new(
-        helios::trace::generate(
-            &helios::trace::venus_profile(),
-            &GeneratorConfig {
-                scale: 0.02,
-                seed: 3,
-            },
-        )
-        .unwrap(),
-    );
-    let mut store = HistoryStore::new(trace.clone());
-    store.advance_to(500).unwrap();
-    assert_eq!(
-        store.advance_to(400),
-        Err(HeliosError::HistoryRegression {
-            current: 500,
-            requested: 400
-        })
-    );
-
-    // The same guarantee holds through the Framework clock.
-    let mut fw = Framework::new(trace, 3_600).unwrap();
-    fw.tick(1_000).unwrap();
-    assert!(matches!(
-        fw.tick(999),
-        Err(HeliosError::HistoryRegression { .. })
-    ));
-}
-
-#[test]
 fn unschedulable_job_is_an_invalid_job_error() {
     use helios::sim::{simulate, SimConfig, SimJob};
     let spec = helios::trace::venus();
@@ -323,7 +290,7 @@ fn schedule_with_accepts_custom_policy_objects_and_observers() {
     session
         .schedule(SchedulePolicy::Fifo)
         .unwrap()
-        .schedule_observed(Box::new(LongestFirst), vec![Box::new(&mut occ)])
+        .schedule_with(Box::new(LongestFirst), vec![Box::new(&mut occ)])
         .unwrap();
 
     let outcomes = session.schedule_outcomes();
