@@ -7,32 +7,33 @@
 //!
 //! Restart = restore the newest generation that still decodes cleanly +
 //! replay the admission journal segments recorded after it. Every
-//! generation carries an XXH64 checksum (seed 0) taken at write time, so
-//! a bit-flipped or truncated blob is *detected* (not silently restored)
-//! and recovery falls back to the previous generation. Journal segments
-//! record admitted jobs **post-clamp** in admission order, which is
-//! exactly the information the deterministic kernel needs to re-produce
-//! the interrupted run bit for bit (batched admission == one-shot is
-//! pinned by the PR-5 equivalence suite).
+//! generation is a kernel snapshot frame ([`ByteWriter::frame`]),
+//! sealed with an XXH64 checksum at write time, so a bit-flipped or
+//! truncated blob is *detected* (not silently restored) and recovery
+//! falls back to the previous generation. Journal segments record
+//! admitted jobs **post-clamp** in admission order, which is exactly the
+//! information the deterministic kernel needs to re-produce the
+//! interrupted run bit for bit (batched admission == one-shot is pinned
+//! by the kernel equivalence suite).
 //!
 //! A checkpoint costs one encode pass over the kernel state
 //! ([`Simulator::snapshot_into`], straight from the kernel's arrays into
-//! the buffer of the generation the ring last evicted) plus one checksum
-//! pass at memory speed.
+//! the buffer of the generation the ring last evicted) plus the frame's
+//! checksum pass at memory speed.
 //!
 //! ## Disk layout
 //!
 //! With [`CheckpointConfig::dir`] set, generation `i` lands in slot
-//! `i % generations`: `<cluster>-slot<k>.ckpt` (header + kernel blob +
-//! XXH64 trailer, written to a `.tmp` and atomically renamed) and
-//! `<cluster>-slot<k>.journal` (append-only frames, each tagged with the
-//! generation index it extends and individually checksummed — a torn
-//! tail frame is dropped at load, never replayed). This is on-disk format
-//! version 2 ([`CHECKPOINT_VERSION`]; journal frames carry it in their
-//! magic, `HELJRNL2`). Version 1 trailers were FNV-1a; a version-1
-//! directory is refused by name rather than read. Monotonically
-//! increasing generation indices make slot reuse unambiguous: the
-//! loader orders slots by the index embedded in the header.
+//! `i % generations`: `<cluster>-slot<k>.ckpt` (one `HELCKPT1` frame
+//! holding the cluster, the generation index, its clock and the kernel
+//! frame; written to a `.tmp` and atomically renamed) and
+//! `<cluster>-slot<k>.journal` (append-only `HELJRNL2` frames, one per
+//! admitted batch, each tagged with the generation index it extends — a
+//! torn tail record is dropped at load, never replayed). Both are frames
+//! at on-disk format version 3 ([`CHECKPOINT_VERSION`]); a directory of
+//! an older version is refused by its version rather than read.
+//! Monotonically increasing generation indices make slot reuse
+//! unambiguous: the loader orders slots by the index each one carries.
 //!
 //! In-process drains are exactly-once across restarts (per-generation
 //! delivered-outcome counters suppress re-delivery); disk recovery via
@@ -45,14 +46,13 @@ use std::collections::VecDeque;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-/// Magic prefix of an on-disk checkpoint-generation file; the format
-/// version ([`CHECKPOINT_VERSION`]) follows it.
+/// Frame magic of an on-disk checkpoint slot file.
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"HELCKPT1";
-/// Magic prefix of every admission-journal frame. Frames carry no version
-/// field, so the magic's last byte is the format version.
+/// Frame magic of an admission-journal record.
 pub const JOURNAL_MAGIC: [u8; 8] = *b"HELJRNL2";
-/// On-disk checkpoint/journal format version (2: XXH64 trailers).
-pub const CHECKPOINT_VERSION: u32 = 2;
+/// Frame version of slot files and journal records (3: both are
+/// checksummed frames; versions 1 and 2 are refused by number).
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// Auto-checkpointing knobs of a [`Fleet`](crate::Fleet) worker.
 #[derive(Debug, Clone, PartialEq)]
@@ -126,12 +126,9 @@ pub(crate) struct Generation {
     pub index: u64,
     /// Virtual clock at snapshot time (`i64::MIN` before any activity).
     pub clock: i64,
-    /// Serialized kernel snapshot ([`SimSnapshot::to_bytes`]).
+    /// Kernel snapshot frame ([`SimSnapshot::to_bytes`]); its checksum
+    /// makes recovery refuse a damaged copy instead of restoring it.
     pub bytes: Vec<u8>,
-    /// XXH64 of `bytes` at write time; recovery refuses a generation
-    /// whose checksum no longer matches (bit flips are detected, not
-    /// silently restored).
-    pub checksum: u64,
     /// Jobs admitted (post-clamp, admission order) after this snapshot
     /// and before the next one.
     pub journal: Vec<SimJob>,
@@ -157,119 +154,26 @@ pub(crate) struct Recovery {
     pub fallbacks: u32,
 }
 
-/// Little-endian `u64` from the first 8 bytes of `bytes`, zero-padded
-/// when shorter — a panic-free stand-in for `try_into().expect(…)` on
-/// length-checked splits (callers verify the length; this never trusts
-/// it).
-fn le_u64(bytes: &[u8]) -> u64 {
-    let mut buf = [0u8; 8];
-    for (dst, src) in buf.iter_mut().zip(bytes) {
-        *dst = *src;
-    }
-    u64::from_le_bytes(buf)
-}
-
-/// Little-endian `u32` twin of [`le_u64`].
-fn le_u32(bytes: &[u8]) -> u32 {
-    let mut buf = [0u8; 4];
-    for (dst, src) in buf.iter_mut().zip(bytes) {
-        *dst = *src;
-    }
-    u32::from_le_bytes(buf)
-}
-
-/// XXH64 with seed 0 (xxHash's 64-bit variant): four independent 8-byte
-/// lanes over 32-byte stripes, then the tail in 8-, 4- and 1-byte steps
-/// and a final avalanche. The checksum of ring generations, slot-file
-/// trailers and journal frames.
-pub(crate) fn xxh64(bytes: &[u8]) -> u64 {
-    const P1: u64 = 0x9E37_79B1_85EB_CA87;
-    const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
-    const P3: u64 = 0x1656_67B1_9E37_79F9;
-    const P4: u64 = 0x85EB_CA77_C2B2_AE63;
-    const P5: u64 = 0x27D4_EB2F_1656_67C5;
-    fn xxh_round(acc: u64, lane: u64) -> u64 {
-        acc.wrapping_add(lane.wrapping_mul(P2))
-            .rotate_left(31)
-            .wrapping_mul(P1)
-    }
-    let mut stripes = bytes.chunks_exact(32);
-    let mut h = if bytes.len() >= 32 {
-        let mut lanes = [P1.wrapping_add(P2), P2, 0, 0u64.wrapping_sub(P1)];
-        for stripe in &mut stripes {
-            for (acc, lane) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
-                *acc = xxh_round(*acc, le_u64(lane));
-            }
-        }
-        let [v1, v2, v3, v4] = lanes;
-        let h = v1
-            .rotate_left(1)
-            .wrapping_add(v2.rotate_left(7))
-            .wrapping_add(v3.rotate_left(12))
-            .wrapping_add(v4.rotate_left(18));
-        lanes.iter().fold(h, |h, &acc| {
-            (h ^ xxh_round(0, acc)).wrapping_mul(P1).wrapping_add(P4)
-        })
-    } else {
-        P5
-    };
-    h = h.wrapping_add(bytes.len() as u64);
-    let mut words = stripes.remainder().chunks_exact(8);
-    for word in &mut words {
-        h = (h ^ xxh_round(0, le_u64(word)))
-            .rotate_left(27)
-            .wrapping_mul(P1)
-            .wrapping_add(P4);
-    }
-    let mut rest = words.remainder();
-    if let Some((word, after)) = rest.split_first_chunk::<4>() {
-        h = (h ^ u64::from(u32::from_le_bytes(*word)).wrapping_mul(P1))
-            .rotate_left(23)
-            .wrapping_mul(P2)
-            .wrapping_add(P3);
-        rest = after;
-    }
-    for &b in rest {
-        h = (h ^ u64::from(b).wrapping_mul(P5))
-            .rotate_left(11)
-            .wrapping_mul(P1);
-    }
-    h ^= h >> 33;
-    h = h.wrapping_mul(P2);
-    h ^= h >> 29;
-    h = h.wrapping_mul(P3);
-    h ^ (h >> 32)
-}
-
 /// Walk `ring` newest-to-oldest, returning the first generation that
-/// passes its checksum and decodes, plus the journal/suppress suffix.
+/// decodes (checksum included), plus the journal/suppress suffix.
 pub(crate) fn recover_from(ring: &VecDeque<Generation>, cluster: &str) -> HeliosResult<Recovery> {
-    let mut fallbacks = 0u32;
-    for i in (0..ring.len()).rev() {
-        // guard: allow(panic, reason = "i ranges over ring.len() of the same ring; no mutation inside the loop")
-        let g = &ring[i];
-        if xxh64(&g.bytes) != g.checksum {
-            fallbacks += 1;
+    for (i, g) in ring.iter().enumerate().rev() {
+        let Ok(snapshot) = SimSnapshot::from_bytes(&g.bytes) else {
             continue;
+        };
+        let mut replay = Vec::new();
+        let mut suppress = 0;
+        for gg in ring.iter().skip(i) {
+            replay.extend_from_slice(&gg.journal);
+            suppress += gg.drained;
         }
-        match SimSnapshot::from_bytes(&g.bytes) {
-            Ok(snapshot) => {
-                let mut replay = Vec::new();
-                let mut suppress = 0;
-                for gg in ring.iter().skip(i) {
-                    replay.extend_from_slice(&gg.journal);
-                    suppress += gg.drained;
-                }
-                return Ok(Recovery {
-                    snapshot,
-                    replay,
-                    suppress,
-                    generation: g.index,
-                    fallbacks,
-                });
-            }
-            Err(_) => fallbacks += 1,
-        }
+        return Ok(Recovery {
+            snapshot,
+            replay,
+            suppress,
+            generation: g.index,
+            fallbacks: (ring.len() - 1 - i) as u32,
+        });
     }
     Err(HeliosError::snapshot(
         "recovering fleet worker",
@@ -337,7 +241,6 @@ impl CheckpointManager {
         let clock = sim.now();
         let index = self.next_index;
         self.next_index += 1;
-        let checksum = xxh64(&bytes);
         if let Some(dir) = self.cfg.dir.clone() {
             self.write_slot(&dir, index, clock, &bytes)?;
         }
@@ -345,7 +248,6 @@ impl CheckpointManager {
             index,
             clock,
             bytes,
-            checksum,
             journal: Vec::new(),
             drained: 0,
         });
@@ -362,7 +264,7 @@ impl CheckpointManager {
     }
 
     /// Journal one admitted batch (post-clamp, admission order) against
-    /// the newest generation, appending a checksummed frame to its slot
+    /// the newest generation, appending one record frame to its slot
     /// journal when disk mirroring is on.
     pub fn note_admitted(&mut self, jobs: &[SimJob]) -> HeliosResult<()> {
         if jobs.is_empty() {
@@ -440,10 +342,9 @@ impl CheckpointManager {
         (self.writes, self.write_nanos)
     }
 
-    /// Chaos hook: corrupt the newest generation's in-memory blob (the
-    /// stored checksum is left stale on purpose, so recovery *detects*
-    /// the damage and falls back). Even seeds flip one bit; odd seeds
-    /// truncate.
+    /// Chaos hook: corrupt the newest generation's in-memory frame (its
+    /// checksum no longer matches, so recovery *detects* the damage and
+    /// falls back). Even seeds flip one bit; odd seeds truncate.
     pub fn corrupt_newest(&mut self, seed: u64) {
         let Some(g) = self.ring.back_mut() else {
             return;
@@ -464,37 +365,18 @@ impl CheckpointManager {
     fn write_slot(&mut self, dir: &Path, index: u64, clock: i64, bytes: &[u8]) -> HeliosResult<()> {
         std::fs::create_dir_all(dir)
             .map_err(|e| HeliosError::io(format!("creating {}", dir.display()), &e))?;
-        let mut w = ByteWriter::new();
-        w.raw(&CHECKPOINT_MAGIC);
-        w.u32(CHECKPOINT_VERSION);
-        w.u8(crate::config::cluster_code(self.cluster));
-        w.u64(index);
-        w.i64(clock);
-        w.bytes(bytes);
-        let mut framed = w.into_bytes();
-        let tail = xxh64(&framed);
-        framed.extend_from_slice(&tail.to_le_bytes());
         let slot = index % self.cfg.generations as u64;
-        write_atomic(&ckpt_path(dir, self.cluster, slot), &framed)?;
+        let frame = encode_slot(self.cluster, index, clock, bytes);
+        write_atomic(&ckpt_path(dir, self.cluster, slot), &frame)?;
         // A fresh generation starts with an empty journal: reset the
-        // slot's journal file so stale frames from the evicted
-        // generation cannot be mistaken for this one's (frames are also
+        // slot's journal file so stale records from the evicted
+        // generation cannot be mistaken for this one's (records are also
         // index-tagged as a second guard).
         write_atomic(&journal_path(dir, self.cluster, slot), &[])?;
         Ok(())
     }
 
     fn append_journal(&self, dir: &Path, index: u64, jobs: &[SimJob]) -> HeliosResult<()> {
-        let mut w = ByteWriter::new();
-        w.raw(&JOURNAL_MAGIC);
-        w.u64(index);
-        w.u32(jobs.len() as u32);
-        for job in jobs {
-            w.job(job);
-        }
-        let mut frame = w.into_bytes();
-        let tail = xxh64(&frame);
-        frame.extend_from_slice(&tail.to_le_bytes());
         let slot = index % self.cfg.generations as u64;
         let path = journal_path(dir, self.cluster, slot);
         let mut f = std::fs::OpenOptions::new()
@@ -502,7 +384,7 @@ impl CheckpointManager {
             .append(true)
             .open(&path)
             .map_err(|e| HeliosError::io(format!("opening {}", path.display()), &e))?;
-        f.write_all(&frame)
+        f.write_all(&encode_record(index, jobs))
             .map_err(|e| HeliosError::io(format!("appending {}", path.display()), &e))?;
         Ok(())
     }
@@ -538,29 +420,38 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> HeliosResult<()> {
     Ok(())
 }
 
-/// Decode one on-disk generation file (header + kernel blob + trailing
-/// XXH64). Magic and version are checked before the checksum, so a file
-/// of another format version is refused by name rather than reported as
-/// corrupt. Truncation, bit flips, and cluster mismatches are typed
-/// [`HeliosError::Snapshot`] errors.
+/// Read `path`, treating a missing file as `None`; any other failure is
+/// a typed I/O error naming the path.
+fn read_if_present(path: &Path) -> HeliosResult<Option<Vec<u8>>> {
+    match std::fs::read(path) {
+        Ok(bytes) => Ok(Some(bytes)),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(HeliosError::io(format!("reading {}", path.display()), &e)),
+    }
+}
+
+/// One slot file: a `HELCKPT1` frame holding the cluster, the generation
+/// index, its clock and the kernel frame.
+fn encode_slot(cluster: ClusterId, index: u64, clock: i64, blob: &[u8]) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    // The header, the prefixed kernel frame and the closing checksum.
+    w.reserve(64 + blob.len());
+    w.frame(&CHECKPOINT_MAGIC, CHECKPOINT_VERSION, |w| {
+        w.u8(crate::config::cluster_code(cluster));
+        w.u64(index);
+        w.i64(clock);
+        w.bytes(blob);
+    });
+    w.into_bytes()
+}
+
+/// Decode one slot file into `(generation index, clock, kernel frame)`.
+/// A frame of another version is refused by number; a damaged frame or
+/// another cluster's slot is a typed [`HeliosError::Snapshot`] error.
 fn decode_slot(bytes: &[u8], cluster: ClusterId) -> HeliosResult<(u64, i64, Vec<u8>)> {
-    let ctx = "decoding checkpoint generation";
-    let Some((payload, tail)) = bytes.split_last_chunk::<8>() else {
-        return Err(HeliosError::snapshot(ctx, "file shorter than its checksum"));
-    };
-    let mut r = ByteReader::new(payload, ctx);
-    if r.raw(CHECKPOINT_MAGIC.len())? != CHECKPOINT_MAGIC {
-        return Err(r.err("bad magic: not a checkpoint generation"));
-    }
-    let version = r.u32()?;
-    if version != CHECKPOINT_VERSION {
-        return Err(r.err(format!(
-            "unsupported checkpoint version {version} (this build reads {CHECKPOINT_VERSION})"
-        )));
-    }
-    if xxh64(payload) != u64::from_le_bytes(*tail) {
-        return Err(r.err("checksum mismatch: generation is corrupt or torn"));
-    }
+    let mut input = ByteReader::new(bytes, "decoding checkpoint slot");
+    let mut r = input.frame(&CHECKPOINT_MAGIC, CHECKPOINT_VERSION)?;
+    input.finish()?;
     let code = r.u8()?;
     if code != crate::config::cluster_code(cluster) {
         return Err(r.err(format!(
@@ -571,72 +462,56 @@ fn decode_slot(bytes: &[u8], cluster: ClusterId) -> HeliosResult<(u64, i64, Vec<
     let index = r.u64()?;
     let clock = r.i64()?;
     let blob = r.bytes()?;
-    if r.remaining() != 0 {
-        return Err(r.err(format!(
-            "{} trailing bytes after the generation payload",
-            r.remaining()
-        )));
-    }
+    r.finish()?;
     Ok((index, clock, blob))
 }
 
-/// Parse an append-only journal file into `(generation index, jobs)`
-/// frames. Parsing stops at the first torn or corrupt frame (the
-/// crash-consistency contract: an interrupted append loses at most its
-/// own frame, never an earlier one).
+/// One journal record: a `HELJRNL2` frame holding the generation index
+/// it extends and the admitted jobs.
+fn encode_record(index: u64, jobs: &[SimJob]) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.frame(&JOURNAL_MAGIC, CHECKPOINT_VERSION, |w| {
+        w.u64(index);
+        w.u64(jobs.len() as u64);
+        for job in jobs {
+            w.job(job);
+        }
+    });
+    w.into_bytes()
+}
+
+/// The journal record at `journal`'s position: `(generation index, jobs)`.
+fn decode_record(journal: &mut ByteReader<'_>) -> HeliosResult<(u64, Vec<SimJob>)> {
+    let mut r = journal.frame(&JOURNAL_MAGIC, CHECKPOINT_VERSION)?;
+    let index = r.u64()?;
+    let n = r.len(JOB_WIRE_BYTES)?;
+    let jobs = (0..n).map(|_| r.job()).collect::<HeliosResult<Vec<_>>>()?;
+    r.finish()?;
+    Ok((index, jobs))
+}
+
+/// Parse an append-only journal into its records. Parsing stops at the
+/// first record that does not decode (the crash-consistency contract: an
+/// interrupted append loses at most its own record, never an earlier
+/// one).
 fn decode_journal(bytes: &[u8]) -> Vec<(u64, Vec<SimJob>)> {
-    let mut frames = Vec::new();
-    let mut pos = 0usize;
-    while pos < bytes.len() {
-        let Some(rest) = bytes.get(pos..) else { break };
-        // magic + index + count.
-        let Some(count_bytes) = rest.get(16..20) else {
-            break;
-        };
-        if !rest.starts_with(&JOURNAL_MAGIC) {
-            break;
-        }
-        let count = le_u32(count_bytes) as usize;
-        let frame_len = match count
-            .checked_mul(JOB_WIRE_BYTES)
-            .and_then(|jobs| jobs.checked_add(28))
-        {
-            Some(n) if n <= rest.len() => n,
-            _ => break,
-        };
-        let (frame, _) = rest.split_at(frame_len);
-        let (payload, tail) = frame.split_at(frame_len - 8);
-        let stored = le_u64(tail);
-        if xxh64(payload) != stored {
-            break;
-        }
-        let decode = || -> HeliosResult<(u64, Vec<SimJob>)> {
-            let body = payload.get(8..).unwrap_or_default();
-            let mut r = ByteReader::new(body, "decoding journal frame");
-            let index = r.u64()?;
-            let n = r.u32()? as usize;
-            let mut jobs = Vec::with_capacity(n);
-            for _ in 0..n {
-                jobs.push(r.job()?);
-            }
-            Ok((index, jobs))
-        };
-        match decode() {
-            Ok(frame) => frames.push(frame),
-            Err(_) => break,
-        }
-        pos += frame_len;
+    let mut journal = ByteReader::new(bytes, "decoding journal record");
+    let mut records = Vec::new();
+    while let Ok(record) = decode_record(&mut journal) {
+        records.push(record);
     }
-    frames
+    records
 }
 
 /// Load a cluster's retained generations from disk, oldest to newest,
-/// attaching each generation's journal segments (frames tagged with a
+/// attaching each generation's journal segments (records tagged with a
 /// generation index that no retained slot explains extend the youngest
 /// older generation, preserving admission order). Returns the ring and
 /// the next free generation index. Slots that do not decode are skipped;
 /// when none decodes, the error carries the reason the first was skipped
-/// (a version-1 directory is refused by its version, not as "missing").
+/// (an older-version directory is refused by its version, not as
+/// "missing"). A slot or journal file that exists but cannot be read is
+/// a typed I/O error, never an empty journal.
 pub(crate) fn load_ring(
     dir: &Path,
     cluster: ClusterId,
@@ -644,38 +519,29 @@ pub(crate) fn load_ring(
 ) -> HeliosResult<(VecDeque<Generation>, u64)> {
     cfg.validate()?;
     let mut gens: Vec<Generation> = Vec::new();
-    let mut frames: Vec<(u64, Vec<SimJob>)> = Vec::new();
+    let mut records: Vec<(u64, Vec<SimJob>)> = Vec::new();
     let mut first_skip: Option<(PathBuf, HeliosError)> = None;
     for slot in 0..cfg.generations as u64 {
         let cpath = ckpt_path(dir, cluster, slot);
-        match std::fs::read(&cpath) {
-            // A corrupt slot could only occupy the ring (with an
-            // unsatisfiable checksum) if we could say where it belongs —
-            // without a trusted decoded index we must drop it, so decode
-            // failures are skipped here.
-            Ok(bytes) => match decode_slot(&bytes, cluster) {
-                Ok((index, clock, blob)) => {
-                    let checksum = xxh64(&blob);
-                    gens.push(Generation {
-                        index,
-                        clock,
-                        bytes: blob,
-                        checksum,
-                        journal: Vec::new(),
-                        drained: 0,
-                    });
-                }
+        // A corrupt slot could only occupy the ring if we could say where
+        // it belongs — without a trusted decoded index we must drop it,
+        // so decode failures are skipped here.
+        if let Some(bytes) = read_if_present(&cpath)? {
+            match decode_slot(&bytes, cluster) {
+                Ok((index, clock, blob)) => gens.push(Generation {
+                    index,
+                    clock,
+                    bytes: blob,
+                    journal: Vec::new(),
+                    drained: 0,
+                }),
                 Err(e) => {
-                    first_skip.get_or_insert((cpath.clone(), e));
+                    first_skip.get_or_insert((cpath, e));
                 }
-            },
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => {
-                return Err(HeliosError::io(format!("reading {}", cpath.display()), &e));
             }
         }
-        if let Ok(bytes) = std::fs::read(journal_path(dir, cluster, slot)) {
-            frames.extend(decode_journal(&bytes));
+        if let Some(bytes) = read_if_present(&journal_path(dir, cluster, slot))? {
+            records.extend(decode_journal(&bytes));
         }
     }
     if gens.is_empty() {
@@ -694,16 +560,16 @@ pub(crate) fn load_ring(
     }
     gens.sort_by_key(|g| g.index);
     let next_index = gens.last().map_or(0, |g| g.index) + 1;
-    // Journal frames replay in generation-index order; each segment is
+    // Journal records replay in generation-index order; each segment is
     // attached to the newest retained generation whose index is <= the
-    // frame's tag (frames tagged past the newest retained generation
+    // record's tag (records tagged past the newest retained generation
     // belong to an evicted-then-corrupted slot's successor and still
     // extend the newest survivor).
-    frames.sort_by_key(|(index, _)| *index);
-    for (index, jobs) in frames {
+    records.sort_by_key(|(index, _)| *index);
+    for (index, jobs) in records {
         let slot = match gens.iter_mut().rev().find(|g| g.index <= index) {
             Some(g) => g,
-            // Frames older than every retained generation were already
+            // Records older than every retained generation were already
             // absorbed into those snapshots; skip them.
             None => continue,
         };
@@ -715,7 +581,7 @@ pub(crate) fn load_ring(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use helios_sim::{FaultConfig, Policy, SNAPSHOT_VERSION, SNAPSHOT_VERSION_FAULTS};
+    use helios_sim::{xxh64, FaultConfig, Policy};
 
     fn job(id: u64) -> SimJob {
         SimJob {
@@ -751,34 +617,6 @@ mod tests {
     }
 
     #[test]
-    fn xxh64_known_answers() {
-        assert_eq!(xxh64(b""), 0xef46_db37_51d8_e999);
-        assert_eq!(xxh64(b"abc"), 0x44bc_2cf5_ad77_0999);
-        assert_eq!(
-            xxh64(b"Nobody inspects the spammish repetition"),
-            0xfbce_a83c_8a37_8bf1
-        );
-        // 47 bytes: one stripe, then an 8-, a 4- and three 1-byte steps.
-        let ramp: Vec<u8> = (0..47).collect();
-        assert_eq!(xxh64(&ramp), 0x0d98_83a0_3e7b_fbb8);
-    }
-
-    #[test]
-    fn every_bit_flip_and_truncation_of_a_kernel_blob_changes_the_checksum() {
-        let mut blob = Vec::new();
-        loaded_venus(8, false).snapshot_into(&mut blob);
-        let sum = xxh64(&blob);
-        for cut in 0..blob.len() {
-            assert_ne!(xxh64(&blob[..cut]), sum, "truncated to {cut} bytes");
-        }
-        for bit in 0..blob.len() * 8 {
-            blob[bit / 8] ^= 1 << (bit % 8);
-            assert_ne!(xxh64(&blob), sum, "bit {bit} flipped");
-            blob[bit / 8] ^= 1 << (bit % 8);
-        }
-    }
-
-    #[test]
     fn generations_encode_into_recycled_buffers_byte_identically() {
         let cfg = CheckpointConfig::default().generations(1);
         let big = loaded_venus(256, false);
@@ -792,12 +630,12 @@ mod tests {
             assert!(spare > want.len(), "the recycled buffer held a longer blob");
             assert_eq!(newest_bytes(&m), want);
         }
-        assert_eq!(newest_bytes(&m)[8], SNAPSHOT_VERSION_FAULTS as u8);
         let recovered = m.recover().expect("clean generation");
         assert!(recovered.snapshot.fault.is_some());
         m.checkpoint(&big).expect("grows past the spare");
         assert_eq!(newest_bytes(&m), big.snapshot().to_bytes());
-        assert_eq!(newest_bytes(&m)[8], SNAPSHOT_VERSION as u8);
+        let recovered = m.recover().expect("clean generation");
+        assert!(recovered.snapshot.fault.is_none());
     }
 
     #[test]
@@ -860,12 +698,12 @@ mod tests {
         m.checkpoint(&sim).expect("gen 1");
         m.note_admitted(&[job(12)]).expect("journaled");
 
-        // Tear the newest journal's tail: append half a frame.
+        // Tear the newest journal's tail: append a copy of its record
+        // that stops one byte short of the checksum's end.
         let jpath = journal_path(&dir, ClusterId::Saturn, 1);
         let mut torn = std::fs::read(&jpath).expect("journal exists");
         let clean_len = torn.len();
-        torn.extend_from_slice(&JOURNAL_MAGIC);
-        torn.extend_from_slice(&7u64.to_le_bytes());
+        torn.extend_from_within(..clean_len - 1);
         std::fs::write(&jpath, &torn).expect("tear applied");
 
         let (ring, next) = load_ring(&dir, ClusterId::Saturn, &cfg).expect("ring loads");
@@ -905,32 +743,89 @@ mod tests {
     }
 
     #[test]
-    fn version_one_directory_is_refused_by_name() {
-        // A version-1 slot: the same header layout. Its trailer is never
-        // read, because the version is checked first, so any 8 bytes do.
-        let dir = temp_dir("v1");
+    fn version_two_directory_is_refused_by_name() {
+        // A version-2 slot: the same header layout, then an XXH64 trailer
+        // that is never read, because the version is checked first.
+        let dir = temp_dir("v2");
         std::fs::create_dir_all(&dir).expect("temp dir");
         let mut w = ByteWriter::new();
         w.raw(&CHECKPOINT_MAGIC);
-        w.u32(1);
+        w.u32(2);
         w.u8(crate::config::cluster_code(ClusterId::Venus));
         w.u64(0);
         w.i64(i64::MIN);
         w.bytes(&kernel(ClusterId::Venus).snapshot().to_bytes());
-        let mut slot = w.into_bytes();
-        slot.extend_from_slice(&[0; 8]);
-        std::fs::write(ckpt_path(&dir, ClusterId::Venus, 0), &slot).expect("v1 slot");
+        w.u64(0);
+        std::fs::write(ckpt_path(&dir, ClusterId::Venus, 0), w.into_bytes()).expect("v2 slot");
 
         let config = crate::FleetConfig::new()
             .with_cluster(crate::ClusterConfig::new(ClusterId::Venus, Policy::Fifo))
             .with_checkpoint(CheckpointConfig::default().dir(&dir));
         let Err(err) = crate::Fleet::recover(&config) else {
-            panic!("a v1 directory must be refused");
+            panic!("a v2 directory must be refused");
         };
         assert!(matches!(err, HeliosError::Snapshot { .. }), "{err}");
         let msg = err.to_string();
-        assert!(msg.contains("checkpoint version 1 "), "{msg}");
+        assert!(msg.contains("HELCKPT1 version 2 "), "{msg}");
         assert!(msg.contains("slot0.ckpt"), "{msg}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unreadable_journal_is_an_io_error_not_an_empty_one() {
+        let dir = temp_dir("unreadable");
+        let config = crate::FleetConfig::new()
+            .with_cluster(crate::ClusterConfig::new(ClusterId::Venus, Policy::Fifo))
+            .with_checkpoint(CheckpointConfig::default().every_cycles(0).dir(&dir));
+        let fleet = crate::Fleet::launch(&config).expect("launch");
+        for id in 0..10 {
+            fleet.submit(ClusterId::Venus, job(id)).expect("accepted");
+        }
+        fleet.advance(0).expect("admitted and journaled");
+        drop(fleet);
+        let jpath = journal_path(&dir, ClusterId::Venus, 0);
+        assert!(std::fs::metadata(&jpath).expect("journal").len() > 0);
+        std::fs::remove_file(&jpath).expect("journal removed");
+        std::fs::create_dir(&jpath).expect("a directory in its place");
+
+        let Err(err) = crate::Fleet::recover(&config) else {
+            panic!("an unreadable journal must not recover as empty");
+        };
+        assert!(matches!(err, HeliosError::Io { .. }), "{err}");
+        assert!(err.to_string().contains("slot0.journal"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_journal_cut_anywhere_keeps_exactly_its_whole_records() {
+        let first = encode_record(4, &[job(1), job(2)]);
+        let second = encode_record(5, &[job(3)]);
+        let journal = [first.as_slice(), second.as_slice()].concat();
+        for cut in 0..=journal.len() {
+            let ids: Vec<(u64, Vec<u64>)> = decode_journal(&journal[..cut])
+                .into_iter()
+                .map(|(index, jobs)| (index, jobs.iter().map(|j| j.id).collect()))
+                .collect();
+            let want: &[(u64, Vec<u64>)] = match cut {
+                c if c < first.len() => &[],
+                c if c < journal.len() => &[(4, vec![1, 2])],
+                _ => &[(4, vec![1, 2]), (5, vec![3])],
+            };
+            assert_eq!(ids, want, "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn slot_and_record_encodings_are_pinned() {
+        // The guard fingerprint counts codec calls, not their order, so
+        // swapping two u64 fields would pass it; these pins would not.
+        let slot = encode_slot(ClusterId::Venus, 3, 1_200, b"kernel frame");
+        let decoded = decode_slot(&slot, ClusterId::Venus).expect("slot");
+        assert_eq!(decoded, (3, 1_200, b"kernel frame".to_vec()));
+        assert_eq!(xxh64(&slot), 0x8f92_fac3_01d0_8ee6);
+        assert_eq!(
+            xxh64(&encode_record(3, &[job(7), job(8)])),
+            0x617f_7ac3_f6b6_ddbe
+        );
     }
 }

@@ -38,9 +38,10 @@
 //!   round-trip.
 //! * **Snapshot/restore**: [`Fleet::snapshot`] checkpoints every hosted
 //!   scheduler (engine cursors, finish heap, pool occupancy, policy
-//!   state, pending queues) into one versioned binary frame;
-//!   [`Fleet::restore`] rebuilds the fleet so the resumed run produces
-//!   **byte-identical** downstream outcomes.
+//!   state, pending queues) into one checksummed `HELFLEET` frame;
+//!   [`Fleet::restore`] refuses a damaged or other-version frame and
+//!   rebuilds the fleet so the resumed run produces **byte-identical**
+//!   downstream outcomes.
 //! * **Self-healing** (PR 8): every worker command runs under panic
 //!   isolation. An auto-[`CheckpointConfig`] ring plus an admission
 //!   journal lets the supervisor restore the last good generation and

@@ -1,5 +1,5 @@
 //! The [`Fleet`] service: concurrent hosted clusters, sharded ingestion,
-//! live queries, and versioned whole-fleet snapshot/restore.
+//! live queries, and whole-fleet snapshot/restore as one checksummed frame.
 
 use crate::checkpoint::{self, CheckpointConfig};
 use crate::config::{
@@ -16,12 +16,12 @@ use std::sync::mpsc::{self, Receiver, RecvTimeoutError, TrySendError};
 use std::sync::TryLockError;
 use std::time::{Duration, Instant};
 
-/// Magic prefix of a serialized fleet snapshot frame.
+/// Frame magic of a serialized fleet snapshot.
 pub const FLEET_SNAPSHOT_MAGIC: [u8; 8] = *b"HELFLEET";
-/// Current fleet snapshot frame version. The frame wraps per-cluster
-/// kernel snapshots, which carry their own version
+/// Fleet snapshot frame version (2: checksummed). The frame wraps one
+/// kernel frame per cluster, which carries its own version
 /// ([`helios_sim::SNAPSHOT_VERSION`]); both are checked on restore.
-pub const FLEET_SNAPSHOT_VERSION: u32 = 1;
+pub const FLEET_SNAPSHOT_VERSION: u32 = 2;
 
 /// A running scheduler fleet: one worker thread (and one incremental
 /// [`Simulator`](helios_sim::Simulator)) per hosted cluster. See the
@@ -97,8 +97,8 @@ impl Fleet {
                 cfg,
                 preset(cfg.cluster),
                 runtime_opts(config),
-                Boot::Recover {
-                    snapshot: rec.snapshot,
+                Boot::Resume {
+                    snapshot: Box::new(rec.snapshot),
                     replay: rec.replay,
                     resume_index,
                 },
@@ -512,7 +512,7 @@ impl Fleet {
         self.await_reply(w, &rx)?
     }
 
-    /// Checkpoint the whole fleet into one versioned binary frame.
+    /// Checkpoint the whole fleet into one `HELFLEET` frame.
     ///
     /// Each worker first admits its pending ingest (so every accepted
     /// submission is inside its kernel snapshot — shards are empty in the
@@ -527,16 +527,20 @@ impl Fleet {
             waits.push((w, rx));
         }
         let mut writer = ByteWriter::new();
-        writer.raw(&FLEET_SNAPSHOT_MAGIC);
-        writer.u32(FLEET_SNAPSHOT_VERSION);
-        writer.u64(self.shard_capacity as u64);
-        writer.u32(self.workers.len() as u32);
-        for (w, rx) in &waits {
-            let blob = self.await_reply(w, rx)??;
-            writer.u8(cluster_code(w.cfg.cluster));
-            writer.u8(policy_code(w.cfg.policy));
-            writer.bytes(&blob);
-        }
+        writer.frame(&FLEET_SNAPSHOT_MAGIC, FLEET_SNAPSHOT_VERSION, |writer| {
+            writer.u64(self.shard_capacity as u64);
+            writer.u64(waits.len() as u64);
+            for (w, rx) in &waits {
+                let blob = self.await_reply(w, rx)??;
+                // Room for the entry and the closing checksum, so the last
+                // entry never leaves a full buffer to double.
+                writer.reserve(2 + 8 + blob.len() + 8);
+                writer.u8(cluster_code(w.cfg.cluster));
+                writer.u8(policy_code(w.cfg.policy));
+                writer.bytes(&blob);
+            }
+            HeliosResult::Ok(())
+        })?;
         Ok(writer.into_bytes())
     }
 
@@ -545,26 +549,19 @@ impl Fleet {
     /// ingestion shards; the resumed fleet produces byte-identical
     /// outcomes to one that was never interrupted.
     pub fn restore(bytes: &[u8]) -> HeliosResult<Fleet> {
-        let mut r = ByteReader::new(bytes, "decoding fleet snapshot");
-        let magic = r.raw(FLEET_SNAPSHOT_MAGIC.len())?;
-        if magic != FLEET_SNAPSHOT_MAGIC {
-            return Err(r.err("bad magic: not a fleet snapshot frame"));
-        }
-        let version = r.u32()?;
-        if version != FLEET_SNAPSHOT_VERSION {
-            return Err(r.err(format!(
-                "unsupported fleet frame version {version} (this build reads {FLEET_SNAPSHOT_VERSION})"
-            )));
-        }
+        let mut input = ByteReader::new(bytes, "decoding fleet snapshot");
+        let mut r = input.frame(&FLEET_SNAPSHOT_MAGIC, FLEET_SNAPSHOT_VERSION)?;
+        input.finish()?;
         let shard_capacity = r.u64()? as usize;
         if shard_capacity == 0 {
             return Err(r.err("frame carries shard_capacity 0"));
         }
-        let count = r.u32()?;
+        // An entry is at least two codes and a blob length prefix.
+        let count = r.len(10)?;
         if count == 0 {
             return Err(r.err("frame hosts no clusters"));
         }
-        let mut workers = Vec::with_capacity(count as usize);
+        let mut workers = Vec::with_capacity(count);
         for _ in 0..count {
             let cluster = cluster_from(r.u8()?, &r)?;
             let policy = policy_from(r.u8()?, &r)?;
@@ -585,9 +582,9 @@ impl Fleet {
                 // restored worker must not re-enable injection on top.
                 faults: snap.fault.as_ref().map(|f| f.cfg),
             };
-            // The frame predates the runtime knobs (version 1 carries
-            // topology only): a restored fleet runs with default
-            // supervision and in-memory checkpointing, no chaos.
+            // The frame carries topology only, no runtime knobs: a
+            // restored fleet runs with default supervision and in-memory
+            // checkpointing, no chaos.
             let runtime = RuntimeOpts {
                 shard_capacity,
                 checkpoint: CheckpointConfig::default(),
@@ -595,19 +592,15 @@ impl Fleet {
                 max_restarts: DEFAULT_MAX_RESTARTS,
                 watchdog: None,
             };
-            workers.push(spawn_worker(
-                cfg,
-                preset(cluster),
-                runtime,
-                Boot::Restore(snap),
-            )?);
+            // A restore is a resume with nothing to replay.
+            let boot = Boot::Resume {
+                snapshot: Box::new(snap),
+                replay: Vec::new(),
+                resume_index: 0,
+            };
+            workers.push(spawn_worker(cfg, preset(cluster), runtime, boot)?);
         }
-        if r.remaining() != 0 {
-            return Err(r.err(format!(
-                "{} trailing bytes after the fleet frame",
-                r.remaining()
-            )));
-        }
+        r.finish()?;
         Ok(Fleet {
             workers,
             shard_capacity,

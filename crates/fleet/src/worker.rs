@@ -68,13 +68,12 @@ pub(crate) struct RuntimeOpts {
 pub(crate) enum Boot {
     /// A fresh kernel from the cluster config.
     Fresh,
-    /// Restore a manual [`Fleet::snapshot`](crate::Fleet::snapshot) blob.
-    Restore(SimSnapshot),
-    /// Rebuild from an on-disk checkpoint ring: restore `snapshot`,
-    /// replay `replay`, and continue generation indices at
-    /// `resume_index`.
-    Recover {
-        snapshot: SimSnapshot,
+    /// Restore `snapshot`, replay `replay` on top, and continue
+    /// generation indices at `resume_index`. A disk recovery replays the
+    /// ring's journal; a [`Fleet::restore`](crate::Fleet::restore) has
+    /// nothing to replay and starts at index 0.
+    Resume {
+        snapshot: Box<SimSnapshot>,
         replay: Vec<SimJob>,
         resume_index: u64,
     },
@@ -403,9 +402,7 @@ fn build_sim(
         // The snapshot carries kernel knobs and failure-model state, so
         // a restored kernel replays the identical sequence without
         // consulting `cfg` again.
-        Boot::Restore(s) | Boot::Recover { snapshot: s, .. } => {
-            Simulator::restore(spec, cfg.policy.build(), s)
-        }
+        Boot::Resume { snapshot, .. } => Simulator::restore(spec, cfg.policy.build(), snapshot),
     }
 }
 
@@ -442,8 +439,8 @@ fn attach_observers(sim: &mut Simulator<'static>, ctx: &WorkerCtx) {
 }
 
 /// Launch one worker thread. `boot` switches the kernel between a fresh
-/// launch, a snapshot restore, and a disk recovery; either way the
-/// thread reports construction success/failure through a one-shot
+/// launch and a resume (snapshot restore or disk recovery); either way
+/// the thread reports construction success/failure through a one-shot
 /// channel before this function returns, so a bad snapshot fails
 /// `Fleet::restore` / `Fleet::recover` eagerly.
 pub(crate) fn spawn_worker(
@@ -463,8 +460,7 @@ pub(crate) fn spawn_worker(
     let depths: Vec<Arc<AtomicUsize>> = (0..nvcs).map(|_| Arc::new(AtomicUsize::new(0))).collect();
     let submitted = Arc::new(AtomicU64::new(match &boot {
         Boot::Fresh => 0,
-        Boot::Restore(s) => s.jobs.len() as u64,
-        Boot::Recover {
+        Boot::Resume {
             snapshot, replay, ..
         } => (snapshot.jobs.len() + replay.len()) as u64,
     }));
@@ -490,8 +486,8 @@ pub(crate) fn spawn_worker(
                 }
             };
             let resume_index = match &boot {
-                Boot::Fresh | Boot::Restore(_) => 0,
-                Boot::Recover {
+                Boot::Fresh => 0,
+                Boot::Resume {
                     replay,
                     resume_index,
                     ..

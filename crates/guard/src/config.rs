@@ -123,7 +123,7 @@ impl GuardConfig {
                 CodecSpec {
                     name: "HSIMSNAP",
                     file: "crates/sim/src/snapshot.rs",
-                    version_consts: &["SNAPSHOT_VERSION", "SNAPSHOT_VERSION_FAULTS"],
+                    version_consts: &["SNAPSHOT_VERSION"],
                 },
                 CodecSpec {
                     name: "HELFLEET",

@@ -77,6 +77,6 @@ pub use policy::{
 };
 pub use pool::{Allocation, NodePool, Placement};
 pub use snapshot::{
-    spec_fingerprint, ByteReader, ByteWriter, JobStateSnap, QueueKey, SimSnapshot, VcSnap,
-    JOB_WIRE_BYTES, SNAPSHOT_MAGIC, SNAPSHOT_VERSION, SNAPSHOT_VERSION_FAULTS,
+    spec_fingerprint, xxh64, ByteReader, ByteWriter, JobStateSnap, QueueKey, SimSnapshot, VcSnap,
+    JOB_WIRE_BYTES, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };

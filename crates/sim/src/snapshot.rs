@@ -1,28 +1,39 @@
-//! Versioned binary snapshot/restore of full kernel state.
+//! Versioned binary snapshot/restore of full kernel state, and the one
+//! checksummed frame every persisted format is written in.
 //!
 //! [`SimSnapshot`] captures everything a [`Simulator`](crate::Simulator)
 //! needs to resume with **byte-identical downstream outcomes**: job
 //! execution state, per-VC pool occupancy, the policy-ordered queues and
 //! finish heap verbatim (backing arrays, so pop order is reproduced bit
 //! for bit), the arrival cursor, the simulated horizon, undrained
-//! completions, and opaque policy state
-//! ([`SchedulingPolicy::save_state`](crate::SchedulingPolicy::save_state)).
+//! completions, opaque policy state
+//! ([`SchedulingPolicy::save_state`](crate::SchedulingPolicy::save_state)),
+//! and the failure state behind a presence byte.
 //!
 //! Deliberately *not* captured — state the equivalence test suite pins as
 //! outcome-neutral: the blocked-head memo (a pure performance cache),
 //! the scratch buffers, and registered observers (restore starts with
 //! none; re-attach as needed).
 //!
-//! The wire format is a little-endian byte stream behind an 8-byte magic
-//! and a `u32` version ([`SNAPSHOT_VERSION`]). The no-op vendored serde
-//! cannot serialize, so the codec is hand-written via [`ByteWriter`] /
-//! [`ByteReader`] — both public so higher layers (the fleet service)
-//! frame their own envelopes around per-cluster payloads. Decoding never
-//! panics: every malformed input surfaces as
-//! [`HeliosError::Snapshot`].
+//! ## The frame
 //!
-//! There is one encoder, over a borrowed view of the state. A live
-//! kernel lends its own arrays to it
+//! Every persisted format — this kernel snapshot, the fleet snapshot,
+//! checkpoint slots and journal records — is one frame, written by
+//! [`ByteWriter::frame`] and read by [`ByteReader::frame`]:
+//!
+//! ```text
+//! magic[8] | version u32 | body length u64 | body | XXH64 (seed 0) of everything before it
+//! ```
+//!
+//! The reader checks the magic, then the version (any other version is
+//! refused by number, never read), then the length, then the checksum,
+//! so a cut or a bit flip is refused before a field is decoded. Bodies
+//! are hand-written little-endian streams (the no-op vendored serde
+//! cannot serialize); decoding never panics, and every malformed input
+//! is a [`HeliosError::Snapshot`].
+//!
+//! There is one kernel encoder, over a borrowed view of the state. A
+//! live kernel lends its own arrays to it
 //! ([`Simulator::snapshot_into`](crate::Simulator::snapshot_into)), so a
 //! checkpoint never copies the job table; [`SimSnapshot::to_bytes`] lends
 //! the snapshot's fields to the same code.
@@ -33,16 +44,16 @@ use crate::pool::{Allocation, Placement};
 use helios_trace::{ClusterSpec, HeliosError, HeliosResult};
 use std::borrow::Cow;
 
-/// Magic prefix of a serialized [`SimSnapshot`].
+/// Frame magic of a serialized [`SimSnapshot`].
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"HSIMSNAP";
-/// Current kernel snapshot format version (no failure state). Snapshots
-/// of fault-enabled kernels are written as [`SNAPSHOT_VERSION_FAULTS`]
-/// instead, so failure-free blobs stay byte-identical to the legacy
-/// format.
-pub const SNAPSHOT_VERSION: u32 = 1;
-/// Snapshot format version carrying a trailing failure-state section
-/// (see [`crate::fault::FaultSnap`] and `FAULT_CODEC_VERSION`).
-pub const SNAPSHOT_VERSION_FAULTS: u32 = 2;
+/// Kernel snapshot frame version. Version 3 is the checksummed frame
+/// with the failure state behind a presence byte; versions 1 and 2 are
+/// refused by number.
+pub const SNAPSHOT_VERSION: u32 = 3;
+
+/// Bytes a frame adds around its body: magic, version, body length and
+/// the closing checksum.
+const FRAME_OVERHEAD: usize = 8 + 4 + 8 + 8;
 
 /// Complete resumable state of one [`Simulator`](crate::Simulator); see
 /// the module docs for what is (and is not) captured. Produce with
@@ -81,9 +92,8 @@ pub struct SimSnapshot {
     pub completed: Vec<usize>,
     /// Opaque policy payload from `SchedulingPolicy::save_state`.
     pub policy_state: Vec<u8>,
-    /// Failure-injection state (`None` when injection is disabled; its
-    /// presence alone decides whether the blob is written as
-    /// [`SNAPSHOT_VERSION`] or [`SNAPSHOT_VERSION_FAULTS`]).
+    /// Failure-injection state (`None` when injection is disabled),
+    /// written behind a presence byte.
     pub fault: Option<FaultSnap>,
 }
 
@@ -229,6 +239,35 @@ impl ByteWriter {
         self.buf
     }
 
+    /// Make room for exactly `additional` more bytes, so a large entry
+    /// or a frame's closing checksum never doubles a full buffer.
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve_exact(additional);
+    }
+
+    /// Write one frame: `magic`, `version`, the body length, the body
+    /// `body` writes, and the XXH64 of everything before it. Returns what
+    /// `body` returns. [`ByteReader::frame`] reads it back.
+    pub fn frame<R>(
+        &mut self,
+        magic: &[u8; 8],
+        version: u32,
+        body: impl FnOnce(&mut Self) -> R,
+    ) -> R {
+        let start = self.buf.len();
+        self.raw(magic);
+        self.u32(version);
+        self.u64(0); // the body length, patched below
+        let body_start = self.buf.len();
+        let out = body(self);
+        let body_len = (self.buf.len() - body_start) as u64;
+        if let Some(len) = self.buf.get_mut(body_start - 8..body_start) {
+            len.copy_from_slice(&body_len.to_le_bytes());
+        }
+        self.u64(xxh64(self.buf.get(start..).unwrap_or_default()));
+        out
+    }
+
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
@@ -324,6 +363,42 @@ impl<'a> ByteReader<'a> {
         HeliosError::snapshot(self.context, detail)
     }
 
+    /// The end check: a decoder calls it after its last field (or its
+    /// last frame), so trailing bytes are refused.
+    pub fn finish(self) -> HeliosResult<()> {
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(self.err(format!("{n} trailing bytes after the last field"))),
+        }
+    }
+
+    /// Read the frame at the current position and move past it: check
+    /// its magic, then its version (any other version is refused by
+    /// number, never read), then its body length, then its checksum.
+    /// Returns a reader over the body; the bytes after the frame stay in
+    /// this reader.
+    pub fn frame(&mut self, magic: &[u8; 8], version: u32) -> HeliosResult<ByteReader<'a>> {
+        let start = self.pos;
+        let name = || String::from_utf8_lossy(magic);
+        if self.take(magic.len())? != magic {
+            return Err(self.err(format!("bad magic: not a {} frame", name())));
+        }
+        let found = self.u32()?;
+        if found != version {
+            return Err(self.err(format!(
+                "unsupported {} version {found} (this build reads version {version})",
+                name()
+            )));
+        }
+        let body_len = self.len(1)?;
+        let body = self.take(body_len)?;
+        let sealed = self.buf.get(start..self.pos).unwrap_or_default();
+        if xxh64(sealed) != self.u64()? {
+            return Err(self.err("checksum mismatch: the frame is corrupt or torn"));
+        }
+        Ok(ByteReader::new(body, self.context))
+    }
+
     /// Exactly `n` raw bytes with no length prefix — the reading twin of
     /// [`ByteWriter::raw`].
     pub fn raw(&mut self, n: usize) -> HeliosResult<&'a [u8]> {
@@ -408,6 +483,69 @@ impl<'a> ByteReader<'a> {
     }
 }
 
+/// XXH64 with seed 0 (xxHash's 64-bit variant): four independent 8-byte
+/// lanes over 32-byte stripes, then the tail in 8-, 4- and 1-byte steps
+/// and a final avalanche. The checksum that closes every frame.
+pub fn xxh64(bytes: &[u8]) -> u64 {
+    const P1: u64 = 0x9E37_79B1_85EB_CA87;
+    const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+    const P3: u64 = 0x1656_67B1_9E37_79F9;
+    const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+    const P5: u64 = 0x27D4_EB2F_1656_67C5;
+    fn xxh_round(acc: u64, lane: u64) -> u64 {
+        acc.wrapping_add(lane.wrapping_mul(P2))
+            .rotate_left(31)
+            .wrapping_mul(P1)
+    }
+    let le_u64 = |word: &[u8]| u64::from_le_bytes(le_bytes(word));
+    let mut stripes = bytes.chunks_exact(32);
+    let mut h = if bytes.len() >= 32 {
+        let mut lanes = [P1.wrapping_add(P2), P2, 0, 0u64.wrapping_sub(P1)];
+        for stripe in &mut stripes {
+            for (acc, lane) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
+                *acc = xxh_round(*acc, le_u64(lane));
+            }
+        }
+        let [v1, v2, v3, v4] = lanes;
+        let h = v1
+            .rotate_left(1)
+            .wrapping_add(v2.rotate_left(7))
+            .wrapping_add(v3.rotate_left(12))
+            .wrapping_add(v4.rotate_left(18));
+        lanes.iter().fold(h, |h, &acc| {
+            (h ^ xxh_round(0, acc)).wrapping_mul(P1).wrapping_add(P4)
+        })
+    } else {
+        P5
+    };
+    h = h.wrapping_add(bytes.len() as u64);
+    let mut words = stripes.remainder().chunks_exact(8);
+    for word in &mut words {
+        h = (h ^ xxh_round(0, le_u64(word)))
+            .rotate_left(27)
+            .wrapping_mul(P1)
+            .wrapping_add(P4);
+    }
+    let mut rest = words.remainder();
+    if let Some((word, after)) = rest.split_first_chunk::<4>() {
+        h = (h ^ u64::from(u32::from_le_bytes(*word)).wrapping_mul(P1))
+            .rotate_left(23)
+            .wrapping_mul(P2)
+            .wrapping_add(P3);
+        rest = after;
+    }
+    for &b in rest {
+        h = (h ^ u64::from(b).wrapping_mul(P5))
+            .rotate_left(11)
+            .wrapping_mul(P1);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(P3);
+    h ^ (h >> 32)
+}
+
 fn placement_code(p: Placement) -> u8 {
     match p {
         Placement::Consolidate => 0,
@@ -444,8 +582,7 @@ impl SnapView<'_> {
             .fault
             .as_ref()
             .map_or(0, |f| 512 + f.nodes.len() * 64 + f.events.len() * 24);
-        SNAPSHOT_MAGIC.len()
-            + 4
+        FRAME_OVERHEAD
             + 3
             + 8
             + self.policy_name.len()
@@ -462,6 +599,7 @@ impl SnapView<'_> {
             + self.completed.len() * 8
             + 8
             + self.policy_state.len()
+            + 1
             + fault
     }
 
@@ -481,12 +619,12 @@ impl SnapView<'_> {
         let mut w = ByteWriter {
             buf: std::mem::take(out),
         };
-        w.buf.extend_from_slice(&SNAPSHOT_MAGIC);
-        w.u32(if self.fault.is_some() {
-            SNAPSHOT_VERSION_FAULTS
-        } else {
-            SNAPSHOT_VERSION
-        });
+        w.frame(&SNAPSHOT_MAGIC, SNAPSHOT_VERSION, |w| self.encode_body(w));
+        debug_assert!(w.buf.len() <= need, "wire_bound under-estimates");
+        *out = w.into_bytes();
+    }
+
+    fn encode_body(&self, w: &mut ByteWriter) {
         w.u8(placement_code(self.placement));
         w.u8(self.backfill as u8);
         w.u8(self.memo_enabled as u8);
@@ -545,11 +683,10 @@ impl SnapView<'_> {
             w.u64(idx as u64);
         }
         w.bytes(&self.policy_state);
+        w.u8(self.fault.is_some() as u8);
         if let Some(fault) = &self.fault {
-            fault.encode(&mut w);
+            fault.encode(w);
         }
-        debug_assert!(w.buf.len() <= need, "wire_bound under-estimates");
-        *out = w.into_bytes();
     }
 
     /// An owned copy of the viewed state.
@@ -602,28 +739,19 @@ impl SimSnapshot {
         }
     }
 
-    /// Serialize to the versioned binary wire format.
+    /// Serialize to one `HSIMSNAP` frame.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         self.view().encode_into(&mut out);
         out
     }
 
-    /// Decode from the versioned binary wire format. Trailing garbage,
-    /// truncation, or a magic/version mismatch all surface as typed
-    /// errors.
+    /// Decode the frame [`SimSnapshot::to_bytes`] writes. A refused
+    /// frame, trailing bytes, or a malformed body are typed errors.
     pub fn from_bytes(bytes: &[u8]) -> HeliosResult<SimSnapshot> {
-        let mut r = ByteReader::new(bytes, "decoding kernel snapshot");
-        let magic = r.take(SNAPSHOT_MAGIC.len())?;
-        if magic != SNAPSHOT_MAGIC {
-            return Err(r.err("bad magic: not a kernel snapshot"));
-        }
-        let version = r.u32()?;
-        if version != SNAPSHOT_VERSION && version != SNAPSHOT_VERSION_FAULTS {
-            return Err(r.err(format!(
-                "unsupported snapshot version {version} (this build reads {SNAPSHOT_VERSION} and {SNAPSHOT_VERSION_FAULTS})"
-            )));
-        }
+        let mut input = ByteReader::new(bytes, "decoding kernel snapshot");
+        let mut r = input.frame(&SNAPSHOT_MAGIC, SNAPSHOT_VERSION)?;
+        input.finish()?;
         let placement = placement_from(r.u8()?, &r)?;
         let backfill = r.u8()? != 0;
         let memo_enabled = r.u8()? != 0;
@@ -697,17 +825,12 @@ impl SimSnapshot {
             completed.push(r.u64()? as usize);
         }
         let policy_state = r.bytes()?;
-        let fault = if version == SNAPSHOT_VERSION_FAULTS {
-            Some(FaultSnap::decode(&mut r)?)
-        } else {
-            None
+        let fault = match r.u8()? {
+            0 => None,
+            1 => Some(FaultSnap::decode(&mut r)?),
+            other => return Err(r.err(format!("unknown failure-state presence byte {other}"))),
         };
-        if r.remaining() != 0 {
-            return Err(r.err(format!(
-                "{} trailing bytes after the snapshot payload",
-                r.remaining()
-            )));
-        }
+        r.finish()?;
         Ok(SimSnapshot {
             placement,
             backfill,
@@ -782,14 +905,9 @@ mod tests {
         assert_eq!(back.to_bytes(), bytes);
     }
 
-    #[test]
-    fn fault_section_round_trips_as_version_two() {
+    fn sample_fault() -> FaultSnap {
         use crate::fault::{FaultConfig, FaultNodeSnap, FaultStats};
-        let mut snap = sample();
-        // Version byte stays 1 (legacy) without a fault section...
-        assert_eq!(snap.to_bytes()[8], SNAPSHOT_VERSION as u8);
-        // ...and becomes 2 with one, round-tripping exactly.
-        snap.fault = Some(FaultSnap {
+        FaultSnap {
             cfg: FaultConfig::with_mtbf_hours(48.0),
             seeded: true,
             t0: 99,
@@ -813,12 +931,79 @@ mod tests {
                 lost_gpu_secs: 64.0,
                 ..Default::default()
             },
-        });
+        }
+    }
+
+    #[test]
+    fn fault_section_round_trips_as_version_two() {
+        // The failure state is a body section behind a presence byte: the
+        // frame version is the same with and without it.
+        let mut snap = sample();
+        let plain = snap.to_bytes();
+        snap.fault = Some(sample_fault());
         let bytes = snap.to_bytes();
-        assert_eq!(bytes[8], SNAPSHOT_VERSION_FAULTS as u8);
+        for frame in [&plain, &bytes] {
+            assert_eq!(frame[8..12], SNAPSHOT_VERSION.to_le_bytes());
+        }
         let back = SimSnapshot::from_bytes(&bytes).unwrap();
         assert_eq!(back, snap);
         assert_eq!(back.to_bytes(), bytes);
+    }
+
+    #[test]
+    fn exact_encodings_are_pinned() {
+        // The guard fingerprint counts codec calls, not their order within
+        // a type, so swapping two u64 fields would pass it; these pins
+        // would not.
+        let mut snap = sample();
+        assert_eq!(xxh64(&snap.to_bytes()), 0x30ad_7a55_94d1_d42b);
+        snap.fault = Some(sample_fault());
+        assert_eq!(xxh64(&snap.to_bytes()), 0x1038_faa3_8c58_976d);
+    }
+
+    #[test]
+    fn xxh64_known_answers() {
+        assert_eq!(xxh64(b""), 0xef46_db37_51d8_e999);
+        assert_eq!(xxh64(b"abc"), 0x44bc_2cf5_ad77_0999);
+        assert_eq!(
+            xxh64(b"Nobody inspects the spammish repetition"),
+            0xfbce_a83c_8a37_8bf1
+        );
+        // 47 bytes: one stripe, then an 8-, a 4- and three 1-byte steps.
+        let ramp: Vec<u8> = (0..47).collect();
+        assert_eq!(xxh64(&ramp), 0x0d98_83a0_3e7b_fbb8);
+    }
+
+    #[test]
+    fn every_truncation_and_bit_flip_of_a_frame_is_refused() {
+        let mut snap = sample();
+        snap.fault = Some(sample_fault());
+        let mut frame = snap.to_bytes();
+        let refused = |bytes: &[u8]| {
+            matches!(
+                SimSnapshot::from_bytes(bytes),
+                Err(HeliosError::Snapshot { .. })
+            )
+        };
+        for cut in 0..frame.len() {
+            assert!(refused(&frame[..cut]), "cut at {cut}");
+        }
+        for bit in 0..frame.len() * 8 {
+            frame[bit / 8] ^= 1 << (bit % 8);
+            assert!(refused(&frame), "bit {bit} flipped");
+            frame[bit / 8] ^= 1 << (bit % 8);
+        }
+        assert_eq!(SimSnapshot::from_bytes(&frame).unwrap(), snap);
+    }
+
+    #[test]
+    fn absurd_body_length_is_refused_before_allocating() {
+        let mut w = ByteWriter::new();
+        w.raw(&SNAPSHOT_MAGIC);
+        w.u32(SNAPSHOT_VERSION);
+        w.u64(u64::MAX);
+        let err = SimSnapshot::from_bytes(&w.into_bytes()).unwrap_err();
+        assert!(err.to_string().contains("corrupt length"), "{err}");
     }
 
     #[test]
@@ -839,7 +1024,8 @@ mod tests {
         assert!(SimSnapshot::from_bytes(&wrong_magic).is_err());
         let mut wrong_version = bytes;
         wrong_version[8] = 0xEE;
-        assert!(SimSnapshot::from_bytes(&wrong_version).is_err());
+        let err = SimSnapshot::from_bytes(&wrong_version).unwrap_err();
+        assert!(err.to_string().contains("HSIMSNAP version 238 "), "{err}");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use helios_faults::{goodput, DrainConfig, DrainPolicy};
 use helios_sim::{
-    jobs_from_trace, FaultConfig, JobOutcome, Policy, SimJob, SimSnapshot, Simulator,
+    jobs_from_trace, xxh64, FaultConfig, JobOutcome, Policy, SimJob, SimSnapshot, Simulator,
 };
 use helios_trace::{generate, profile_for, ClusterId, GeneratorConfig, HeliosError, Trace};
 
@@ -232,9 +232,10 @@ fn unknown_failure_codec_version_is_a_snapshot_error() {
     sim.push_jobs(&jobs).unwrap();
     sim.run_until(lo + (hi - lo) / 2);
 
-    // The failure frame is the snapshot's final section: stripping the
+    // The failure section is the body's final section: stripping the
     // fault payload from a second copy of the same snapshot tells us
-    // exactly where the frame (and its leading codec-version u32) begins.
+    // exactly where the section (and its leading codec-version u32)
+    // begins — just before the stripped frame's 8-byte checksum.
     let snap = sim.snapshot();
     let mut bytes = snap.to_bytes();
     let mut stripped = sim.snapshot();
@@ -243,9 +244,14 @@ fn unknown_failure_codec_version_is_a_snapshot_error() {
         "fault-enabled kernel must snapshot its failure state"
     );
     stripped.fault = None;
-    let frame_start = stripped.to_bytes().len();
-    assert!(frame_start + 4 <= bytes.len());
-    bytes[frame_start..frame_start + 4].copy_from_slice(&0xEEu32.to_le_bytes());
+    let section_start = stripped.to_bytes().len() - 8;
+    assert!(section_start + 4 <= bytes.len());
+    bytes[section_start..section_start + 4].copy_from_slice(&0xEEu32.to_le_bytes());
+    // Re-seal the patched frame, or its checksum refuses it before the
+    // nested version is read.
+    let sealed_len = bytes.len() - 8;
+    let checksum = xxh64(&bytes[..sealed_len]);
+    bytes[sealed_len..].copy_from_slice(&checksum.to_le_bytes());
 
     let err = SimSnapshot::from_bytes(&bytes).expect_err("corrupt codec version must fail");
     assert!(matches!(err, HeliosError::Snapshot { .. }), "{err}");

@@ -8,6 +8,7 @@
 
 use helios_fleet::{
     ChaosConfig, CheckpointConfig, ClusterConfig, Fleet, FleetConfig, RetryConfig, WorkerState,
+    FLEET_SNAPSHOT_MAGIC, FLEET_SNAPSHOT_VERSION,
 };
 use helios_sim::{ByteWriter, JobOutcome, Policy, SimJob, SimSnapshot, Simulator};
 use helios_trace::{preset, ClusterId, HeliosError};
@@ -245,9 +246,9 @@ fn fleet_frame_fuzz_truncation_and_header_bitflips_stay_typed() {
             "cut at {cut}: expected a typed snapshot error, got {err}"
         );
     }
-    // Magic (8 bytes) + version (4 bytes): any single-bit flip must be
-    // rejected, never reinterpreted.
-    for byte in 0..12 {
+    // Every single-bit flip, header or body, must be refused, never
+    // restored or reinterpreted.
+    for byte in 0..frame.len() {
         for bit in 0..8 {
             let mut bent = frame.clone();
             bent[byte] ^= 1 << bit;
@@ -292,20 +293,26 @@ fn kernel_snapshot_fuzz_truncation_and_header_bitflips_stay_typed() {
 
 #[test]
 fn absurd_length_prefix_is_rejected_without_allocating() {
-    // A hand-built fleet frame whose per-cluster blob claims u64::MAX
-    // bytes: the reader's length guard must reject it as a typed error
-    // instead of attempting the allocation.
-    let mut w = ByteWriter::new();
-    w.raw(b"HELFLEET");
-    w.u32(1); // frame version
-    w.u64(64); // shard capacity
-    w.u32(1); // one hosted cluster
-    w.u8(0); // cluster code: Venus
-    w.u8(0); // policy code: Fifo
-    w.u64(u64::MAX); // blob length prefix with no body
-    let frame = w.into_bytes();
-    let err = Fleet::restore(&frame).unwrap_err();
-    assert!(matches!(err, HeliosError::Snapshot { .. }), "{err}");
+    // Sealed fleet frames (valid checksum) claiming u64::MAX clusters, or
+    // a per-cluster blob of u64::MAX bytes: the reader's length guard
+    // must reject them as typed errors instead of attempting the
+    // allocation.
+    let sealed = |clusters: u64, blob_len: u64| {
+        let mut w = ByteWriter::new();
+        w.frame(&FLEET_SNAPSHOT_MAGIC, FLEET_SNAPSHOT_VERSION, |w| {
+            w.u64(64); // shard capacity
+            w.u64(clusters);
+            w.u8(0); // cluster code: Venus
+            w.u8(0); // policy code: Fifo
+            w.u64(blob_len); // blob length prefix with no body
+        });
+        w.into_bytes()
+    };
+    for frame in [sealed(u64::MAX, 0), sealed(1, u64::MAX)] {
+        let err = Fleet::restore(&frame).unwrap_err();
+        assert!(matches!(err, HeliosError::Snapshot { .. }), "{err}");
+        assert!(err.to_string().contains("corrupt length"), "{err}");
+    }
 }
 
 #[test]

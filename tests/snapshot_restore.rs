@@ -6,7 +6,7 @@
 use helios_energy::EnergyAwarePolicy;
 use helios_sim::{
     jobs_from_trace, FaultConfig, JobOutcome, Policy, SchedulingPolicy, SimSnapshot, Simulator,
-    SrtfPolicy, TiresiasPolicy, SNAPSHOT_VERSION, SNAPSHOT_VERSION_FAULTS,
+    SrtfPolicy, TiresiasPolicy, SNAPSHOT_VERSION,
 };
 use helios_trace::{generate, preset, profile_for, ClusterId, GeneratorConfig, HeliosError};
 
@@ -168,7 +168,7 @@ fn snapshot_into_a_recycled_longer_buffer_equals_to_bytes() {
     };
     let full = kernel(&jobs, false);
     let mut buf = Vec::new();
-    for (faults, version) in [(false, SNAPSHOT_VERSION), (true, SNAPSHOT_VERSION_FAULTS)] {
+    for faults in [false, true] {
         full.snapshot_into(&mut buf);
         assert_eq!(buf, full.snapshot().to_bytes());
         let longer = buf.len();
@@ -177,7 +177,7 @@ fn snapshot_into_a_recycled_longer_buffer_equals_to_bytes() {
         let want = shorter.snapshot().to_bytes();
         assert!(want.len() < longer, "the buffer held a longer blob");
         assert_eq!(buf, want, "faults: {faults}");
-        assert_eq!(buf[8], version as u8);
+        assert_eq!(buf[8..12], SNAPSHOT_VERSION.to_le_bytes());
         let snap = SimSnapshot::from_bytes(&buf).unwrap();
         assert_eq!(snap.fault.is_some(), faults);
     }
