@@ -13,10 +13,14 @@ pub struct BinMapper {
 
 impl BinMapper {
     /// Fit quantile bins over `values` (at most `max_bins`, deduplicated).
+    /// NaN is ignored; an all-NaN column gets a single bin.
     pub fn fit(values: &[f64], max_bins: usize) -> Self {
         assert!((2..=256).contains(&max_bins));
         assert!(!values.is_empty());
         let mut sorted: Vec<f64> = values.iter().copied().filter(|v| !v.is_nan()).collect();
+        if sorted.is_empty() {
+            return BinMapper { edges: Vec::new() };
+        }
         sorted.sort_unstable_by(f64::total_cmp);
         let mut edges = Vec::with_capacity(max_bins - 1);
         for b in 1..max_bins {
@@ -34,7 +38,7 @@ impl BinMapper {
         self.edges.len() + 1
     }
 
-    /// Bin index for a value.
+    /// Bin index for a value (NaN lands in bin 0).
     pub fn bin(&self, v: f64) -> u8 {
         self.edges.partition_point(|&e| e < v) as u8
     }
@@ -146,6 +150,13 @@ mod tests {
         // One real bin plus at most one (empty) overflow bin.
         assert!(m.num_bins() <= 2);
         assert_eq!(m.bin(5.0), 0);
+    }
+
+    #[test]
+    fn all_nan_column_gets_one_bin() {
+        let m = BinMapper::fit(&[f64::NAN; 50], 16);
+        assert_eq!(m.num_bins(), 1);
+        assert_eq!(m.bin(f64::NAN), 0);
     }
 
     #[test]

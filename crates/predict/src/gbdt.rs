@@ -4,6 +4,8 @@
 //!
 //! This is the model behind both paper services: QSSF's job-GPU-time
 //! estimator P_M (§4.2.2) and CES's node-demand forecaster (§4.3.2).
+//! Trees sum their gradients in exact fixed point (see [`crate::tree`]),
+//! so a fit does not depend on summation order.
 
 use crate::binning::BinnedDataset;
 use crate::tree::{build_tree_in, Tree, TreeParams, TreeWorkspace};
@@ -72,6 +74,10 @@ impl Gbdt {
         let n = targets.len();
         assert!(features.iter().all(|c| c.len() == n));
         assert!(n > 0, "empty training set");
+        assert!(
+            targets.iter().all(|t| t.is_finite()),
+            "GBDT targets must be finite"
+        );
 
         let data = BinnedDataset::from_columns(features, params.max_bins);
         let base = targets.iter().sum::<f64>() / n as f64;
@@ -347,6 +353,47 @@ mod tests {
         let model = Gbdt::fit(&cols, &y, &GbdtParams::default(), None);
         assert!((model.predict_row(&[3.0]) - 7.5).abs() < 1e-6);
         assert_eq!(model.base(), 7.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "GBDT targets must be finite")]
+    fn nan_target_is_refused() {
+        let cols = vec![(0..50).map(|i| i as f64).collect::<Vec<f64>>()];
+        let mut y = vec![1.0; 50];
+        y[17] = f64::NAN;
+        Gbdt::fit(&cols, &y, &GbdtParams::default(), None);
+    }
+
+    #[test]
+    fn targets_scaled_by_2_pow_40_keep_every_split() {
+        // Each tree's fixed-point scale follows its largest gradient, so
+        // huge targets neither overflow nor lose bits: every tree keeps its
+        // splits and its leaves scale by exactly 2^40.
+        let rows: Vec<Vec<f64>> = (0..400)
+            .map(|i| vec![(i % 37) as f64, ((i * 11) % 29) as f64])
+            .collect();
+        let y: Vec<f64> = rows
+            .iter()
+            .map(|r| (r[0] * 0.4).sin() * 8.0 + r[1] * 0.3)
+            .collect();
+        let factor = 2f64.powi(40);
+        let big: Vec<f64> = y.iter().map(|v| v * factor).collect();
+        let cols = columns_from_rows(&rows);
+        let p = GbdtParams {
+            num_trees: 20,
+            min_leaf: 5,
+            early_stopping: 0,
+            ..Default::default()
+        };
+        let a = Gbdt::fit(&cols, &y, &p, None);
+        let b = Gbdt::fit(&cols, &big, &p, None);
+        assert_eq!(b.base(), a.base() * factor);
+        assert_eq!(a.num_trees(), 20);
+        assert_eq!(b.num_trees(), 20);
+        for (ta, tb) in a.trees.iter().zip(&b.trees) {
+            assert!(ta.num_leaves() > 1);
+            assert_eq!(*tb, ta.scale_leaves(factor));
+        }
     }
 
     #[test]

@@ -6,13 +6,14 @@
 //! gradients are gathered once into node order so every histogram pass
 //! reads them sequentially, and a single row-major sweep fills the
 //! histograms of *all* candidate features at once (the binned dataset
-//! stores a row's feature bins contiguously). On multi-core hosts the
-//! sweep fans out over feature chunks via rayon; every accumulation order
-//! is identical to the sequential pass, so results are bit-identical
-//! regardless of thread count.
+//! stores a row's feature bins contiguously).
+//!
+//! Every histogram sum is exact: each tree quantizes its gradients once to
+//! `i64` fixed point, so sums do not depend on row order, and a split
+//! sweeps only its smaller child and derives the larger as parent −
+//! smaller (LightGBM's sibling subtraction) with no drift.
 
 use crate::binning::BinnedDataset;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Tree-growing hyper-parameters.
@@ -45,7 +46,8 @@ pub enum Node {
         feature: u16,
         /// Split on binned data: go left if `bin <= bin_threshold`.
         bin_threshold: u8,
-        /// Equivalent raw-value threshold: go left if `value <= threshold`.
+        /// Equivalent raw-value threshold: go right if `value > threshold`,
+        /// else left (NaN included).
         threshold: f64,
         left: u32,
         right: u32,
@@ -73,10 +75,11 @@ impl Tree {
                     right,
                     ..
                 } => {
-                    idx = if row[*feature as usize] <= *threshold {
-                        *left as usize
-                    } else {
+                    // NaN goes left, as in training, where it bins to 0.
+                    idx = if row[*feature as usize] > *threshold {
                         *right as usize
+                    } else {
+                        *left as usize
                     };
                 }
             }
@@ -140,13 +143,15 @@ struct BestSplit {
     /// Rows going left — read off the split scan, so the grower knows the
     /// children's sizes before partitioning.
     left_count: usize,
+    /// Fixed-point gradient sum of the left child, also read off the scan.
+    left_grad: i64,
 }
 
-/// One histogram bin: gradient sum and row count, interleaved so both
-/// read-modify-writes of an update hit the same cache line.
-#[derive(Debug, Clone, Copy, Default)]
+/// One histogram bin: fixed-point gradient sum and row count, interleaved
+/// so both read-modify-writes of an update hit the same cache line.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct HistCell {
-    g: f64,
+    g: i64,
     n: u64,
 }
 
@@ -157,7 +162,7 @@ struct HistCell {
 #[derive(Debug, Default)]
 pub struct TreeWorkspace {
     idx_scratch: Vec<u32>,
-    grad_scratch: Vec<f64>,
+    grad_scratch: Vec<i64>,
     hist_pool: Vec<Vec<HistCell>>,
 }
 
@@ -181,9 +186,9 @@ pub fn build_tree(
 /// [`build_tree`] with caller-owned buffers and a leaf callback.
 ///
 /// `grads` must be aligned with `rows` (`grads[k]` is the gradient of row
-/// `rows[k]`). `on_leaf(value, rows)` fires once per created leaf with the
-/// training rows that landed in it — the boosting loop uses it to update
-/// its predictions without re-traversing the tree per row.
+/// `rows[k]`) and finite. `on_leaf(value, rows)` fires once per created
+/// leaf with the training rows that landed in it — the boosting loop uses
+/// it to update its predictions without re-traversing the tree per row.
 pub fn build_tree_in(
     ws: &mut TreeWorkspace,
     data: &BinnedDataset,
@@ -211,7 +216,9 @@ pub fn build_tree_in(
         .max()
         .unwrap_or(1);
     ws.idx_scratch.resize(n, 0);
-    ws.grad_scratch.resize(n, 0.0);
+    ws.grad_scratch.resize(n, 0);
+    let (grads, unit) = quantize(grads);
+    let grad_sum = grads.iter().sum();
 
     let mut grower = Grower {
         data,
@@ -220,18 +227,33 @@ pub fn build_tree_in(
         stride,
         idx: rows,
         grads,
+        unit,
         ws,
         nodes: Vec::new(),
-        // Queried once per tree: available_parallelism is a syscall (plus
-        // cgroup reads on Linux) and must stay out of the per-node path.
-        threads: std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1),
     };
-    grower.grow(0, n, 0, &mut on_leaf);
+    let hist = grower.splittable(n, 0).then(|| grower.build_hist(0, n));
+    grower.grow(0, n, 0, grad_sum, hist, &mut on_leaf);
     Tree {
         nodes: grower.nodes,
     }
+}
+
+/// Quantize a tree's gradients to `round(g · 2^k)`; returns them and `2^-k`.
+/// With `n ≤ 2^b` rows and `max|g| < 2^(e+1)`, `k = 60 − b − e` keeps
+/// `n · max|g| · 2^k ≤ 2^61`: no node sum, sibling difference or split
+/// prefix can overflow. (The clamp keeps `2^±k` normal; a row count large
+/// enough to reach its lower end cannot fit in memory.)
+fn quantize(grads: Vec<f64>) -> (Vec<i64>, f64) {
+    assert!(grads.iter().all(|g| g.is_finite()), "non-finite gradient");
+    let max_abs = grads.iter().fold(0.0f64, |m, g| m.max(g.abs()));
+    let b = usize::BITS - grads.len().saturating_sub(1).leading_zeros();
+    // Zero and subnormals read as e = −1023, still an upper bound.
+    let e = (max_abs.to_bits() >> 52) as i32 - 1023;
+    let k = (60 - b as i32 - e).clamp(-1022, 1022);
+    let scale = f64::from_bits(((k + 1023) as u64) << 52);
+    // Collecting from `into_iter()` reuses the `f64` buffer in place.
+    let q = grads.into_iter().map(|g| (g * scale).round() as i64);
+    (q.collect(), 1.0 / scale)
 }
 
 struct Grower<'a> {
@@ -241,54 +263,72 @@ struct Grower<'a> {
     stride: usize,
     /// Row ids, permuted in place; a node owns `idx[lo..hi]`.
     idx: Vec<u32>,
-    /// Gradients aligned with `idx` (gathered once, partitioned alongside).
-    grads: Vec<f64>,
+    /// Fixed-point gradients aligned with `idx` (quantized once,
+    /// partitioned alongside).
+    grads: Vec<i64>,
+    /// The value of one fixed-point gradient unit.
+    unit: f64,
     ws: &'a mut TreeWorkspace,
     nodes: Vec<Node>,
-    /// Host parallelism, sampled once per tree.
-    threads: usize,
 }
 
-/// Rows below this count never fan the histogram sweep out over threads —
-/// thread spawns (~10µs in the vendored bridge) would dominate.
-const PAR_HIST_MIN_ROWS: usize = 16_384;
-
 impl Grower<'_> {
-    /// Grow the subtree over `idx[lo..hi]`. Splittable nodes sweep their
-    /// own histograms; the buffer returns to the workspace pool before
-    /// recursing. (The LightGBM sibling-subtraction trick — derive the
-    /// larger child as parent − smaller — was measured ~35 % faster here
-    /// but rejected: the subtraction perturbs gradient sums in their final
-    /// ulps, which flips split decisions on near-tie gains and broke the
-    /// pinned outcome digests.)
+    /// Whether a node may split; any other node is a leaf with no histogram.
+    fn splittable(&self, count: usize, depth: usize) -> bool {
+        depth < self.params.max_depth && count >= 2 * self.params.min_leaf
+    }
+
+    /// Grow the subtree over `idx[lo..hi]`, whose gradients sum to
+    /// `grad_sum`. `hist` is the node's histogram, present exactly when the
+    /// node is [`Grower::splittable`].
     fn grow(
         &mut self,
         lo: usize,
         hi: usize,
         depth: usize,
+        grad_sum: i64,
+        hist: Option<Vec<HistCell>>,
         on_leaf: &mut impl FnMut(f64, &[u32]),
     ) -> u32 {
-        let grad_sum: f64 = self.grads[lo..hi].iter().sum();
-        let count = hi - lo;
         let node_idx = self.nodes.len() as u32;
-        if depth >= self.params.max_depth || count < 2 * self.params.min_leaf {
+        let Some(mut hist) = hist else {
             return self.push_leaf(grad_sum, lo, hi, on_leaf);
-        }
-
-        let hist = self.build_hist(lo, hi);
-        let split = self.best_split(&hist, grad_sum, count);
-        self.ws.hist_pool.push(hist);
-        let Some(split) = split else {
+        };
+        let Some(split) = self.best_split(&hist, grad_sum, hi - lo) else {
+            self.ws.hist_pool.push(hist);
             return self.push_leaf(grad_sum, lo, hi, on_leaf);
         };
 
         let mid = self.partition(lo, hi, split.feature, split.bin);
         debug_assert_eq!(mid - lo, split.left_count);
+        // Sweep the smaller child; this buffer minus it is the larger one's
+        // histogram. The smaller child splits only if the larger one does.
+        let (nl, nr) = (mid - lo, hi - mid);
+        let (left_hist, right_hist) = if self.splittable(nl.max(nr), depth + 1) {
+            let (s_lo, s_hi) = if nl <= nr { (lo, mid) } else { (mid, hi) };
+            let swept = self.build_hist(s_lo, s_hi);
+            subtract(&mut hist, &swept);
+            let small = if self.splittable(nl.min(nr), depth + 1) {
+                Some(swept)
+            } else {
+                self.ws.hist_pool.push(swept);
+                None
+            };
+            if nl <= nr {
+                (small, Some(hist))
+            } else {
+                (Some(hist), small)
+            }
+        } else {
+            self.ws.hist_pool.push(hist);
+            (None, None)
+        };
 
         // Reserve this node, then grow children.
         self.nodes.push(Node::Leaf(0.0)); // placeholder
-        let left = self.grow(lo, mid, depth + 1, on_leaf);
-        let right = self.grow(mid, hi, depth + 1, on_leaf);
+        let left = self.grow(lo, mid, depth + 1, split.left_grad, left_hist, on_leaf);
+        let right_grad = grad_sum - split.left_grad;
+        let right = self.grow(mid, hi, depth + 1, right_grad, right_hist, on_leaf);
         self.nodes[node_idx as usize] = Node::Split {
             feature: split.feature,
             bin_threshold: split.bin,
@@ -301,57 +341,30 @@ impl Grower<'_> {
 
     fn push_leaf(
         &mut self,
-        grad_sum: f64,
+        grad_sum: i64,
         lo: usize,
         hi: usize,
         on_leaf: &mut impl FnMut(f64, &[u32]),
     ) -> u32 {
         let node_idx = self.nodes.len() as u32;
-        let value = leaf_value(grad_sum, hi - lo, self.params.lambda);
+        let value = -(grad_sum as f64 * self.unit) / ((hi - lo) as f64 + self.params.lambda);
         self.nodes.push(Node::Leaf(value));
         on_leaf(value, &self.idx[lo..hi]);
         node_idx
     }
 
     /// One pass over the node's rows fills the histograms of every
-    /// candidate feature. Per feature, bins accumulate in node-row order —
-    /// exactly the order a per-feature pass would use — so the sums are
-    /// bit-identical however the features are chunked across threads.
+    /// candidate feature.
     fn build_hist(&mut self, lo: usize, hi: usize) -> Vec<HistCell> {
-        let stride = self.stride;
         let mut hist = self.take_hist();
-        let rows = &self.idx[lo..hi];
-        let grads = &self.grads[lo..hi];
-        let data = self.data;
-        let features = self.features;
-        let chunk_count = if rows.len() >= PAR_HIST_MIN_ROWS {
-            self.threads.min(features.len()).max(1)
-        } else {
-            1
-        };
-        if chunk_count <= 1 {
-            sweep(&mut hist, stride, rows, grads, data, features);
-            return hist;
-        }
-        // Multi-core: independent feature chunks, one row sweep each.
-        let per = features.len().div_ceil(chunk_count);
-        let chunks: Vec<(usize, &[u16])> = features
-            .chunks(per)
-            .enumerate()
-            .map(|(c, fs)| (c * per, fs))
-            .collect();
-        let parts: Vec<(usize, Vec<HistCell>)> = chunks
-            .into_par_iter()
-            .with_min_len(1)
-            .map(|(offset, fs)| {
-                let mut part = vec![HistCell::default(); fs.len() * stride];
-                sweep(&mut part, stride, rows, grads, data, fs);
-                (offset, part)
-            })
-            .collect();
-        for (offset, part) in parts {
-            hist[offset * stride..offset * stride + part.len()].copy_from_slice(&part);
-        }
+        sweep(
+            &mut hist,
+            self.stride,
+            &self.idx[lo..hi],
+            &self.grads[lo..hi],
+            self.data,
+            self.features,
+        );
         hist
     }
 
@@ -359,9 +372,10 @@ impl Grower<'_> {
     /// match the historical per-feature scan + `max_by`: within a feature
     /// the earliest maximal bin wins, across features the latest maximal
     /// feature wins.
-    fn best_split(&self, hist_all: &[HistCell], grad_sum: f64, count: usize) -> Option<BestSplit> {
+    fn best_split(&self, hist_all: &[HistCell], grad_sum: i64, count: usize) -> Option<BestSplit> {
         let lambda = self.params.lambda;
-        let parent_score = grad_sum * grad_sum / (count as f64 + lambda);
+        let total = grad_sum as f64 * self.unit;
+        let parent_score = total * total / (count as f64 + lambda);
         let mut best: Option<BestSplit> = None;
         for (fi, &f) in self.features.iter().enumerate() {
             let nbins = self.data.mappers[f as usize].num_bins();
@@ -369,9 +383,9 @@ impl Grower<'_> {
                 continue;
             }
             let hist = &hist_all[fi * self.stride..fi * self.stride + nbins];
-            let mut gl = 0.0;
+            let mut gl = 0i64;
             let mut nl = 0u64;
-            let mut feature_best: Option<(u8, f64, u64)> = None;
+            let mut feature_best: Option<(u8, f64, u64, i64)> = None;
             for (b, cell) in hist[..nbins - 1].iter().enumerate() {
                 gl += cell.g;
                 nl += cell.n;
@@ -379,20 +393,23 @@ impl Grower<'_> {
                 if (nl as usize) < self.params.min_leaf || (nr as usize) < self.params.min_leaf {
                     continue;
                 }
-                let gr = grad_sum - gl;
-                let gain =
-                    gl * gl / (nl as f64 + lambda) + gr * gr / (nr as f64 + lambda) - parent_score;
-                if gain > self.params.min_gain && feature_best.is_none_or(|(_, fg, _)| gain > fg) {
-                    feature_best = Some((b as u8, gain, nl));
+                let left = gl as f64 * self.unit;
+                let right = (grad_sum - gl) as f64 * self.unit;
+                let gain = left * left / (nl as f64 + lambda)
+                    + right * right / (nr as f64 + lambda)
+                    - parent_score;
+                if gain > self.params.min_gain && feature_best.is_none_or(|(_, fg, ..)| gain > fg) {
+                    feature_best = Some((b as u8, gain, nl, gl));
                 }
             }
-            if let Some((bin, gain, nl)) = feature_best {
+            if let Some((bin, gain, nl, gl)) = feature_best {
                 if best.as_ref().is_none_or(|s| gain >= s.gain) {
                     best = Some(BestSplit {
                         feature: f,
                         bin,
                         gain,
                         left_count: nl as usize,
+                        left_grad: gl,
                     });
                 }
             }
@@ -403,25 +420,27 @@ impl Grower<'_> {
     /// Stable in-place partition of `idx[lo..hi]` (and the aligned
     /// gradients) by the split predicate; returns the start of the right
     /// child. Order within each side matches `Vec::partition`, so every
-    /// node's rows stay in ascending dataset order.
+    /// node's rows stay in their original relative order.
     fn partition(&mut self, lo: usize, hi: usize, feature: u16, bin: u8) -> usize {
-        let mut write = lo;
-        let mut spill = 0usize;
-        for k in lo..hi {
-            let r = self.idx[k];
-            if self.data.bin(feature as usize, r as usize) <= bin {
-                self.idx[write] = r;
-                self.grads[write] = self.grads[k];
-                write += 1;
-            } else {
-                self.ws.idx_scratch[spill] = r;
-                self.ws.grad_scratch[spill] = self.grads[k];
-                spill += 1;
-            }
+        let idx = &mut self.idx[lo..hi];
+        let grads = &mut self.grads[lo..hi];
+        let idx_spill = &mut self.ws.idx_scratch[..hi - lo];
+        let grad_spill = &mut self.ws.grad_scratch[..hi - lo];
+        let (mut left, mut spill) = (0usize, 0usize);
+        for k in 0..idx.len() {
+            let (r, g) = (idx[k], grads[k]);
+            let goes_left = self.data.bin(feature as usize, r as usize) <= bin;
+            // Branch-free: write both sides, advance one cursor (both trail k).
+            idx[left] = r;
+            grads[left] = g;
+            idx_spill[spill] = r;
+            grad_spill[spill] = g;
+            left += goes_left as usize;
+            spill += !goes_left as usize;
         }
-        self.idx[write..hi].copy_from_slice(&self.ws.idx_scratch[..spill]);
-        self.grads[write..hi].copy_from_slice(&self.ws.grad_scratch[..spill]);
-        write
+        idx[left..].copy_from_slice(&idx_spill[..spill]);
+        grads[left..].copy_from_slice(&grad_spill[..spill]);
+        lo + left
     }
 
     /// A zeroed histogram buffer from the pool.
@@ -438,8 +457,13 @@ impl Grower<'_> {
     }
 }
 
-fn leaf_value(grad_sum: f64, count: usize, lambda: f64) -> f64 {
-    -grad_sum / (count as f64 + lambda)
+/// Turn a node's histogram into its larger child's: parent − smaller child,
+/// cell by cell.
+fn subtract(parent: &mut [HistCell], child: &[HistCell]) {
+    for (p, c) in parent.iter_mut().zip(child) {
+        p.g -= c.g;
+        p.n -= c.n;
+    }
 }
 
 /// Add one row's bins into a histogram set.
@@ -454,10 +478,12 @@ unsafe fn accum_row(
     stride: usize,
     features: &[u16],
     bins: *const u8,
-    g: f64,
+    g: i64,
 ) {
     for (fi, &f) in features.iter().enumerate() {
+        // SAFETY: `f` is below the row's feature count (caller contract).
         let b = unsafe { *bins.add(f as usize) } as usize;
+        // SAFETY: `fi < features.len()` and `b < stride` (caller contract).
         let cell = unsafe { hist.get_unchecked_mut(fi * stride + b) };
         cell.g += g;
         cell.n += 1;
@@ -465,8 +491,7 @@ unsafe fn accum_row(
 }
 
 /// The histogram hot loop: for every node row, add its gradient into the
-/// bin cell of each candidate feature. Per feature the adds run in node-row
-/// order, so the per-bin sums are identical to a per-feature pass.
+/// bin cell of each candidate feature.
 ///
 /// Uses unchecked indexing — the bounds are structural: `r < num_rows`
 /// (rows come from `0..num_rows`), `f < num_features` (feature ids come
@@ -478,7 +503,7 @@ fn sweep(
     hist: &mut [HistCell],
     stride: usize,
     rows: &[u32],
-    grads: &[f64],
+    grads: &[i64],
     data: &BinnedDataset,
     features: &[u16],
 ) {
@@ -491,8 +516,24 @@ fn sweep(
     for (&r, &g) in rows.iter().zip(grads) {
         let base = r as usize * nf;
         debug_assert!(base + nf <= raw.len());
+        // SAFETY: the structural bounds above hold for every row and
+        // feature; `build_tree_in` asserts the row and feature ids.
         unsafe {
             accum_row(hist, stride, features, raw.as_ptr().add(base), g);
+        }
+    }
+}
+
+#[cfg(test)]
+impl Tree {
+    /// This tree with every leaf value multiplied by `factor`.
+    pub(crate) fn scale_leaves(&self, factor: f64) -> Tree {
+        let nodes = self.nodes.iter().map(|n| match n {
+            Node::Leaf(v) => Node::Leaf(v * factor),
+            split => split.clone(),
+        });
+        Tree {
+            nodes: nodes.collect(),
         }
     }
 }
@@ -570,9 +611,13 @@ mod tests {
 
     #[test]
     fn binned_and_raw_predictions_agree() {
-        let x1: Vec<f64> = (0..300).map(|i| (i % 17) as f64).collect();
+        let mut x1: Vec<f64> = (0..300).map(|i| (i % 17) as f64).collect();
         let x2: Vec<f64> = (0..300).map(|i| ((i * 7) % 23) as f64).collect();
         let y: Vec<f64> = x1.iter().zip(&x2).map(|(a, b)| a * 2.0 - b * 0.5).collect();
+        // Every 7th x1 is missing (rows 0, 91, 182 and 273 are checked).
+        for v in x1.iter_mut().step_by(7) {
+            *v = f64::NAN;
+        }
         let (tree, data) = fit_targets(&[x1.clone(), x2.clone()], &y, &TreeParams::default());
         for r in (0..300).step_by(13) {
             let raw = tree.predict_row(&[x1[r], x2[r]]);
@@ -633,5 +678,92 @@ mod tests {
         };
         assert!(sse(4) < sse(1));
         assert!(sse(6) < sse(2));
+    }
+
+    /// Three features over 1,000 rows, with a target whose partial sums
+    /// round differently in different orders.
+    fn irregular_data() -> (Vec<Vec<f64>>, Vec<f64>) {
+        let cols: Vec<Vec<f64>> = (0..3)
+            .map(|f| {
+                (0..1000)
+                    .map(|i| ((i * (7 + f * 6)) % 101) as f64)
+                    .collect()
+            })
+            .collect();
+        let y = (0..1000)
+            .map(|i| (i as f64 * 0.37).sin() * 10.0 + cols[0][i] * 0.013 - cols[2][i] / 7.0)
+            .collect();
+        (cols, y)
+    }
+
+    #[test]
+    fn row_order_does_not_change_the_tree() {
+        let (cols, y) = irregular_data();
+        let data = BinnedDataset::from_columns(&cols, 64);
+        let grads: Vec<f64> = y.iter().map(|v| -v).collect();
+        let features = [0u16, 1, 2];
+        let params = TreeParams {
+            min_leaf: 5,
+            ..Default::default()
+        };
+        let ascending: Vec<u32> = (0..1000).collect();
+        let descending: Vec<u32> = (0..1000).rev().collect();
+        let a = build_tree(&data, &grads, ascending, &features, &params);
+        let d = build_tree(&data, &grads, descending, &features, &params);
+        assert!(a.num_leaves() > 8);
+        assert_eq!(a, d);
+    }
+
+    #[test]
+    fn parent_minus_smaller_sibling_equals_a_direct_sweep() {
+        let (cols, y) = irregular_data();
+        let data = BinnedDataset::from_columns(&cols, 64);
+        let features = [0u16, 1, 2];
+        let stride = features
+            .iter()
+            .map(|&f| data.mappers[f as usize].num_bins())
+            .max()
+            .unwrap();
+        let (grads, _) = quantize(y);
+        let hist_of = |rows: &[u32]| {
+            let g: Vec<i64> = rows.iter().map(|&r| grads[r as usize]).collect();
+            let mut hist = vec![HistCell::default(); features.len() * stride];
+            sweep(&mut hist, stride, rows, &g, &data, &features);
+            hist
+        };
+        let rows: Vec<u32> = (0..1000).collect();
+        for bin in [3u8, 20, 40] {
+            let (left, right): (Vec<u32>, Vec<u32>) =
+                rows.iter().partition(|&&r| data.bin(1, r as usize) <= bin);
+            let (small, large) = if left.len() <= right.len() {
+                (left, right)
+            } else {
+                (right, left)
+            };
+            assert!(!small.is_empty(), "bin {bin} must split the rows");
+            let mut derived = hist_of(&rows);
+            subtract(&mut derived, &hist_of(&small));
+            assert_eq!(derived, hist_of(&large), "bin {bin}");
+        }
+    }
+
+    #[test]
+    fn tiny_targets_keep_every_split_and_leaf() {
+        // The fixed-point scale follows max|g|, so targets scaled by 2^-40
+        // quantize to the same integers: same splits, leaves × 2^-40.
+        let (cols, y) = irregular_data();
+        let params = TreeParams {
+            min_leaf: 5,
+            ..Default::default()
+        };
+        let (tree, _) = fit_targets(&cols, &y, &params);
+        let tiny: Vec<f64> = y.iter().map(|v| v * 2f64.powi(-40)).collect();
+        let tiny_params = TreeParams {
+            min_gain: params.min_gain * 2f64.powi(-80),
+            ..params
+        };
+        let (tiny_tree, _) = fit_targets(&cols, &tiny, &tiny_params);
+        assert!(tree.num_leaves() > 8);
+        assert_eq!(tiny_tree, tree.scale_leaves(2f64.powi(-40)));
     }
 }
