@@ -23,6 +23,11 @@ pub const FLEET_PRESETS: [ClusterId; 5] = [
 /// surfaces as backpressure within one admission cycle.
 pub const DEFAULT_SHARD_CAPACITY: usize = 4_096;
 
+/// Largest per-VC ingestion shard bound (jobs) a fleet accepts, at launch
+/// and in a restored frame. A shard's channel allocates all its slots up
+/// front, so an unbounded capacity could abort the process.
+pub const MAX_SHARD_CAPACITY: usize = 1 << 20;
+
 /// Default supervisor restart budget per worker: panics beyond this
 /// count mark the cluster [`Crashed`](crate::WorkerState::Crashed).
 pub const DEFAULT_MAX_RESTARTS: u32 = 8;
@@ -271,8 +276,8 @@ pub struct FleetConfig {
     /// Hosted clusters, one worker thread each. Cluster ids must be
     /// unique — shard routing is keyed by [`ClusterId`].
     pub clusters: Vec<ClusterConfig>,
-    /// Bound of every per-VC ingestion shard (jobs); see
-    /// [`DEFAULT_SHARD_CAPACITY`].
+    /// Bound of every per-VC ingestion shard (jobs), in
+    /// `1..=`[`MAX_SHARD_CAPACITY`]; see [`DEFAULT_SHARD_CAPACITY`].
     pub shard_capacity: usize,
     /// Auto-checkpointing knobs shared by every worker (cadence, ring
     /// bound, optional disk mirror).

@@ -112,7 +112,7 @@ pub use chaos::ChaosConfig;
 pub use checkpoint::{CheckpointConfig, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, JOURNAL_MAGIC};
 pub use config::{
     ClusterConfig, FleetConfig, ShedConfig, WatchdogConfig, DEFAULT_MAX_RESTARTS,
-    DEFAULT_SHARD_CAPACITY, FLEET_PRESETS,
+    DEFAULT_SHARD_CAPACITY, FLEET_PRESETS, MAX_SHARD_CAPACITY,
 };
 pub use retry::RetryConfig;
 pub use service::{Fleet, FLEET_SNAPSHOT_MAGIC, FLEET_SNAPSHOT_VERSION};

@@ -4,7 +4,7 @@
 use crate::checkpoint::{self, CheckpointConfig};
 use crate::config::{
     cluster_code, cluster_from, policy_code, policy_from, ClusterConfig, FleetConfig, ShedConfig,
-    WatchdogConfig, DEFAULT_MAX_RESTARTS,
+    WatchdogConfig, DEFAULT_MAX_RESTARTS, MAX_SHARD_CAPACITY,
 };
 use crate::retry::RetryConfig;
 use crate::status::{ClusterStatus, StatusKind, StatusReport, WorkerState};
@@ -52,8 +52,8 @@ impl std::fmt::Debug for Fleet {
 
 impl Fleet {
     /// Launch a fleet: spawn one worker per configured cluster, each
-    /// with a fresh kernel. Fails on an empty topology, a zero shard
-    /// bound, or a duplicated cluster id.
+    /// with a fresh kernel. Fails on an empty topology, a shard bound of 0
+    /// or above [`MAX_SHARD_CAPACITY`], or a duplicated cluster id.
     pub fn launch(config: &FleetConfig) -> HeliosResult<Fleet> {
         validate_topology(config)?;
         let workers = config
@@ -552,10 +552,13 @@ impl Fleet {
         let mut input = ByteReader::new(bytes, "decoding fleet snapshot");
         let mut r = input.frame(&FLEET_SNAPSHOT_MAGIC, FLEET_SNAPSHOT_VERSION)?;
         input.finish()?;
-        let shard_capacity = r.u64()? as usize;
-        if shard_capacity == 0 {
-            return Err(r.err("frame carries shard_capacity 0"));
+        let shard_capacity = r.u64()?;
+        if !(1..=MAX_SHARD_CAPACITY as u64).contains(&shard_capacity) {
+            return Err(r.err(format!(
+                "frame carries shard_capacity {shard_capacity}, outside 1..={MAX_SHARD_CAPACITY}"
+            )));
         }
+        let shard_capacity = shard_capacity as usize;
         // An entry is at least two codes and a blob length prefix.
         let count = r.len(10)?;
         if count == 0 {
@@ -669,10 +672,14 @@ fn validate_topology(config: &FleetConfig) -> HeliosResult<()> {
             "FleetConfig lists no clusters to host",
         ));
     }
-    if config.shard_capacity == 0 {
+    if !(1..=MAX_SHARD_CAPACITY).contains(&config.shard_capacity) {
         return Err(HeliosError::invalid_config(
             "shard_capacity",
-            "ingestion shards need capacity >= 1",
+            format!(
+                "ingestion shards allocate every slot up front and need capacity in \
+                 1..={MAX_SHARD_CAPACITY}, got {}",
+                config.shard_capacity
+            ),
         ));
     }
     config.checkpoint.validate()?;

@@ -2,8 +2,11 @@
 //! ordering, backpressure semantics, live queries under load, and
 //! whole-fleet snapshot/restore equivalence.
 
-use helios_fleet::{ClusterConfig, Fleet, FleetConfig};
-use helios_sim::{jobs_from_trace, JobOutcome, Policy, SimJob, Simulator};
+use helios_fleet::{
+    ClusterConfig, Fleet, FleetConfig, FLEET_SNAPSHOT_MAGIC, FLEET_SNAPSHOT_VERSION,
+    MAX_SHARD_CAPACITY,
+};
+use helios_sim::{jobs_from_trace, ByteWriter, JobOutcome, Policy, SimJob, Simulator};
 use helios_trace::{generate, preset, ClusterId, GeneratorConfig, HeliosError};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -323,6 +326,46 @@ fn fleet_frame_rejects_garbage() {
     let mut trailing = frame;
     trailing.push(0);
     assert!(Fleet::restore(&trailing).is_err());
+}
+
+#[test]
+fn out_of_range_shard_capacity_is_refused_at_launch() {
+    // Each shard's channel allocates every slot up front, so a capacity
+    // like 2^40 would abort the process; validation must refuse it (and
+    // 0) before any worker spawns.
+    for capacity in [0, MAX_SHARD_CAPACITY + 1, 1 << 40] {
+        let config = FleetConfig::new()
+            .with_cluster(ClusterConfig::new(ClusterId::Venus, Policy::Fifo))
+            .with_shard_capacity(capacity);
+        let err = Fleet::launch(&config).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                HeliosError::InvalidConfig {
+                    field: "shard_capacity",
+                    ..
+                }
+            ),
+            "{capacity}: {err}"
+        );
+    }
+}
+
+#[test]
+fn out_of_range_shard_capacity_is_refused_at_restore() {
+    // A sealed frame (valid checksum) whose shard capacity is 0 or above
+    // the maximum: the decoder must refuse it before spawning a worker.
+    // The capacity is the frame's first field, so nothing after it is read.
+    for capacity in [0, MAX_SHARD_CAPACITY as u64 + 1, 1 << 40, u64::MAX] {
+        let mut w = ByteWriter::new();
+        w.frame(&FLEET_SNAPSHOT_MAGIC, FLEET_SNAPSHOT_VERSION, |w| {
+            w.u64(capacity);
+            w.u64(0); // cluster count
+        });
+        let err = Fleet::restore(&w.into_bytes()).unwrap_err();
+        assert!(matches!(err, HeliosError::Snapshot { .. }), "{err}");
+        assert!(err.to_string().contains("shard_capacity"), "{err}");
+    }
 }
 
 #[test]

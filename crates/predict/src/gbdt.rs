@@ -5,7 +5,10 @@
 //! This is the model behind both paper services: QSSF's job-GPU-time
 //! estimator P_M (§4.2.2) and CES's node-demand forecaster (§4.3.2).
 //! Trees sum their gradients in exact fixed point (see [`crate::tree`]),
-//! so a fit does not depend on summation order.
+//! so a fit does not depend on summation order. Each round's row and
+//! column subsamples come from one ChaCha12 stream, drawn ahead on a
+//! scoped helper thread so the draw overlaps the previous tree; no tree
+//! state feeds a draw, so the model is the same bit for bit.
 
 use crate::binning::BinnedDataset;
 use crate::tree::{build_tree_in, Tree, TreeParams, TreeWorkspace};
@@ -13,6 +16,7 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 use serde::{Deserialize, Serialize};
+use std::sync::mpsc::{self, Receiver, SyncSender};
 
 /// Boosting hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -63,7 +67,8 @@ pub struct Gbdt {
 impl Gbdt {
     /// Fit on a column-major feature matrix (`features[feature][row]`).
     /// If `valid` is provided (same layout), early stopping monitors its
-    /// RMSE.
+    /// RMSE. Panics on an empty training set, a non-finite target, or
+    /// targets whose mean overflows `f64`.
     pub fn fit(
         features: &[Vec<f64>],
         targets: &[f64],
@@ -78,11 +83,33 @@ impl Gbdt {
             targets.iter().all(|t| t.is_finite()),
             "GBDT targets must be finite"
         );
-
-        let data = BinnedDataset::from_columns(features, params.max_bins);
         let base = targets.iter().sum::<f64>() / n as f64;
-        let mut preds = vec![base; n];
-        let mut rng = ChaCha12Rng::seed_from_u64(params.seed);
+        assert!(
+            base.is_finite(),
+            "GBDT target mean must be finite (the targets' sum overflows f64)"
+        );
+        let num_features = features.len() as u16;
+        std::thread::scope(|s| {
+            let (tx, rx) = mpsc::sync_channel(1);
+            s.spawn(move || draw_rounds(params, n, num_features, tx));
+            // The receiver moves into `boost`: if the grower panics,
+            // unwinding drops it, the helper's send fails, and the scope
+            // can join the helper instead of waiting on it forever.
+            Gbdt::boost(features, targets, base, params, valid, rx)
+        })
+    }
+
+    /// The boosting loop of [`Gbdt::fit`], one tree per received draw.
+    fn boost(
+        features: &[Vec<f64>],
+        targets: &[f64],
+        base: f64,
+        params: &GbdtParams,
+        valid: Option<(&[Vec<f64>], &[f64])>,
+        draws: Receiver<Draw>,
+    ) -> Gbdt {
+        let data = BinnedDataset::from_columns(features, params.max_bins);
+        let mut preds = vec![base; targets.len()];
 
         let tree_params = TreeParams {
             max_depth: params.max_depth,
@@ -110,54 +137,21 @@ impl Gbdt {
         let mut stale_checks = 0;
         let mut ws = TreeWorkspace::default();
 
-        let num_features = features.len() as u16;
-        for round in 0..params.num_trees {
-            // Row subsample.
-            let rows: Vec<u32> = if params.subsample < 1.0 {
-                (0..n as u32)
-                    .filter(|_| rng.gen::<f64>() < params.subsample)
-                    .collect()
-            } else {
-                (0..n as u32).collect()
-            };
+        for (round, draw) in draws.into_iter().enumerate() {
+            let Draw {
+                rows,
+                out_rows,
+                cols,
+            } = draw;
             if rows.len() < 2 * params.min_leaf {
                 break;
             }
-            // Out-of-sample complement (`rows` is ascending): these rows
-            // miss the grower's leaf partitions and are routed through a
-            // tree traversal below instead.
-            let out_rows: Vec<u32> = if rows.len() < n {
-                let mut out = Vec::with_capacity(n - rows.len());
-                let mut it = rows.iter().copied().peekable();
-                for r in 0..n as u32 {
-                    if it.peek() == Some(&r) {
-                        it.next();
-                    } else {
-                        out.push(r);
-                    }
-                }
-                out
-            } else {
-                Vec::new()
-            };
             // Gradients of 1/2 (pred - y)^2, gathered straight into node
             // order — the full-length gradient vector is never built.
             let grads: Vec<f64> = rows
                 .iter()
                 .map(|&r| preds[r as usize] - targets[r as usize])
                 .collect();
-            // Feature subsample.
-            let cols: Vec<u16> = if params.colsample < 1.0 {
-                let mut chosen: Vec<u16> = (0..num_features)
-                    .filter(|_| rng.gen::<f64>() < params.colsample)
-                    .collect();
-                if chosen.is_empty() {
-                    chosen.push(rng.gen_range(0..num_features));
-                }
-                chosen
-            } else {
-                (0..num_features).collect()
-            };
 
             // In-sample predictions update for free as leaves form.
             let lr = params.learning_rate;
@@ -253,6 +247,69 @@ impl Gbdt {
             .into_iter()
             .map(|c| c as f64 / total as f64)
             .collect()
+    }
+}
+
+/// One boosting round's random draws.
+struct Draw {
+    /// The row subsample, ascending.
+    rows: Vec<u32>,
+    /// Its complement: rows that miss the grower's leaf partitions and are
+    /// routed through a tree traversal instead.
+    out_rows: Vec<u32>,
+    /// The column subsample.
+    cols: Vec<u16>,
+}
+
+/// Draw every round's subsamples from the fit's one ChaCha12 stream and
+/// send them to the grower. No tree state feeds a draw, so the stream is
+/// consumed in the same order as drawing inside the loop: each round's
+/// rows, then its columns. With `sync_channel(1)` the helper runs at most
+/// two rounds ahead. Returns early once the grower hangs up (it stopped, or
+/// it is unwinding from a panic).
+fn draw_rounds(params: &GbdtParams, n: usize, num_features: u16, tx: SyncSender<Draw>) {
+    let mut rng = ChaCha12Rng::seed_from_u64(params.seed);
+    for _ in 0..params.num_trees {
+        let rows: Vec<u32> = if params.subsample < 1.0 {
+            (0..n as u32)
+                .filter(|_| rng.gen::<f64>() < params.subsample)
+                .collect()
+        } else {
+            (0..n as u32).collect()
+        };
+        let out_rows: Vec<u32> = if rows.len() < n {
+            let mut out = Vec::with_capacity(n - rows.len());
+            let mut it = rows.iter().copied().peekable();
+            for r in 0..n as u32 {
+                if it.peek() == Some(&r) {
+                    it.next();
+                } else {
+                    out.push(r);
+                }
+            }
+            out
+        } else {
+            Vec::new()
+        };
+        let cols: Vec<u16> = if params.colsample < 1.0 {
+            let mut chosen: Vec<u16> = (0..num_features)
+                .filter(|_| rng.gen::<f64>() < params.colsample)
+                .collect();
+            if chosen.is_empty() {
+                chosen.push(rng.gen_range(0..num_features));
+            }
+            chosen
+        } else {
+            (0..num_features).collect()
+        };
+        let draw = Draw {
+            rows,
+            out_rows,
+            cols,
+        };
+        if tx.send(draw).is_err() {
+            return;
+        }
     }
 }
 
@@ -365,6 +422,49 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "GBDT target mean must be finite")]
+    fn overflowing_target_mean_is_refused() {
+        // Every target is finite, but their sum is not.
+        let cols = vec![(0..64).map(|i| i as f64).collect::<Vec<f64>>()];
+        Gbdt::fit(&cols, &[f64::MAX; 64], &GbdtParams::default(), None);
+    }
+
+    #[test]
+    fn grower_panic_propagates_instead_of_hanging() {
+        // The target depends only on feature 1, so every tree splits on
+        // it; the one-feature validation matrix makes `predict_row` index
+        // out of bounds at the first early-stopping check, after the fifth
+        // tree. The panic must unwind through the draw helper's scope.
+        // Waiting on a channel with a deadline turns a deadlock into a
+        // failure.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let rows: Vec<Vec<f64>> = (0..400)
+                .map(|i| vec![(i % 7) as f64, (i % 20) as f64])
+                .collect();
+            let y: Vec<f64> = rows.iter().map(|r| r[1] * 3.0).collect();
+            let cols = columns_from_rows(&rows);
+            let narrow = vec![cols[0].clone()];
+            let params = GbdtParams {
+                num_trees: 50,
+                colsample: 1.0,
+                early_stopping: 3,
+                ..Default::default()
+            };
+            let fit = std::panic::catch_unwind(|| {
+                Gbdt::fit(&cols, &y, &params, Some((&narrow, &y)));
+            });
+            let message = fit.err().and_then(|e| e.downcast::<String>().ok());
+            let _ = tx.send(message.map(|m| *m));
+        });
+        let message = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the fit neither returned nor panicked within 60 s")
+            .expect("the fit must panic");
+        assert!(message.contains("index out of bounds"), "{message}");
+    }
+
+    #[test]
     fn targets_scaled_by_2_pow_40_keep_every_split() {
         // Each tree's fixed-point scale follows its largest gradient, so
         // huge targets neither overflow nor lose bits: every tree keeps its
@@ -433,6 +533,124 @@ mod tests {
         let imp = model.feature_importance(2);
         assert!((imp.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         assert!(imp[0] > 0.8, "importance {imp:?}");
+    }
+
+    /// FNV-1a over the bits of every prediction on `rows`.
+    fn prediction_digest(model: &Gbdt, rows: &[Vec<f64>]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for row in rows {
+            for byte in model.predict_row(row).to_bits().to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// Five features, two of them noise, with a nonlinear target.
+    fn pin_data(n: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
+        let rows: Vec<Vec<f64>> = (0..n)
+            .map(|i| {
+                vec![
+                    (i % 23) as f64,
+                    ((i * 7) % 19) as f64,
+                    ((i * 13) % 31) as f64 * 0.5,
+                    ((i * 29) % 11) as f64,
+                    (i % 3) as f64,
+                ]
+            })
+            .collect();
+        let y = rows
+            .iter()
+            .map(|r| (r[0] * 0.3).sin() * 5.0 + r[1] * r[4] * 0.2 + (r[2] * 0.7).cos())
+            .collect();
+        (rows, y)
+    }
+
+    #[test]
+    fn fits_are_pinned_bit_for_bit() {
+        // Each case pins the tree count and every prediction bit of one
+        // fit, so a change to the sampling stream, the order it is
+        // consumed in, or the grower shows up here. Every branch of the
+        // round loop is covered: row and column subsampling, neither, the
+        // empty-column fallback draw, validation early stopping, and the
+        // too-few-rows break.
+        let (rows, y) = pin_data(600);
+        let cols = columns_from_rows(&rows);
+        let base = GbdtParams {
+            num_trees: 40,
+            min_leaf: 8,
+            early_stopping: 0,
+            ..Default::default()
+        };
+        let fit = |p: GbdtParams, valid: Option<(&[Vec<f64>], &[f64])>| {
+            let model = Gbdt::fit(&cols, &y, &p, valid);
+            (model.num_trees(), prediction_digest(&model, &rows))
+        };
+        let subsampled = fit(
+            GbdtParams {
+                subsample: 0.7,
+                colsample: 0.6,
+                ..base
+            },
+            None,
+        );
+        let full = fit(
+            GbdtParams {
+                subsample: 1.0,
+                colsample: 1.0,
+                ..base
+            },
+            None,
+        );
+        // With 5 features at 0.05, most rounds choose no column and fall
+        // back to one uniform pick.
+        let fallback = fit(
+            GbdtParams {
+                colsample: 0.05,
+                ..base
+            },
+            None,
+        );
+        // Validation targets carry noise the training set lacks, so the
+        // validation RMSE soon stops improving.
+        let (vrows, vy) = pin_data(200);
+        let vy: Vec<f64> = vy
+            .iter()
+            .enumerate()
+            .map(|(i, v)| v + ((i * 37) % 7) as f64 - 3.0)
+            .collect();
+        let vcols = columns_from_rows(&vrows);
+        let stopped = fit(
+            GbdtParams {
+                num_trees: 400,
+                early_stopping: 2,
+                ..base
+            },
+            Some((&vcols, &vy)),
+        );
+        // 80 rows at subsample 0.5 fall under 2 × 17 = 34 rows within a
+        // few rounds.
+        let (small_rows, small_y) = pin_data(80);
+        let small_cols = columns_from_rows(&small_rows);
+        let small_model = Gbdt::fit(
+            &small_cols,
+            &small_y,
+            &GbdtParams {
+                subsample: 0.5,
+                min_leaf: 17,
+                ..base
+            },
+            None,
+        );
+        let small = (
+            small_model.num_trees(),
+            prediction_digest(&small_model, &small_rows),
+        );
+        assert_eq!(subsampled, (40, 0xcf58_5755_c732_3e76));
+        assert_eq!(full, (40, 0x5aa0_c918_e613_5501));
+        assert_eq!(fallback, (40, 0xe4f9_0738_be4f_34fb));
+        assert_eq!(stopped, (130, 0xa4f0_44f4_af41_d936));
+        assert_eq!(small, (23, 0xf1fd_6b62_ca9b_3f61));
     }
 
     #[test]

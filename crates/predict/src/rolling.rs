@@ -8,7 +8,7 @@
 //! 3. similar names found → exponentially-weighted decay over the matched
 //!    name's historical durations (recent runs dominate).
 
-use crate::text::{normalized_distance, strip_run_suffix};
+use crate::text::{strip_run_suffix, Pattern};
 use helios_trace::UserId;
 use std::collections::HashMap;
 
@@ -141,19 +141,24 @@ impl RollingEstimator {
     }
 
     /// Find the user's stem history matching `stem` (exact stem first, then
-    /// nearest within the similarity threshold).
+    /// nearest within the similarity threshold). Stems at equal distance go
+    /// to the lexicographically smallest, so the choice does not depend on
+    /// the map's iteration order.
     fn matched_history<'a>(&self, uh: &'a UserHistory, stem: &str) -> Option<&'a Vec<f64>> {
         if let Some(h) = uh.by_stem.get(stem) {
             return Some(h);
         }
-        let mut best: Option<(f64, &Vec<f64>)> = None;
+        let pattern = Pattern::new(stem);
+        let mut best: Option<(f64, &str, &Vec<f64>)> = None;
         for (s, h) in &uh.by_stem {
-            let d = normalized_distance(stem, s);
-            if d <= self.name_threshold && best.as_ref().is_none_or(|(bd, _)| d < *bd) {
-                best = Some((d, h));
+            let d = pattern.normalized_distance(s);
+            if d <= self.name_threshold
+                && best.is_none_or(|(bd, bs, _)| d < bd || (d == bd && s.as_str() < bs))
+            {
+                best = Some((d, s, h));
             }
         }
-        best.map(|(_, h)| h)
+        best.map(|(_, _, h)| h)
     }
 
     /// Number of users with history.
@@ -215,6 +220,26 @@ mod tests {
         e.observe(1, "train_resnet50_imagenet_1", 8, 4_000.0);
         let est = e.estimate(1, "train_resnet56_imagenet_9", 8);
         assert!((est - 4_000.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn equidistant_stems_break_ties_by_name() {
+        // "train_ab" and "train_ba" are both one edit from "train_aa" and
+        // carry different histories. Fresh estimators each get their own
+        // hash order; with either insertion order, every one must pick
+        // the same stem ("train_ab", the smaller).
+        let estimates: Vec<f64> = (0..32)
+            .map(|i| {
+                let mut e = RollingEstimator::default();
+                let stems = [("train_ab", 1_000.0), ("train_ba", 9_000.0)];
+                for k in 0..2 {
+                    let (stem, duration) = stems[(i + k) % 2];
+                    e.observe_stem(1, stem, 8, duration);
+                }
+                e.estimate_stem(1, "train_aa", 8)
+            })
+            .collect();
+        assert!(estimates.iter().all(|&v| v == 1_000.0), "{estimates:?}");
     }
 
     #[test]
