@@ -1,8 +1,6 @@
 //! Empirical cumulative distribution functions, the workhorse of the
 //! paper's characterization figures (Figs. 1, 5, 6, 8, 9).
 
-use serde::{Deserialize, Serialize};
-
 /// A borrowed empirical CDF over an externally-owned **sorted** sample
 /// slice. The fused characterization engine sorts one shared sample
 /// buffer and hands out `CdfView`s, so a dozen figures evaluate against
@@ -80,7 +78,7 @@ impl<'a> CdfView<'a> {
 
 /// An empirical CDF over `f64` samples (owning; see [`CdfView`] for the
 /// borrowed form).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cdf {
     /// Sorted samples.
     sorted: Vec<f64>,
@@ -166,7 +164,7 @@ impl Cdf {
 /// Weighted CDF: fraction of total *weight* attributable to samples `<= x`.
 /// Used for "GPU time by job size" style figures (Fig. 6b) and the
 /// user-consumption curves (Fig. 8: fraction of users vs fraction of time).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WeightedCdf {
     /// (value, weight) sorted by value.
     entries: Vec<(f64, f64)>,

@@ -3,10 +3,9 @@
 
 use crate::timeseries::{gpu_utilization_series, hourly_profile, submission_rate_series};
 use helios_trace::{Trace, SECS_PER_HOUR};
-use serde::{Deserialize, Serialize};
 
 /// Fig. 2 data for one cluster: 24-entry hourly averages.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DailyPattern {
     pub cluster: String,
     /// Fig. 2(a): average utilization per hour-of-day, percent.
@@ -41,7 +40,7 @@ pub fn daily_pattern(trace: &Trace) -> DailyPattern {
 }
 
 /// Fig. 3 data for one cluster: per-month aggregates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MonthlyTrend {
     pub cluster: String,
     pub months: Vec<String>,

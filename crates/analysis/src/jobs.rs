@@ -4,10 +4,9 @@
 
 use crate::cdf::{Cdf, WeightedCdf};
 use helios_trace::{JobStatus, Trace};
-use serde::{Deserialize, Serialize};
 
 /// Table 2 row for a trace set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceSummary {
     pub clusters: usize,
     pub vcs: usize,

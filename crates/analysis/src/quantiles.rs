@@ -1,11 +1,9 @@
 //! Boxplot statistics (five-number summaries with IQR whiskers), used by the
 //! per-VC utilization boxplots of Fig. 4.
 
-use serde::{Deserialize, Serialize};
-
 /// The boxplot summary the paper draws in Fig. 4: quartile box, median line,
 /// and whiskers at 1.5 × IQR.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoxStats {
     pub min: f64,
     pub q1: f64,

@@ -6,10 +6,9 @@
 
 use helios_trace::{JobRecord, SECS_PER_HOUR};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// A regularly-binned time series over `[t0, t0 + bin * len)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BinnedSeries {
     /// Start of the first bin.
     pub t0: i64,

@@ -4,11 +4,10 @@
 
 use crate::cdf::WeightedCdf;
 use helios_trace::{JobStatus, Trace, UserId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Per-user aggregates for one trace.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct UserStats {
     pub user: UserId,
     pub gpu_jobs: u64,

@@ -6,10 +6,9 @@ use crate::quantiles::{min_max_normalize, BoxStats};
 use crate::timeseries::gpu_utilization_series_from;
 use helios_trace::{Trace, VcId, SECS_PER_MINUTE};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// Fig. 4 data for one VC.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VcBehavior {
     pub vc: VcId,
     pub name: String,

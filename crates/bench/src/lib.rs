@@ -1,10 +1,9 @@
 //! # helios-bench
 //!
 //! Experiment harness regenerating every table and figure of the paper.
-//! The `repro` binary exposes one subcommand per artifact (see DESIGN.md's
-//! experiment index); this library holds the shared experiment context and
-//! the per-experiment implementations so both the binary and the criterion
-//! benches can drive them.
+//! The `repro` binary exposes one subcommand per artifact (`repro --list`
+//! prints them); this library holds the shared experiment context and the
+//! per-experiment implementations the binary drives.
 //!
 //! ```no_run
 //! use helios_bench::experiments::{run, Context};

@@ -7,10 +7,9 @@ use helios_predict::features::series::{build_series_dataset, features_at, Series
 use helios_predict::gbdt::{Gbdt, GbdtParams};
 use helios_predict::metrics::smape;
 use helios_trace::{HeliosError, HeliosResult, Trace};
-use serde::{Deserialize, Serialize};
 
 /// CES service configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CesServiceConfig {
     /// DRS control knobs (Algorithm 2).
     pub control: CesConfig,
@@ -62,7 +61,7 @@ impl CesServiceConfig {
 
 /// Evaluation artifacts for one cluster (the data behind Fig. 14/15 and a
 /// Table 5 column).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CesEvaluation {
     /// Forecast SMAPE over the evaluation window, percent.
     pub smape: f64,

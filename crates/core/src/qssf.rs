@@ -13,12 +13,11 @@ use helios_predict::rolling::RollingEstimator;
 use helios_predict::text::strip_run_suffix;
 use helios_sim::SimJob;
 use helios_trace::{HeliosError, HeliosResult, JobRecord, NameId, Trace};
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
 /// QSSF configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QssfConfig {
     /// Merge coefficient λ between rolling and model estimates
     /// (Algorithm 1 line 20).

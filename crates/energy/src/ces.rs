@@ -8,10 +8,9 @@
 //! thresholds), always keeping a buffer of σ nodes.
 
 use crate::series::NodeSeries;
-use serde::{Deserialize, Serialize};
 
 /// Algorithm 2 knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CesConfig {
     /// Buffer nodes σ kept on beyond current demand.
     pub buffer_nodes: f64,
@@ -42,7 +41,7 @@ impl Default for CesConfig {
 }
 
 /// Which power-down policy drives the loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DrsPolicy {
     /// Algorithm 2: sleep only when history *and* forecast agree.
     PredictionGuided,
@@ -51,7 +50,7 @@ pub enum DrsPolicy {
 }
 
 /// Result of one control-loop run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CesOutcome {
     /// Active (powered-on) nodes per bin.
     pub active: Vec<f64>,

@@ -4,10 +4,9 @@
 
 use helios_sim::{FifoPolicy, KernelConfig, OccupancyObserver, Placement, SimJob, Simulator};
 use helios_trace::Trace;
-use serde::{Deserialize, Serialize};
 
 /// A binned node-count series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeSeries {
     pub t0: i64,
     pub bin: i64,

@@ -228,10 +228,6 @@ impl SchedulingPolicy for DrainPolicy {
         self.inner.preempt_rank(job)
     }
 
-    fn preempt_rank_with_validity(&mut self, job: &JobView<'_>, now: i64) -> (f64, Option<i64>) {
-        self.inner.preempt_rank_with_validity(job, now)
-    }
-
     fn on_submit(&mut self, job: &SimJob, now: i64, cluster: &ClusterView<'_>) {
         self.inner.on_submit(job, now, cluster);
         self.scan(now, cluster);

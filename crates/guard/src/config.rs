@@ -220,7 +220,7 @@ mod tests {
         assert!(cfg.panic_paths.contains("crates/fleet/src/service.rs"));
         assert!(cfg.panic_paths.contains("crates/sim/src/engine.rs"));
         assert!(!cfg.panic_paths.contains("crates/sim/src/pool.rs"));
-        assert!(cfg.excluded("vendor/serde/src/lib.rs"));
+        assert!(cfg.excluded("vendor/rand/src/lib.rs"));
         assert!(cfg.excluded("crates/guard/tests/guard_fixtures/panic.rs"));
         assert!(cfg.excluded("crates/sim/benches/simulator.rs"));
         assert!(!cfg.excluded("crates/sim/src/engine.rs"));

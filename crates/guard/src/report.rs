@@ -136,8 +136,8 @@ impl Report {
         out
     }
 
-    /// Render the `--json` report (hand-rolled: the vendored serde
-    /// stand-in cannot serialize, and guard takes no dependencies).
+    /// Render the `--json` report (hand-rolled: guard takes no
+    /// dependencies).
     pub fn json(&self) -> String {
         let mut out = String::from("{\n  \"violations\": [");
         for (i, v) in self.new.iter().enumerate() {

@@ -3,7 +3,6 @@
 //! fitted by conditional least squares, plus a seasonal-naive baseline.
 
 use crate::linalg::ridge_solve;
-use serde::{Deserialize, Serialize};
 
 /// Difference a series `d` times.
 fn difference(series: &[f64], d: usize) -> Vec<f64> {
@@ -15,7 +14,7 @@ fn difference(series: &[f64], d: usize) -> Vec<f64> {
 }
 
 /// An ARIMA(p, d, 0) model fitted by conditional least squares.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Arima {
     pub p: usize,
     pub d: usize,

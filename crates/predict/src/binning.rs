@@ -1,10 +1,8 @@
 //! Histogram binning for GBDT training (the LightGBM-style discretization
 //! the paper's GBDT \[42\] uses).
 
-use serde::{Deserialize, Serialize};
-
 /// Maps raw feature values to at most 256 quantile bins.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BinMapper {
     /// Upper edge of each bin except the last: value `v` lands in the first
     /// bin `b` with `v <= edges[b]`, or in the last bin.

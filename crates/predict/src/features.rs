@@ -217,10 +217,9 @@ pub mod job {
 
 pub mod series {
     use helios_trace::Calendar;
-    use serde::{Deserialize, Serialize};
 
     /// Configuration of the node-series feature extraction.
-    #[derive(Debug, Clone, Serialize, Deserialize)]
+    #[derive(Debug, Clone)]
     pub struct SeriesFeatureConfig {
         /// Lag offsets, in bins.
         pub lags: Vec<usize>,

@@ -4,10 +4,9 @@
 
 use crate::linalg::{dot, ridge_solve};
 use helios_trace::{Calendar, SECS_PER_DAY, SECS_PER_WEEK};
-use serde::{Deserialize, Serialize};
 
 /// Harmonic orders of the seasonal blocks.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FourierParams {
     pub daily_harmonics: usize,
     pub weekly_harmonics: usize,
@@ -25,7 +24,7 @@ impl Default for FourierParams {
 }
 
 /// A fitted Prophet-like model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FourierForecaster {
     params: FourierParams,
     weights: Vec<f64>,

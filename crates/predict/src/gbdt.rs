@@ -15,11 +15,10 @@ use crate::tree::{build_tree_in, Tree, TreeParams, TreeWorkspace};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
-use serde::{Deserialize, Serialize};
 use std::sync::mpsc::{self, Receiver, SyncSender};
 
 /// Boosting hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GbdtParams {
     /// Maximum boosting rounds.
     pub num_trees: usize,
@@ -57,7 +56,7 @@ impl Default for GbdtParams {
 }
 
 /// A trained GBDT regressor.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Gbdt {
     base: f64,
     learning_rate: f64,
@@ -67,8 +66,14 @@ pub struct Gbdt {
 impl Gbdt {
     /// Fit on a column-major feature matrix (`features[feature][row]`).
     /// If `valid` is provided (same layout), early stopping monitors its
-    /// RMSE. Panics on an empty training set, a non-finite target, or
-    /// targets whose mean overflows `f64`.
+    /// RMSE.
+    ///
+    /// # Panics
+    ///
+    /// On an empty training set, a non-finite target, or targets whose
+    /// mean overflows `f64`; and on a validation set that is empty, has a
+    /// different number of features, has a column whose length differs
+    /// from its target count, or has a non-finite target.
     pub fn fit(
         features: &[Vec<f64>],
         targets: &[f64],
@@ -88,6 +93,22 @@ impl Gbdt {
             base.is_finite(),
             "GBDT target mean must be finite (the targets' sum overflows f64)"
         );
+        if let Some((cols, y)) = valid {
+            assert!(!y.is_empty(), "empty validation set");
+            assert_eq!(
+                cols.len(),
+                features.len(),
+                "validation set must have one column per training feature"
+            );
+            assert!(
+                cols.iter().all(|c| c.len() == y.len()),
+                "validation columns must have one row per validation target"
+            );
+            assert!(
+                y.iter().all(|t| t.is_finite()),
+                "GBDT validation targets must be finite"
+            );
+        }
         let num_features = features.len() as u16;
         std::thread::scope(|s| {
             let (tx, rx) = mpsc::sync_channel(1);
@@ -429,39 +450,77 @@ mod tests {
         Gbdt::fit(&cols, &[f64::MAX; 64], &GbdtParams::default(), None);
     }
 
+    /// The message of a caught panic, whether it was formatted or literal.
+    fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+        match payload.downcast::<String>() {
+            Ok(message) => *message,
+            Err(payload) => payload
+                .downcast::<&str>()
+                .map_or_else(|_| String::new(), |m| m.to_string()),
+        }
+    }
+
     #[test]
     fn grower_panic_propagates_instead_of_hanging() {
-        // The target depends only on feature 1, so every tree splits on
-        // it; the one-feature validation matrix makes `predict_row` index
-        // out of bounds at the first early-stopping check, after the fifth
-        // tree. The panic must unwind through the draw helper's scope.
-        // Waiting on a channel with a deadline turns a deadlock into a
-        // failure.
+        // A learning rate of 3 overshoots every round, doubling the ±1e300
+        // residuals until a gradient overflows and the grower's
+        // finiteness check panics. The panic must unwind through the draw
+        // helper's scope. Waiting on a channel with a deadline turns a
+        // deadlock into a failure.
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
             let rows: Vec<Vec<f64>> = (0..400)
                 .map(|i| vec![(i % 7) as f64, (i % 20) as f64])
                 .collect();
-            let y: Vec<f64> = rows.iter().map(|r| r[1] * 3.0).collect();
+            let y: Vec<f64> = (0..400)
+                .map(|i| if i % 2 == 0 { 1e300 } else { -1e300 })
+                .collect();
             let cols = columns_from_rows(&rows);
-            let narrow = vec![cols[0].clone()];
             let params = GbdtParams {
                 num_trees: 50,
-                colsample: 1.0,
-                early_stopping: 3,
+                learning_rate: 3.0,
                 ..Default::default()
             };
             let fit = std::panic::catch_unwind(|| {
-                Gbdt::fit(&cols, &y, &params, Some((&narrow, &y)));
+                Gbdt::fit(&cols, &y, &params, None);
             });
-            let message = fit.err().and_then(|e| e.downcast::<String>().ok());
-            let _ = tx.send(message.map(|m| *m));
+            let _ = tx.send(fit.err().map(panic_message));
         });
         let message = rx
             .recv_timeout(std::time::Duration::from_secs(60))
             .expect("the fit neither returned nor panicked within 60 s")
             .expect("the fit must panic");
-        assert!(message.contains("index out of bounds"), "{message}");
+        assert!(message.contains("non-finite gradient"), "{message}");
+    }
+
+    #[test]
+    fn malformed_validation_sets_are_refused_at_entry() {
+        // Refused before any tree grows, rather than by a panic inside
+        // `predict_row` at the first early-stopping check or by a model
+        // that silently keeps 0 trees.
+        let rows: Vec<Vec<f64>> = (0..200)
+            .map(|i| vec![(i % 7) as f64, (i % 20) as f64])
+            .collect();
+        let y: Vec<f64> = rows.iter().map(|r| r[1] * 3.0).collect();
+        let cols = columns_from_rows(&rows);
+        let narrow = [cols[0].clone()];
+        let short = [cols[0].clone(), cols[1][..10].to_vec()];
+        let empty = [Vec::new(), Vec::new()];
+        let mut nan_y = y.clone();
+        nan_y[3] = f64::NAN;
+        let cases = [
+            (&narrow[..], &y[..], "one column per training feature"),
+            (&short[..], &y[..], "one row per validation target"),
+            (&empty[..], &[][..], "empty validation set"),
+            (&cols[..], &nan_y[..], "validation targets must be finite"),
+        ];
+        for (vcols, vy, want) in cases {
+            let fit = std::panic::catch_unwind(|| {
+                Gbdt::fit(&cols, &y, &GbdtParams::default(), Some((vcols, vy)));
+            });
+            let message = fit.err().map(panic_message).expect("refused at entry");
+            assert!(message.contains(want), "{want}: {message}");
+        }
     }
 
     #[test]

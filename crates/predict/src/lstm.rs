@@ -11,10 +11,9 @@
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
-use serde::{Deserialize, Serialize};
 
 /// Training hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LstmParams {
     pub hidden: usize,
     /// Input window length (bins).
@@ -43,7 +42,7 @@ impl Default for LstmParams {
 }
 
 /// Flat parameter vector with Adam state.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct AdamVec {
     w: Vec<f64>,
     m: Vec<f64>,
@@ -82,7 +81,7 @@ fn sigmoid(x: f64) -> f64 {
 }
 
 /// A trained LSTM forecaster.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LstmForecaster {
     params: LstmParams,
     /// Input weights, gate-major: [4H] (univariate input).

@@ -14,10 +14,9 @@
 //! smaller (LightGBM's sibling subtraction) with no drift.
 
 use crate::binning::BinnedDataset;
-use serde::{Deserialize, Serialize};
 
 /// Tree-growing hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TreeParams {
     pub max_depth: usize,
     /// Minimum rows on each side of a split.
@@ -40,7 +39,7 @@ impl Default for TreeParams {
 }
 
 /// A tree node: either an internal split or a leaf with an output value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Node {
     Split {
         feature: u16,
@@ -56,7 +55,7 @@ pub enum Node {
 }
 
 /// A trained regression tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tree {
     nodes: Vec<Node>,
 }

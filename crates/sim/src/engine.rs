@@ -22,15 +22,16 @@ use crate::job::{JobOutcome, SimJob};
 use crate::observer::{ClusterView, SimEvent, SimObserver};
 use crate::policy::{FifoPolicy, JobView, PriorityPolicy, SchedulingPolicy, SjfPolicy, SrtfPolicy};
 use crate::pool::{Allocation, NodePool, Placement};
-use crate::snapshot::{spec_fingerprint, JobStateSnap, QueueKey, SimSnapshot, SnapView, VcView};
+use crate::snapshot::{
+    spec_fingerprint, JobStateSnap, QueueKey, SimSnapshot, SnapView, VcSnap, VcView,
+};
 use helios_trace::{ClusterSpec, HeliosError, HeliosResult};
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 
 /// The built-in scheduling policies of the paper's Fig. 11, kept as a
 /// serializable constructor table over the [`SchedulingPolicy`] objects in
 /// [`crate::policy`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Policy {
     /// Arrival order (production default; Table 3 baseline).
     Fifo,
@@ -60,7 +61,7 @@ impl Policy {
 /// Kernel knobs shared by every policy: placement strategy and EASY
 /// backfill (the paper leaves backfill to future work, §4.2.3 — this is
 /// the ablation knob).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelConfig {
     pub placement: Placement,
     /// EASY backfill: jobs behind a blocked head may run if they fit and
@@ -81,7 +82,7 @@ impl Default for KernelConfig {
 /// One-shot simulation configuration over the built-in [`Policy`] table.
 /// Streaming metrics that used to hang off this struct (`occupancy_bin`)
 /// now live in observers — see [`crate::OccupancyObserver`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     pub policy: Policy,
     pub placement: Placement,
@@ -108,7 +109,7 @@ impl SimConfig {
 }
 
 /// Simulation output of the one-shot wrappers.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimResult {
     /// One outcome per input job, in input order.
     pub outcomes: Vec<JobOutcome>,
@@ -165,42 +166,6 @@ pub(crate) struct VcState {
     /// queued, so queue-length views count it (preserving the pre-rewrite
     /// observable, where the head stayed in the heap until it started).
     pub(crate) held_head: bool,
-    /// Memoized blocked-head decision; see [`BlockedMemo`].
-    memo: Option<BlockedMemo>,
-}
-
-/// A memoized "the queue head cannot start" decision for one VC.
-///
-/// Once a head fails to place (and, for preemptive policies, preemption
-/// fails too), that failure is provably stable against two event classes:
-/// arrivals that queue behind the head (nothing the decision reads
-/// changed), and finishes of jobs in the cached victim list (the GPUs the
-/// head can reach — free plus evictable — are exactly the set that
-/// already failed, and placement feasibility is monotone in per-node free
-/// counts). The memo lets `schedule_vc` skip the per-event O(running)
-/// victim re-scan for those cases, and reuse the cached victim ranking
-/// (valid while every rank's policy-declared stability horizon holds)
-/// when a non-victim finish forces a placement retry.
-struct BlockedMemo {
-    /// State index of the blocked head.
-    head: usize,
-    /// The memo is valid strictly before this simulated time (the min of
-    /// the policy's rank-stability horizons over the head and every
-    /// runner; `i64::MAX` for non-preemptive policies, whose placement
-    /// decisions never involve ranks).
-    valid_until: i64,
-    /// The failed scan's complete victim list, rank-descending (state
-    /// index ascending on ties); empty for non-preemptive policies.
-    victims: Vec<(f64, usize)>,
-}
-
-/// Why `schedule_vc` is being invoked — drives the blocked-head memo.
-#[derive(Clone, Copy)]
-enum ScheduleCause {
-    /// A job entered this VC's queue (pool and runners untouched).
-    Arrive,
-    /// The given state index finished and released its allocation.
-    Finish { finished: usize },
 }
 
 /// Cluster-wide aggregates the kernel maintains incrementally on every
@@ -306,9 +271,6 @@ pub struct Simulator<'a> {
     scratch_victims: Vec<(f64, usize)>,
     scratch_ends: Vec<(i64, usize)>,
     scratch_rest: Vec<(QueueKey, usize)>,
-    /// Blocked-head memoization toggle (on by default; the equivalence
-    /// tests flip it off to pin memoized == exhaustive rescanning).
-    memo_enabled: bool,
     /// Failure-injection state (`None` — the default — is exactly the
     /// legacy kernel: no fault events, no per-node telemetry, zero cost).
     fault: Option<Box<FaultState>>,
@@ -355,7 +317,6 @@ impl<'a> Simulator<'a> {
                 running: Vec::new(),
                 running_allocs: Vec::new(),
                 held_head: false,
-                memo: None,
             })
             .collect();
         let stats = ClusterStats {
@@ -382,7 +343,6 @@ impl<'a> Simulator<'a> {
             scratch_victims: Vec::new(),
             scratch_ends: Vec::new(),
             scratch_rest: Vec::new(),
-            memo_enabled: true,
             fault: None,
             scratch_drains: Vec::new(),
             pulse: None,
@@ -417,20 +377,6 @@ impl<'a> Simulator<'a> {
     /// off).
     pub fn fault_stats(&self) -> Option<FaultStats> {
         self.fault.as_deref().map(|f| f.stats())
-    }
-
-    /// Disable (or re-enable) the blocked-head memoization fast path.
-    /// Outcomes are identical either way — the equivalence test suite
-    /// runs both and pins that; this knob exists for those tests and for
-    /// performance triage, not for normal use.
-    #[doc(hidden)]
-    pub fn set_blocked_memo(&mut self, enabled: bool) {
-        self.memo_enabled = enabled;
-        if !enabled {
-            for vc in &mut self.vcs {
-                vc.memo = None;
-            }
-        }
     }
 
     /// Register a streaming observer. Lend a borrowed one
@@ -544,7 +490,6 @@ impl<'a> Simulator<'a> {
         SnapView {
             placement: self.placement,
             backfill: self.backfill,
-            memo_enabled: self.memo_enabled,
             policy_name: self.policy.name(),
             spec_fingerprint: spec_fingerprint(&self.spec),
             horizon: self.horizon,
@@ -574,10 +519,12 @@ impl<'a> Simulator<'a> {
     /// rehydrated through
     /// [`SchedulingPolicy::load_state`].
     /// Derived state (cluster aggregates, pool buckets) is recomputed,
-    /// outcome-neutral caches (blocked-head memo, scratch buffers) start
-    /// cold, and no observers are attached. Every inconsistency — wrong
-    /// cluster, wrong policy, out-of-range indices, slot mismatches —
-    /// surfaces as a typed [`HeliosError::Snapshot`], never a panic.
+    /// scratch buffers start empty, and no observers are attached. Every
+    /// inconsistency — wrong cluster, wrong policy, out-of-range indices,
+    /// slot mismatches, job records `push_jobs` would refuse, jobs listed
+    /// under another VC, allocations the pool could not release, a queue
+    /// head that fits its pool — surfaces as a typed
+    /// [`HeliosError::Snapshot`], never a panic.
     pub fn restore(
         spec: &ClusterSpec,
         mut policy: Box<dyn SchedulingPolicy + 'a>,
@@ -629,7 +576,22 @@ impl<'a> Simulator<'a> {
                 ))
             }
         };
+        for s in &snap.jobs {
+            validate_job(spec, &s.job)
+                .map_err(|e| HeliosError::snapshot(ctx, format!("job record refused: {e}")))?;
+        }
         let states = snap.jobs.clone();
+        let check_vc = |idx: usize, v: usize, what: &str| -> HeliosResult<()> {
+            match states.get(idx) {
+                Some(s) if s.job.vc as usize == v => Ok(()),
+                _ => Err(HeliosError::snapshot(
+                    ctx,
+                    format!(
+                        "VC {v} lists job index {idx} as {what} but the job belongs to another VC"
+                    ),
+                )),
+            }
+        };
         let mut stats = ClusterStats::default();
         let mut vcs = Vec::with_capacity(snap.vcs.len());
         for (v, (vc_snap, vc_spec)) in snap.vcs.iter().zip(&spec.vcs).enumerate() {
@@ -658,13 +620,26 @@ impl<'a> Simulator<'a> {
             }
             let mut queue_data = Vec::with_capacity(vc_snap.queue.len());
             for &(key, idx) in &vc_snap.queue {
-                queue_data.push((key, check_idx(idx, "a queue entry")?));
+                let idx = check_idx(idx, "a queue entry")?;
+                check_vc(idx, v, "queued")?;
+                queue_data.push((key, idx));
             }
             if !is_heap(&queue_data) {
                 return Err(HeliosError::snapshot(
                     ctx,
                     format!("VC {v} queue array violates the heap property"),
                 ));
+            }
+            // Between events a queue head never fits its pool (every pool
+            // change reschedules the VC), and arrivals rely on that.
+            if let Some(&(_, head)) = queue_data.first() {
+                let g = states.get(head).map_or(0, |s| s.job.gpus);
+                if g > 0 && pool.fits(g) {
+                    return Err(HeliosError::snapshot(
+                        ctx,
+                        format!("VC {v} queue head (job index {head}) fits the free GPUs"),
+                    ));
+                }
             }
             if vc_snap.running.len() != vc_snap.running_allocs.len() {
                 return Err(HeliosError::snapshot(
@@ -679,6 +654,7 @@ impl<'a> Simulator<'a> {
             let mut running = Vec::with_capacity(vc_snap.running.len());
             for (slot, &idx) in vc_snap.running.iter().enumerate() {
                 let idx = check_idx(idx, "a running entry")?;
+                check_vc(idx, v, "running")?;
                 if states[idx].run_slot as usize != slot {
                     return Err(HeliosError::snapshot(
                         ctx,
@@ -691,6 +667,7 @@ impl<'a> Simulator<'a> {
                 }
                 running.push(idx);
             }
+            check_allocations(v, vc_snap, &states, spec.gpus_per_node)?;
             // True free counts (not `pool.free_gpus()`, which excludes
             // offline nodes): busy must mean "held by a running gang".
             stats.busy_gpus += pool.capacity() - vc_snap.free.iter().sum::<u32>();
@@ -705,7 +682,6 @@ impl<'a> Simulator<'a> {
                 running,
                 running_allocs: vc_snap.running_allocs.clone(),
                 held_head: false,
-                memo: None,
             });
         }
         let mut arrivals = Vec::with_capacity(snap.pending_arrivals.len());
@@ -754,7 +730,6 @@ impl<'a> Simulator<'a> {
             scratch_victims: Vec::new(),
             scratch_ends: Vec::new(),
             scratch_rest: Vec::new(),
-            memo_enabled: snap.memo_enabled,
             fault,
             scratch_drains: Vec::new(),
             pulse: None,
@@ -1047,7 +1022,7 @@ impl<'a> Simulator<'a> {
                         obs.on_event(&SimEvent::Finish { job, outcome }, &view);
                     }
                 }
-                self.schedule_vc(vc, now, ScheduleCause::Finish { finished: idx });
+                self.schedule_vc(vc, now);
             }
             EventKind::Arrive { idx } => {
                 let vc = self.states[idx].job.vc as usize;
@@ -1063,7 +1038,16 @@ impl<'a> Simulator<'a> {
                 for obs in &mut self.observers {
                     obs.on_event(&SimEvent::Submit { job, now }, &view);
                 }
-                self.schedule_vc(vc, now, ScheduleCause::Arrive);
+                // Every pool change reschedules its VC, so between events a
+                // non-empty queue's head does not fit. A job queued behind
+                // it changes neither the head nor the pool, and without
+                // preemption or backfill nothing else can start.
+                let behind_blocked_head = !self.backfill
+                    && !self.policy.preemptive()
+                    && self.vcs[vc].queue.peek().is_some_and(|&(_, h)| h != idx);
+                if !behind_blocked_head {
+                    self.schedule_vc(vc, now);
+                }
             }
             EventKind::Fault { node, kind, epoch } => {
                 let live = self
@@ -1177,9 +1161,7 @@ impl<'a> Simulator<'a> {
             .as_deref_mut()
             .expect("checked above")
             .schedule_repair(node, now);
-        // The pool shrank mid-queue: any blocked-head verdict is stale.
-        self.vcs[vc].memo = None;
-        self.schedule_vc(vc, now, ScheduleCause::Arrive);
+        self.schedule_vc(vc, now);
     }
 
     /// Evict running job `idx` because a node under it failed. Progress
@@ -1282,8 +1264,7 @@ impl<'a> Simulator<'a> {
             }
         }
         if !draining {
-            self.vcs[vc].memo = None;
-            self.schedule_vc(vc, now, ScheduleCause::Arrive);
+            self.schedule_vc(vc, now);
         }
     }
 
@@ -1316,11 +1297,9 @@ impl<'a> Simulator<'a> {
         }
         if d.drain {
             self.vcs[vc].pool.set_offline(local);
-            self.vcs[vc].memo = None;
         } else {
             self.vcs[vc].pool.set_online(local);
-            self.vcs[vc].memo = None;
-            self.schedule_vc(vc, now, ScheduleCause::Arrive);
+            self.schedule_vc(vc, now);
         }
     }
 
@@ -1349,47 +1328,8 @@ impl<'a> Simulator<'a> {
     }
 
     /// Keep starting queue heads on `vc` until the head no longer fits
-    /// (then preempt or backfill, per policy). The blocked-head memo
-    /// short-circuits events that provably cannot change the previous
-    /// "blocked" verdict — see [`BlockedMemo`].
-    fn schedule_vc(&mut self, vc: usize, now: i64, cause: ScheduleCause) {
-        // Cached (victims, valid_until) carried into the placement retry
-        // after a non-victim finish — ranks are still valid, only the
-        // pool changed.
-        let mut cached: Option<(Vec<(f64, usize)>, i64)> = None;
-        if let Some(mut memo) = self.vcs[vc].memo.take() {
-            let head_now = self.vcs[vc].queue.peek().map(|&(_, h)| h);
-            if head_now == Some(memo.head) && now < memo.valid_until {
-                match cause {
-                    ScheduleCause::Arrive => {
-                        // The queue grew behind the blocked head: the pool,
-                        // the head, and every rank are unchanged.
-                        self.vcs[vc].memo = Some(memo);
-                        return;
-                    }
-                    ScheduleCause::Finish { finished } => {
-                        if let Some(pos) = memo.victims.iter().position(|&(_, i)| i == finished) {
-                            // A victim finished: the GPUs the head can
-                            // reach (free + evictable) are exactly the set
-                            // that already failed, so it is still blocked.
-                            memo.victims.remove(pos);
-                            self.vcs[vc].memo = Some(memo);
-                            return;
-                        }
-                        // A non-victim finished: placement must be
-                        // retried, but the cached victim ranking holds.
-                        cached = Some((memo.victims, memo.valid_until));
-                    }
-                }
-            } else {
-                // Stale memo (head changed or the rank-stability horizon
-                // passed): recycle its buffer as the scan scratch so
-                // short-lived memos never cost an allocation cycle.
-                if memo.victims.capacity() > self.scratch_victims.capacity() {
-                    self.scratch_victims = memo.victims;
-                }
-            }
-        }
+    /// (then preempt or backfill, per policy).
+    fn schedule_vc(&mut self, vc: usize, now: i64) {
         loop {
             let Some(&(_, head)) = self.vcs[vc].queue.peek() else {
                 return;
@@ -1399,26 +1339,17 @@ impl<'a> Simulator<'a> {
                 self.vcs[vc].queue.pop();
                 self.stats.queued_jobs -= 1;
                 self.start_job(head, alloc, now);
-                cached = None; // a start invalidates any cached scan
                 continue;
             }
             // Head blocked.
             if self.policy.preemptive() {
-                if self.try_preempt_for(head, vc, now, cached.take()) {
+                if self.try_preempt_for(head, vc, now) {
                     continue;
                 }
                 return;
             }
             if self.backfill {
                 self.backfill_vc(vc, now);
-            } else if self.memo_enabled {
-                // Non-preemptive, no backfill: nothing can start in this
-                // VC before a finish changes the pool or the head changes.
-                self.vcs[vc].memo = Some(BlockedMemo {
-                    head,
-                    valid_until: i64::MAX,
-                    victims: Vec::new(),
-                });
             }
             return;
         }
@@ -1426,45 +1357,13 @@ impl<'a> Simulator<'a> {
 
     /// Preemption: free GPUs by evicting running jobs whose current
     /// [`SchedulingPolicy::preempt_rank`] is strictly greater than the
-    /// blocked head's (largest rank first). Returns true if the head could
-    /// be placed. `cached` carries a still-valid victim ranking from the
-    /// blocked-head memo; without one the running set is scanned fresh.
-    fn try_preempt_for(
-        &mut self,
-        head: usize,
-        vc: usize,
-        now: i64,
-        cached: Option<(Vec<(f64, usize)>, i64)>,
-    ) -> bool {
-        if let Some((mut victims, valid_until)) = cached {
-            // Jobs finishing at this very instant are not evictable; a
-            // fresh scan would have skipped them (`remaining <= 0`), so
-            // the cached list must shed them the same way. (The fresh
-            // path below filters during its scan.)
-            victims.retain(|&(_, idx)| {
-                let s = &self.states[idx];
-                s.remaining - (now - s.started_at) > 0
-            });
-            return self.preempt_with_victims(head, vc, now, victims, valid_until);
-        }
-        // Validity bookkeeping costs a multiple of the plain rank call,
-        // and on very wide running sets the min horizon collapses almost
-        // immediately (some runner is always about to cross a level), so
-        // the memo cannot pay for itself — skip it there. Purely a
-        // performance choice: outcomes are identical either way (pinned
-        // by the memo-equivalence property test).
-        let want_validity = self.memo_enabled && self.vcs[vc].running.len() <= MEMO_SCAN_LIMIT;
-        let (head_rank, head_stable) = if want_validity {
-            self.policy
-                .preempt_rank_with_validity(&self.states[head].view(), now)
-        } else {
-            (self.policy.preempt_rank(&self.states[head].view()), None)
-        };
+    /// blocked head's (largest rank first). Dry-runs the rank-sorted
+    /// victims on an undo-logged pool trial, then evicts the needed prefix
+    /// and starts the head. Returns true if the head could be placed.
+    fn try_preempt_for(&mut self, head: usize, vc: usize, now: i64) -> bool {
+        let head_rank = self.policy.preempt_rank(&self.states[head].view());
         // Victims: running jobs ranked strictly above the head, largest
-        // rank first (ties broken by state index for determinism). The
-        // memo horizon is the min of every stability horizon the policy
-        // grants — `now` (no memo) as soon as any rank is unstable.
-        let mut valid_until = head_stable.unwrap_or(now);
+        // rank first (ties broken by state index for determinism).
         let mut victims = std::mem::take(&mut self.scratch_victims);
         victims.clear();
         for i in 0..self.vcs[vc].running.len() {
@@ -1487,36 +1386,12 @@ impl<'a> Simulator<'a> {
                 remaining,
                 preemptions: s.preemptions,
             };
-            // Once the memo horizon has already collapsed to `now`,
-            // further validity bookkeeping buys nothing — take the
-            // cheaper rank-only path.
-            let rank = if valid_until > now {
-                let (rank, stable) = self.policy.preempt_rank_with_validity(&view, now);
-                valid_until = valid_until.min(stable.unwrap_or(now));
-                rank
-            } else {
-                self.policy.preempt_rank(&view)
-            };
+            let rank = self.policy.preempt_rank(&view);
             if rank.total_cmp(&head_rank) == std::cmp::Ordering::Greater {
                 victims.push((rank, idx));
             }
         }
         victims.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
-        self.preempt_with_victims(head, vc, now, victims, valid_until)
-    }
-
-    /// Shared tail of the preemption decision: dry-run the (rank-sorted)
-    /// victim list on an undo-logged pool trial; on success evict the
-    /// needed prefix and start the head, on failure memoize the blocked
-    /// verdict under `valid_until`.
-    fn preempt_with_victims(
-        &mut self,
-        head: usize,
-        vc: usize,
-        now: i64,
-        victims: Vec<(f64, usize)>,
-        valid_until: i64,
-    ) -> bool {
         let g = self.states[head].job.gpus;
         // The caller's placement attempt just failed, so the head cannot
         // start without evictions: no victims means no preemption, with
@@ -1546,15 +1421,7 @@ impl<'a> Simulator<'a> {
             placed
         };
         if !placed {
-            if self.memo_enabled && now < valid_until {
-                self.vcs[vc].memo = Some(BlockedMemo {
-                    head,
-                    valid_until,
-                    victims,
-                });
-            } else {
-                self.scratch_victims = victims;
-            }
+            self.scratch_victims = victims;
             return false;
         }
         // The head is the queue top: `schedule_vc` peeked it and nothing
@@ -1698,16 +1565,69 @@ impl<'a> Simulator<'a> {
 /// Maximum queue positions scanned for backfill candidates.
 const BACKFILL_SCAN: usize = 64;
 
+/// Refuse running allocations the pool could not release: a slice on a
+/// node outside the VC or holding no GPUs, a gang whose slices do not add
+/// up to its job's request, or a node whose held plus free GPUs differ
+/// from its size. Expects the running indices already checked.
+fn check_allocations(
+    v: usize,
+    snap: &VcSnap,
+    states: &[JobStateSnap],
+    gpus_per_node: u32,
+) -> HeliosResult<()> {
+    let ctx = "restoring kernel snapshot";
+    let mut held = vec![0u64; snap.free.len()];
+    for (&idx, alloc) in snap.running.iter().zip(&snap.running_allocs) {
+        let mut total = 0u64;
+        for &(node, gpus) in alloc.slices() {
+            let slot = held.get_mut(node as usize).ok_or_else(|| {
+                HeliosError::snapshot(
+                    ctx,
+                    format!(
+                        "VC {v} job index {idx} holds GPUs on node {node} but the VC has {} nodes",
+                        snap.free.len()
+                    ),
+                )
+            })?;
+            if gpus == 0 {
+                return Err(HeliosError::snapshot(
+                    ctx,
+                    format!("VC {v} job index {idx} holds an empty slice on node {node}"),
+                ));
+            }
+            *slot += u64::from(gpus);
+            total += u64::from(gpus);
+        }
+        let want = states.get(idx).map_or(0, |s| s.job.gpus);
+        if total != u64::from(want) {
+            return Err(HeliosError::snapshot(
+                ctx,
+                format!("VC {v} job index {idx} holds {total} GPUs but requested {want}"),
+            ));
+        }
+    }
+    let mismatch = held
+        .iter()
+        .zip(&snap.free)
+        .enumerate()
+        .find(|(_, (&h, &f))| h + u64::from(f) != u64::from(gpus_per_node));
+    if let Some((node, (h, f))) = mismatch {
+        return Err(HeliosError::snapshot(
+            ctx,
+            format!(
+                "VC {v} node {node} has {h} GPUs held and {f} free but {gpus_per_node} GPUs in all"
+            ),
+        ));
+    }
+    Ok(())
+}
+
 /// 4-ary heap property check (matching `MinHeap`'s arity) for the heap
 /// arrays a snapshot restores verbatim — untrusted input, so the check
 /// runs in release builds too, not just as a debug assertion.
 fn is_heap<T: Ord>(data: &[T]) -> bool {
     (1..data.len()).all(|i| data[(i - 1) / 4] <= data[i])
 }
-
-/// Running-set size above which blocked-head memoization stops computing
-/// rank-stability horizons (see `try_preempt_for`).
-const MEMO_SCAN_LIMIT: usize = 512;
 
 /// Run one simulation to completion with an arbitrary policy object.
 pub fn simulate_with(

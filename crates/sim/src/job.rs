@@ -1,12 +1,11 @@
 //! Simulator job descriptions and per-job outcomes.
 
 use helios_trace::{JobId, JobRecord, Trace, VcId};
-use serde::{Deserialize, Serialize};
 
 /// A job as the simulator sees it: arrival, demand, ground-truth runtime
 /// (how long it *will* occupy its GPUs, whatever its final status), and a
 /// scheduling priority (lower = runs first under the `Priority` policy).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimJob {
     pub id: JobId,
     pub vc: VcId,
@@ -19,7 +18,7 @@ pub struct SimJob {
 }
 
 /// What happened to a job in one simulation run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobOutcome {
     pub id: JobId,
     pub vc: VcId,

@@ -2,7 +2,6 @@
 
 use crate::job::JobOutcome;
 use helios_trace::VcId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Jobs are "queued" when they waited at least this long (1 minute; the
@@ -10,7 +9,7 @@ use std::collections::BTreeMap;
 pub const QUEUED_THRESHOLD_SECS: i64 = 60;
 
 /// Table 3 row: cluster-wide scheduling aggregates.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScheduleStats {
     pub jobs: u64,
     pub avg_jct: f64,

@@ -84,24 +84,6 @@ pub trait SchedulingPolicy: Send {
         self.queue_key(job)
     }
 
-    /// [`preempt_rank`](SchedulingPolicy::preempt_rank) plus an optional
-    /// **stability horizon**: returning `(rank, Some(t))` asserts that
-    /// the rank is a pure function of the job view and cannot change
-    /// before simulated time `t` — neither for this view frozen in a
-    /// queue nor while the job keeps running uninterrupted. The kernel
-    /// uses the horizon to memoize failed preemption decisions for a
-    /// blocked queue head instead of re-scanning every running job on
-    /// every event.
-    ///
-    /// The default `(rank, None)` disables memoization and is always
-    /// safe; policies whose ranks drift continuously (SRTF) or depend on
-    /// internal policy state must keep it. Discretized-level policies
-    /// (Tiresias) override it with the next level-crossing time.
-    fn preempt_rank_with_validity(&mut self, job: &JobView<'_>, now: i64) -> (f64, Option<i64>) {
-        let _ = now;
-        (self.preempt_rank(job), None)
-    }
-
     /// A job entered a VC queue.
     fn on_submit(&mut self, _job: &SimJob, _now: i64, _cluster: &ClusterView<'_>) {}
 
@@ -167,9 +149,6 @@ impl<T: SchedulingPolicy + ?Sized> SchedulingPolicy for &mut T {
     }
     fn preempt_rank(&mut self, job: &JobView<'_>) -> f64 {
         (**self).preempt_rank(job)
-    }
-    fn preempt_rank_with_validity(&mut self, job: &JobView<'_>, now: i64) -> (f64, Option<i64>) {
-        (**self).preempt_rank_with_validity(job, now)
     }
     fn on_submit(&mut self, job: &SimJob, now: i64, cluster: &ClusterView<'_>) {
         (**self).on_submit(job, now, cluster)
@@ -331,35 +310,6 @@ impl SchedulingPolicy for TiresiasPolicy {
         // runner is only evicted by a job from a *lower* level, never by a
         // same-level sibling with an earlier submit.
         self.level(job.attained_service()) as f64
-    }
-    fn preempt_rank_with_validity(&mut self, job: &JobView<'_>, now: i64) -> (f64, Option<i64>) {
-        // The rank is the discrete LAS level — a pure function of the job
-        // view that can only change when attained GPU-service crosses the
-        // next doubling threshold. A queued view is frozen; a running job
-        // attains `gpus` GPU·seconds per second, so the earliest possible
-        // crossing is a whole number of seconds away. One walk yields
-        // both the level and the next boundary (no pow calls).
-        let attained = job.attained_service();
-        let top = self.levels.saturating_sub(1);
-        let mut threshold = self.quantum;
-        let mut level = 0u32;
-        while level < top && attained >= threshold {
-            threshold *= 2.0;
-            level += 1;
-        }
-        let rank = level as f64;
-        if level >= top {
-            return (rank, Some(i64::MAX)); // terminal level: rank is final
-        }
-        let secs = ((threshold - attained) / job.job.gpus.max(1) as f64)
-            .ceil()
-            .max(1.0);
-        let horizon = if secs >= i64::MAX as f64 {
-            i64::MAX
-        } else {
-            now.saturating_add(secs as i64)
-        };
-        (rank, Some(horizon))
     }
 }
 

@@ -22,10 +22,8 @@
 //! mutations back on drop — no more whole-pool clones per blocked-head
 //! decision.
 
-use serde::{Deserialize, Serialize};
-
 /// Placement policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Placement {
     /// Paper default: best-fit, fewest nodes (reduces fragmentation and
     /// communication overhead).
@@ -42,7 +40,7 @@ pub enum Placement {
 /// overwhelmingly common shapes) are stored inline — no heap allocation
 /// on the simulator's start/finish hot path; wider multi-node gangs spill
 /// to a `Vec`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Allocation {
     inline: [(u32, u32); 2],
     len: u32,
@@ -195,10 +193,9 @@ impl NodeSet {
 
 /// One VC's nodes, bucketed by free-GPU count.
 ///
-/// Equality and the (marker) serde derives are defined over the logical
-/// state — `gpus_per_node` plus the per-node free counts; the buckets are
-/// derived indices.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Equality is defined over the logical state — `gpus_per_node` plus the
+/// per-node free counts; the buckets are derived indices.
+#[derive(Debug, Clone)]
 pub struct NodePool {
     gpus_per_node: u32,
     free: Vec<u32>,

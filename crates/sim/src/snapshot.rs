@@ -10,10 +10,8 @@
 //! ([`SchedulingPolicy::save_state`](crate::SchedulingPolicy::save_state)),
 //! and the failure state behind a presence byte.
 //!
-//! Deliberately *not* captured — state the equivalence test suite pins as
-//! outcome-neutral: the blocked-head memo (a pure performance cache),
-//! the scratch buffers, and registered observers (restore starts with
-//! none; re-attach as needed).
+//! Deliberately *not* captured: the scratch buffers and registered
+//! observers (restore starts with none; re-attach as needed).
 //!
 //! ## The frame
 //!
@@ -28,9 +26,8 @@
 //! The reader checks the magic, then the version (any other version is
 //! refused by number, never read), then the length, then the checksum,
 //! so a cut or a bit flip is refused before a field is decoded. Bodies
-//! are hand-written little-endian streams (the no-op vendored serde
-//! cannot serialize); decoding never panics, and every malformed input
-//! is a [`HeliosError::Snapshot`].
+//! are hand-written little-endian streams; decoding never panics, and
+//! every malformed input is a [`HeliosError::Snapshot`].
 //!
 //! There is one kernel encoder, over a borrowed view of the state. A
 //! live kernel lends its own arrays to it
@@ -46,10 +43,10 @@ use std::borrow::Cow;
 
 /// Frame magic of a serialized [`SimSnapshot`].
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"HSIMSNAP";
-/// Kernel snapshot frame version. Version 3 is the checksummed frame
-/// with the failure state behind a presence byte; versions 1 and 2 are
+/// Kernel snapshot frame version. Version 4 is the checksummed frame
+/// with the failure state behind a presence byte; versions 1 to 3 are
 /// refused by number.
-pub const SNAPSHOT_VERSION: u32 = 3;
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Bytes a frame adds around its body: magic, version, body length and
 /// the closing checksum.
@@ -66,9 +63,6 @@ pub struct SimSnapshot {
     pub placement: Placement,
     /// Kernel backfill knob at snapshot time.
     pub backfill: bool,
-    /// Blocked-head memoization toggle (outcome-neutral, preserved so a
-    /// resumed run keeps the same performance profile).
-    pub memo_enabled: bool,
     /// `policy.name()` at snapshot time; restore refuses a different
     /// discipline rather than silently diverging.
     pub policy_name: String,
@@ -177,7 +171,6 @@ impl VcSnap {
 pub(crate) struct SnapView<'a> {
     pub placement: Placement,
     pub backfill: bool,
-    pub memo_enabled: bool,
     pub policy_name: &'a str,
     pub spec_fingerprint: u64,
     pub horizon: i64,
@@ -583,7 +576,7 @@ impl SnapView<'_> {
             .as_ref()
             .map_or(0, |f| 512 + f.nodes.len() * 64 + f.events.len() * 24);
         FRAME_OVERHEAD
-            + 3
+            + 2
             + 8
             + self.policy_name.len()
             + 3 * 8
@@ -627,7 +620,6 @@ impl SnapView<'_> {
     fn encode_body(&self, w: &mut ByteWriter) {
         w.u8(placement_code(self.placement));
         w.u8(self.backfill as u8);
-        w.u8(self.memo_enabled as u8);
         w.str(self.policy_name);
         w.u64(self.spec_fingerprint);
         w.i64(self.horizon);
@@ -694,7 +686,6 @@ impl SnapView<'_> {
         SimSnapshot {
             placement: self.placement,
             backfill: self.backfill,
-            memo_enabled: self.memo_enabled,
             policy_name: self.policy_name.to_string(),
             spec_fingerprint: self.spec_fingerprint,
             horizon: self.horizon,
@@ -724,7 +715,6 @@ impl SimSnapshot {
         SnapView {
             placement: self.placement,
             backfill: self.backfill,
-            memo_enabled: self.memo_enabled,
             policy_name: &self.policy_name,
             spec_fingerprint: self.spec_fingerprint,
             horizon: self.horizon,
@@ -754,7 +744,6 @@ impl SimSnapshot {
         input.finish()?;
         let placement = placement_from(r.u8()?, &r)?;
         let backfill = r.u8()? != 0;
-        let memo_enabled = r.u8()? != 0;
         let policy_name = r.str()?;
         let spec_fingerprint = r.u64()?;
         let horizon = r.i64()?;
@@ -834,7 +823,6 @@ impl SimSnapshot {
         Ok(SimSnapshot {
             placement,
             backfill,
-            memo_enabled,
             policy_name,
             spec_fingerprint,
             horizon,
@@ -859,7 +847,6 @@ mod tests {
         SimSnapshot {
             placement: Placement::Scatter,
             backfill: true,
-            memo_enabled: false,
             policy_name: "FIFO".into(),
             spec_fingerprint: spec_fingerprint(&venus()),
             horizon: 12_345,
@@ -956,9 +943,9 @@ mod tests {
         // a type, so swapping two u64 fields would pass it; these pins
         // would not.
         let mut snap = sample();
-        assert_eq!(xxh64(&snap.to_bytes()), 0x30ad_7a55_94d1_d42b);
+        assert_eq!(xxh64(&snap.to_bytes()), 0x17d0_4b1d_2a6d_9cf7);
         snap.fault = Some(sample_fault());
-        assert_eq!(xxh64(&snap.to_bytes()), 0x1038_faa3_8c58_976d);
+        assert_eq!(xxh64(&snap.to_bytes()), 0xb6eb_b5e0_1495_bad9);
     }
 
     #[test]
@@ -1022,6 +1009,11 @@ mod tests {
         let mut wrong_magic = bytes.clone();
         wrong_magic[0] ^= 0xFF;
         assert!(SimSnapshot::from_bytes(&wrong_magic).is_err());
+        // Version 3 frames (one byte longer) are refused by number.
+        let mut version_three = bytes.clone();
+        version_three[8..12].copy_from_slice(&3u32.to_le_bytes());
+        let err = SimSnapshot::from_bytes(&version_three).unwrap_err();
+        assert!(err.to_string().contains("HSIMSNAP version 3 "), "{err}");
         let mut wrong_version = bytes;
         wrong_version[8] = 0xEE;
         let err = SimSnapshot::from_bytes(&wrong_version).unwrap_err();

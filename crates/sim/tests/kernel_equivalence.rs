@@ -104,49 +104,143 @@ fn policy_object_path_is_identical_to_enum_path() {
     }
 }
 
+/// FNV-1a over each outcome's id, start, end and preemption count — the
+/// fingerprint the `BENCH_*.json` files pin.
+fn outcome_digest(outcomes: &[JobOutcome]) -> String {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut mix = |v: u64| {
+        h ^= v;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    };
+    for o in outcomes {
+        mix(o.id);
+        mix(o.start as u64);
+        mix(o.end as u64);
+        mix(o.preemptions as u64);
+    }
+    format!("{h:016x}")
+}
+
 #[test]
-fn blocked_head_memo_is_outcome_invisible() {
-    // The kernel memoizes failed blocked-head decisions (skipping victim
-    // re-scans) whenever the policy grants rank-stability horizons. The
-    // memo must be a pure optimization: outcomes with it enabled are
-    // byte-identical to exhaustive per-event re-scanning, for preemptive
-    // policies with stable ranks (Tiresias), drifting ranks (SRTF), and
-    // non-preemptive policies (FIFO/SJF) alike.
+fn blocked_head_workloads_reproduce_pinned_digests() {
+    // Workloads that keep queue heads blocked across many events, under
+    // preemptive policies with stable ranks (Tiresias), short level
+    // quanta (Tiresias at 500 GPU·s, frequent level crossings), drifting
+    // ranks (SRTF) and non-preemptive orders (FIFO/SJF). The pins were
+    // computed before the kernel dropped its blocked-head cache, so they
+    // check that arrivals skipping a blocked VC and preemption scans
+    // without rank horizons still reach the same outcomes.
     use helios_sim::{FifoPolicy, SjfPolicy, SrtfPolicy, TiresiasPolicy};
     type Ctor = fn() -> Box<dyn helios_sim::SchedulingPolicy>;
-    let ctors: [Ctor; 5] = [
-        || Box::new(TiresiasPolicy::default()),
-        || {
+    let ctors: [(&str, Ctor); 5] = [
+        ("tiresias", || Box::new(TiresiasPolicy::default())),
+        ("tiresias-q500", || {
             Box::new(TiresiasPolicy {
-                quantum: 500.0, // frequent level crossings: short horizons
+                quantum: 500.0,
                 levels: 6,
             })
-        },
-        || Box::new(SrtfPolicy),
-        || Box::new(FifoPolicy),
-        || Box::new(SjfPolicy),
+        }),
+        ("srtf", || Box::new(SrtfPolicy)),
+        ("fifo", || Box::new(FifoPolicy)),
+        ("sjf", || Box::new(SjfPolicy)),
     ];
-    for preset in [venus(), saturn()] {
-        for seed in [11u64, 23, 47] {
-            let mut rng = ChaCha12Rng::seed_from_u64(seed);
-            let jobs = random_jobs(&preset, 400, &mut rng);
-            for ctor in &ctors {
-                let run = |memo: bool| {
-                    let mut sim = Simulator::new(&preset, ctor());
-                    sim.set_blocked_memo(memo);
-                    sim.push_jobs(&jobs).expect("valid workload");
-                    sim.run_to_completion();
-                    sim.drain_outcomes()
-                };
-                let with_memo = run(true);
-                let without = run(false);
-                assert_eq!(
-                    with_memo, without,
-                    "seed {seed}: memoized and exhaustive scans must agree"
-                );
-            }
+    // (preset, seed) → digests in `ctors` order.
+    let pinned: [(&str, u64, [&str; 5]); 6] = [
+        (
+            "venus",
+            11,
+            [
+                "68645b4a423328f6",
+                "70b10eff6aa68ef2",
+                "9dfcc17848dc6804",
+                "210bd4aee9737d98",
+                "13aa4d0ec21ac1c4",
+            ],
+        ),
+        (
+            "venus",
+            23,
+            [
+                "6326753053b66593",
+                "143f92c83fe7db02",
+                "14615b95190e7c31",
+                "56f9db5f95c60b2d",
+                "12b4726e82bcf3bb",
+            ],
+        ),
+        (
+            "venus",
+            47,
+            [
+                "97226246235a9a9f",
+                "04abb2716c391362",
+                "4729ba837da11abb",
+                "dc1cc8c268f67b52",
+                "5a6f55bc34e0521a",
+            ],
+        ),
+        (
+            "saturn",
+            11,
+            [
+                "937cd2460eac165f",
+                "550b3505e2359548",
+                "a6ac378458e5d630",
+                "c6697e3eed51bd78",
+                "b7fbc26ea4c413c2",
+            ],
+        ),
+        (
+            "saturn",
+            23,
+            [
+                "6a35259c780274b5",
+                "8399deac579b0d49",
+                "cc94f3c0456aa81b",
+                "613c38c29ca15c59",
+                "8fe23a731cf6287d",
+            ],
+        ),
+        (
+            "saturn",
+            47,
+            [
+                "8252969f7e55e071",
+                "276b1b150ca3d1d1",
+                "cd7879c7d564d38c",
+                "59f2fa82ab9ff9f8",
+                "9a9d435f1f4ea4fe",
+            ],
+        ),
+    ];
+    let mut preemptions = 0u64;
+    for (preset_name, seed, digests) in pinned {
+        let preset = if preset_name == "venus" {
+            venus()
+        } else {
+            saturn()
+        };
+        let mut rng = ChaCha12Rng::seed_from_u64(seed);
+        let jobs = random_jobs(&preset, 400, &mut rng);
+        for ((policy, ctor), want) in ctors.iter().zip(digests) {
+            let mut sim = Simulator::new(&preset, ctor());
+            sim.push_jobs(&jobs).expect("valid workload");
+            sim.run_to_completion();
+            let outcomes = sim.drain_outcomes();
+            assert_eq!(outcomes.len(), jobs.len());
+            preemptions += outcomes
+                .iter()
+                .map(|o| u64::from(o.preemptions))
+                .sum::<u64>();
+            assert_eq!(
+                outcome_digest(&outcomes),
+                want,
+                "{preset_name} seed {seed} {policy}"
+            );
         }
     }
+    // The preemptive half of the matrix must actually preempt.
+    assert_eq!(preemptions, 792);
 }
 
 /// Records the raw event stream for ordering assertions.

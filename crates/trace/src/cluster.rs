@@ -8,10 +8,9 @@ use crate::types::{ClusterId, VcId};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
-use serde::{Deserialize, Serialize};
 
 /// GPU generation installed in a cluster (Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GpuModel {
     Volta,
     Pascal,
@@ -32,7 +31,7 @@ impl GpuModel {
 
 /// One virtual cluster: a static, exclusive partition of whole nodes
 /// dedicated to a single tenant group (§2.1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VcSpec {
     /// Dense id within the cluster.
     pub id: VcId,
@@ -43,7 +42,7 @@ pub struct VcSpec {
 }
 
 /// A physical cluster: homogeneous nodes statically partitioned into VCs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
     pub id: ClusterId,
     /// Total compute nodes (Table 1 row "# of Nodes").

@@ -6,8 +6,6 @@
 //! window used by the paper spans 2017-10-01 .. 2017-12-14. Both are modelled
 //! as a [`Calendar`] anchored at their respective epoch.
 
-use serde::{Deserialize, Serialize};
-
 /// Seconds in one minute.
 pub const SECS_PER_MINUTE: i64 = 60;
 /// Seconds in one hour.
@@ -18,7 +16,7 @@ pub const SECS_PER_DAY: i64 = 86_400;
 pub const SECS_PER_WEEK: i64 = 7 * SECS_PER_DAY;
 
 /// Day of week, Monday-indexed (Monday = 0 .. Sunday = 6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Weekday {
     Monday,
     Tuesday,
@@ -67,7 +65,7 @@ impl Weekday {
 
 /// A trace-local calendar: a contiguous run of whole months starting at the
 /// epoch (`t = 0` is midnight on the first day of `month_names\[0\]`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Calendar {
     /// Human-readable month names, one per covered month.
     pub month_names: Vec<String>,

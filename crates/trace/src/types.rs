@@ -4,7 +4,6 @@
 //! the paper collects (§2.3): submission/start/end timing, resource demands,
 //! final status, and the (interned) job name used by the QSSF predictor.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a user within one cluster.
@@ -18,7 +17,7 @@ pub type NameId = u32;
 
 /// Final status of a job (§2.3.1). `Timeout` and `NodeFail` are "very rare"
 /// in the original traces and folded into `Failed`, as the paper does.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JobStatus {
     /// Finished successfully.
     Completed,
@@ -49,7 +48,7 @@ impl fmt::Display for JobStatus {
 }
 
 /// The four Helios clusters (Table 1) plus the Philly comparison cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ClusterId {
     Venus,
     Earth,
@@ -91,7 +90,7 @@ impl fmt::Display for ClusterId {
 /// [`crate::time::Calendar`]). `start >= submit` always holds after replay;
 /// `duration` is the execution time (not including queueing), so the job
 /// occupies its resources over `[start, start + duration)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobRecord {
     /// Unique id within the trace (dense, submission-ordered).
     pub id: JobId,
@@ -157,7 +156,7 @@ impl JobRecord {
 /// experiment with a new run index"); storing the base once keeps a
 /// multi-million-job trace compact while [`NamePool::display_name`] can
 /// reconstruct the full per-job string for name-similarity features.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct NamePool {
     names: Vec<String>,
 }

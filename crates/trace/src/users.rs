@@ -14,10 +14,9 @@ use crate::types::{NameId, NamePool, UserId, VcId};
 use crate::workload::{TemplateKind, WorkloadProfile};
 use rand::Rng;
 use rand_chacha::ChaCha12Rng;
-use serde::{Deserialize, Serialize};
 
 /// Broad user archetypes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UserClass {
     /// Product teams running large recurrent distributed training.
     Production,

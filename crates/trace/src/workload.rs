@@ -8,11 +8,10 @@
 //! submission shapes (Figs. 2–3), and the utilization band 65–90% (§3.1.1).
 
 use crate::types::ClusterId;
-use serde::{Deserialize, Serialize};
 
 /// What kind of work a job template performs. Kind determines the GPU-demand
 /// distribution, the duration scale and the status propensities.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TemplateKind {
     /// Short single-GPU debugging runs; fail often (Implication #6).
     Debug,
@@ -144,7 +143,7 @@ impl TemplateKind {
 /// are terminated within a short time"); Philly failures burn long runtimes
 /// because YARN retried failed jobs (§2.3.2), putting >1/3 of Philly GPU
 /// time into failed jobs (Fig. 1b).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StatusModel {
     Helios,
     Philly,

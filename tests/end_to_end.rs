@@ -3,8 +3,14 @@
 
 use helios_core::{CesService, CesServiceConfig, QssfConfig, QssfService};
 use helios_energy::node_series_from_trace;
-use helios_sim::{jobs_from_trace, schedule_stats, simulate, Placement, Policy, SimConfig};
-use helios_trace::{generate, venus_profile, GeneratorConfig, Trace, SECS_PER_DAY};
+use helios_sim::{
+    jobs_from_trace, schedule_stats, simulate, simulate_with, FaultConfig, FifoPolicy, JobOutcome,
+    KernelConfig, Placement, Policy, SchedulingPolicy, SimConfig, Simulator, SjfPolicy, SrtfPolicy,
+    TiresiasPolicy,
+};
+use helios_trace::{
+    generate, generate_helios, venus_profile, GeneratorConfig, Trace, SECS_PER_DAY,
+};
 
 fn trace() -> Trace {
     generate(
@@ -148,4 +154,127 @@ fn trace_roundtrips_through_csv() {
         assert_eq!(a.status, b.status);
         assert_eq!(t.names.base(a.name), names.base(b.name));
     }
+}
+
+/// FNV-1a over each outcome's id, start, end and preemption count — the
+/// digest the committed `BENCH_*.json` files pin.
+fn outcome_digest(outcomes: &[JobOutcome]) -> String {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut mix = |v: u64| {
+        h ^= v;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    };
+    for o in outcomes {
+        mix(o.id);
+        mix(o.start as u64);
+        mix(o.end as u64);
+        mix(o.preemptions as u64);
+    }
+    format!("{h:016x}")
+}
+
+/// The flat records of a committed `BENCH_*.json` file that carry an
+/// outcome digest, as `(key, raw value)` pairs. The vendored `serde_json`
+/// only writes JSON, so the records are scanned out of the text: every
+/// record is one brace-delimited object without nested objects.
+fn digest_records(file: &str) -> Vec<Vec<(String, String)>> {
+    let path = format!("{}/{file}", env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(&path).expect("committed at the repo root");
+    text.split('{')
+        .filter_map(|chunk| chunk.split_once('}').map(|(body, _)| body))
+        .filter(|body| body.contains("\"outcome_digest\""))
+        .map(|body| {
+            body.split(',')
+                .filter_map(|field| field.split_once(':'))
+                .map(|(k, v)| {
+                    let unquote = |t: &str| t.trim().trim_matches('"').to_string();
+                    (unquote(k), unquote(v))
+                })
+                .collect()
+        })
+        .collect()
+}
+
+fn field<'r>(record: &'r [(String, String)], key: &str) -> &'r str {
+    record
+        .iter()
+        .find(|(k, _)| k == key)
+        .map(|(_, v)| v.as_str())
+        .unwrap_or_else(|| panic!("record without `{key}`: {record:?}"))
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "four scale-1.0 clusters; run in release (`cargo test --release`)"
+)]
+fn scale_one_runs_reproduce_committed_bench_digests() {
+    // perfbench's `sched` grid at its pinned point (scale 1.0, seed 2020):
+    // each Helios cluster's September jobs under FIFO, SJF, SRTF and
+    // Tiresias, plus fault-injected FIFO on Venus and Saturn, against the
+    // digests and counts committed in BENCH_sched.json and
+    // BENCH_faults.json.
+    type Ctor = fn() -> Box<dyn SchedulingPolicy>;
+    let policies: [(&str, Ctor); 4] = [
+        ("FIFO", || Box::new(FifoPolicy)),
+        ("SJF", || Box::new(SjfPolicy)),
+        ("SRTF", || Box::new(SrtfPolicy)),
+        ("TIRESIAS", || Box::new(TiresiasPolicy::default())),
+    ];
+    let sched = digest_records("BENCH_sched.json");
+    let faults = digest_records("BENCH_faults.json");
+    let traces = generate_helios(&GeneratorConfig {
+        scale: 1.0,
+        seed: 2020,
+    })
+    .unwrap();
+    let (mut checked, mut fault_checked) = (0, 0);
+    for trace in &traces {
+        let cluster = trace.spec.id.name();
+        let (lo, hi) = trace.calendar.month_range(5);
+        let jobs = jobs_from_trace(trace, lo, hi);
+        for (policy, make) in policies {
+            let want = sched
+                .iter()
+                .find(|r| field(r, "cluster") == cluster && field(r, "policy") == policy)
+                .map(|r| field(r, "outcome_digest"))
+                .expect("BENCH_sched.json pins every cluster and policy");
+            let outcomes = simulate_with(&trace.spec, &jobs, make(), &KernelConfig::default())
+                .unwrap()
+                .outcomes;
+            assert_eq!(outcome_digest(&outcomes), want, "{cluster} {policy}");
+            checked += 1;
+        }
+        let Some(pin) = faults
+            .iter()
+            .find(|r| field(r, "cluster") == cluster && field(r, "policy") == "FIFO")
+        else {
+            continue;
+        };
+        let mut sim = Simulator::new(&trace.spec, Box::new(FifoPolicy));
+        sim.enable_faults(&FaultConfig::with_mtbf_hours(72.0).checkpoint_hours(2.0))
+            .unwrap();
+        sim.push_jobs(&jobs).unwrap();
+        sim.run_to_completion();
+        let mut outcomes = sim.drain_outcomes();
+        outcomes.sort_by_key(|o| o.id);
+        let stats = sim.fault_stats().unwrap();
+        assert_eq!(
+            outcome_digest(&outcomes),
+            field(pin, "outcome_digest"),
+            "{cluster}"
+        );
+        assert_eq!(
+            stats.failures.to_string(),
+            field(pin, "failures"),
+            "{cluster}"
+        );
+        assert_eq!(
+            stats.killed_jobs.to_string(),
+            field(pin, "killed_jobs"),
+            "{cluster}"
+        );
+        fault_checked += 1;
+    }
+    assert_eq!((checked, fault_checked), (16, 2));
 }

@@ -109,6 +109,23 @@ fn hang_chaos_recovery_digests_match_uninterrupted_run() {
             let mut baseline = run_streamed(&calm, cluster, 0..WAVES, PER_WAVE);
             baseline.extend(calm.shutdown().unwrap().pop().unwrap().1);
 
+            // A calm worker under the default watchdog: its pump publishes
+            // heartbeats every 128 events and never needs a restart.
+            let watched = Fleet::launch(
+                &single_cluster_config(cluster, policy).with_watchdog(WatchdogConfig::new()),
+            )
+            .unwrap();
+            let mut beating = run_streamed(&watched, cluster, 0..WAVES, PER_WAVE);
+            let health = watched.statuses()[0].health;
+            beating.extend(watched.shutdown().unwrap().pop().unwrap().1);
+            assert!(health.heartbeat_events > 0, "{cluster:?}: no heartbeat");
+            assert_eq!(health.restarts, 0, "{cluster:?}: calm worker restarted");
+            assert_eq!(
+                sorted_digest(beating),
+                sorted_digest(baseline.clone()),
+                "seed {seed} {cluster:?}: heartbeats changed the outcome stream"
+            );
+
             let chaos = ChaosConfig::seeded(seed).hang_at(70 + seed * 10);
             let stormy = Fleet::launch(
                 &single_cluster_config(cluster, policy)
@@ -244,6 +261,20 @@ fn shedding_sheds_heavy_vcs_first_with_hysteresis() {
         }
         other => panic!("expected FleetShedding for the heavy VC, got {other:?}"),
     }
+    // A refusal only counts itself: the backlog a saturated producer
+    // keeps hitting stays as it was.
+    let backlog = || {
+        let status = &fleet.statuses()[0];
+        (status.pending_ingest, status.health.shed_jobs)
+    };
+    let (pending, shed) = backlog();
+    for _ in 0..3 {
+        assert!(matches!(
+            fleet.submit(cluster, probe(id, 0)),
+            Err(HeliosError::FleetShedding { vc: 0, .. })
+        ));
+    }
+    assert_eq!(backlog(), (pending, shed + 3));
 
     // A light VC (empty backlog) keeps submitting while shedding is
     // engaged — per-VC fairness under overload.

@@ -5,8 +5,8 @@
 
 use helios_energy::EnergyAwarePolicy;
 use helios_sim::{
-    jobs_from_trace, FaultConfig, JobOutcome, Policy, SchedulingPolicy, SimSnapshot, Simulator,
-    SrtfPolicy, TiresiasPolicy, SNAPSHOT_VERSION,
+    jobs_from_trace, FaultConfig, JobOutcome, Policy, SchedulingPolicy, SimJob, SimSnapshot,
+    Simulator, SrtfPolicy, TiresiasPolicy, SNAPSHOT_VERSION,
 };
 use helios_trace::{generate, preset, profile_for, ClusterId, GeneratorConfig, HeliosError};
 
@@ -138,6 +138,96 @@ fn restore_rejects_mismatched_cluster_and_policy() {
         .err()
         .expect("cross-policy restore must fail");
     assert!(matches!(err, HeliosError::Snapshot { .. }), "{err}");
+}
+
+#[test]
+fn restore_refuses_unrunnable_allocations_and_queue_heads() {
+    // One 8-GPU gang running on a Venus VC. Each corruption below would
+    // panic inside the pool once the gang finished, so restore refuses it.
+    let spec = preset(ClusterId::Venus);
+    let job = SimJob {
+        id: 1,
+        vc: 0,
+        gpus: 8,
+        submit: 0,
+        duration: 600,
+        priority: 0.0,
+    };
+    let mut sim = Simulator::new(&spec, Policy::Fifo.build());
+    sim.push_jobs(&[job]).unwrap();
+    sim.run_until(0);
+    let snap = sim.snapshot();
+    let vc = &snap.vcs[0];
+    assert_eq!(vc.running_allocs, [[(0, 8)].into_iter().collect()]);
+    let idle = vc
+        .free
+        .iter()
+        .rposition(|&f| f == spec.gpus_per_node)
+        .unwrap() as u32;
+    let mut twin = Simulator::restore(&spec, Policy::Fifo.build(), &snap).unwrap();
+    twin.run_to_completion();
+    assert_eq!(twin.drain_outcomes().len(), 1);
+
+    let corrupt = |slices: &[(u32, u32)]| {
+        let mut bad = snap.clone();
+        bad.vcs[0].running_allocs[0] = slices.iter().copied().collect();
+        bad
+    };
+    let moved = |vc: u16| {
+        let mut bad = snap.clone();
+        bad.jobs[0].job.vc = vc;
+        bad
+    };
+    let cases: [(&str, SimSnapshot); 7] = [
+        ("node outside the VC", corrupt(&[(9999, 8)])),
+        ("a fully free node", corrupt(&[(idle, 8)])),
+        ("an empty slice", corrupt(&[(0, 8), (idle, 0)])),
+        ("fewer GPUs than requested", corrupt(&[(0, 4)])),
+        ("more GPUs than requested", corrupt(&[(0, 8), (idle, 1)])),
+        ("a job on a VC outside the cluster", moved(999)),
+        ("a job running under another VC", moved(1)),
+    ];
+    for (what, bad) in cases {
+        let refused = |snap: &SimSnapshot| {
+            matches!(
+                Simulator::restore(&spec, Policy::Fifo.build(), snap),
+                Err(HeliosError::Snapshot { .. })
+            )
+        };
+        assert!(refused(&bad), "{what}");
+        let decoded = SimSnapshot::from_bytes(&bad.to_bytes()).unwrap();
+        assert!(refused(&decoded), "{what}, through HSIMSNAP bytes");
+    }
+
+    // A queue head that fits the free GPUs is a state the kernel never
+    // leaves between events: a gang holding all but one node blocks a
+    // two-node job, which would fit were it a one-node job.
+    let gpn = spec.gpus_per_node;
+    let hog = SimJob {
+        gpus: spec.vc_gpus(0) - gpn,
+        ..job
+    };
+    let blocked = SimJob {
+        id: 2,
+        gpus: 2 * gpn,
+        ..job
+    };
+    let mut sim = Simulator::new(&spec, Policy::Fifo.build());
+    sim.push_jobs(&[hog, blocked]).unwrap();
+    sim.run_until(0);
+    let snap = sim.snapshot();
+    assert_eq!(snap.vcs[0].queue.len(), 1);
+    assert!(Simulator::restore(&spec, Policy::Fifo.build(), &snap).is_ok());
+    let mut fits = snap.clone();
+    fits.jobs[1].job.gpus = gpn;
+    let mut elsewhere = snap;
+    elsewhere.jobs[1].job.vc = 1;
+    for bad in [fits, elsewhere] {
+        let err = Simulator::restore(&spec, Policy::Fifo.build(), &bad)
+            .err()
+            .expect("refused");
+        assert!(matches!(err, HeliosError::Snapshot { .. }), "{err}");
+    }
 }
 
 #[test]
