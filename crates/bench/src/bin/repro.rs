@@ -14,26 +14,25 @@
 //!   --failures <H>  run every scheduler simulation under failure
 //!                   injection with the given per-node MTBF in hours
 //!                   (default: failure-free)
-//!   --bench-json <PATH>  write machine-readable perf records (wall time,
-//!                   jobs/sec, outcome digest) for every policy simulation
-//!                   the selected experiments ran — the BENCH_*.json
-//!                   perf-trajectory format; failure-injected runs land in
-//!                   its `faults` section (BENCH_faults.json), chaos
-//!                   recovery runs in its `resilience` section, and
-//!                   overload/shedding runs in its `overload` section
-//!                   (both BENCH_fleet.json)
+//!   --pin <PATH>    check the result pin at PATH: render one record
+//!                   (cluster, policy, jobs, outcome digest, outcome
+//!                   metrics) per simulation the experiments ran, under a
+//!                   header of the arguments above; unless PATH already
+//!                   holds exactly those bytes, rewrite it and exit 1
+//!                   naming the first differing line
 //!   --list          print the experiment ids and exit
 //! ```
 //!
 //! Several experiment ids may be given; they run in order and share one
-//! context, so a single `--bench-json` file can carry every section
-//! (e.g. `repro fleet-soak fleet-chaos --bench-json BENCH_fleet.json`).
+//! context, so one pin can carry all their records
+//! (e.g. `repro --pin BENCH_fleet.json fleet-soak fleet-chaos fleet-overload`).
 //!
 //! Outputs print to stdout and are mirrored under `<out-dir>/<id>.{txt,json}`.
-//! Unknown experiment ids and report-write failures exit non-zero.
+//! Unknown experiment ids, report-write failures and pin differences exit
+//! non-zero.
 
 use helios_bench::experiments::{
-    run, Context, ExperimentOutput, ALL_EXPERIMENTS, EXTRA_EXPERIMENTS,
+    run, Context, ExperimentOutput, ResultRecord, ALL_EXPERIMENTS, EXTRA_EXPERIMENTS,
 };
 use helios_trace::HeliosError;
 use std::io::Write;
@@ -46,14 +45,14 @@ struct Args {
     out_dir: PathBuf,
     policy: Option<String>,
     failures: Option<f64>,
-    bench_json: Option<PathBuf>,
+    pin: Option<PathBuf>,
     ids: Vec<String>,
 }
 
 const USAGE: &str = "usage: repro [--scale F] [--seed N] [--out-dir DIR] \
                      [--policy [drain:]fifo|sjf|srtf|qssf|tiresias|all] \
                      [--failures MTBF-HOURS] \
-                     [--bench-json PATH] [--list] <experiment-id>...|all";
+                     [--pin PATH] [--list] <experiment-id>...|all";
 
 fn parse_args() -> Result<Args, String> {
     let mut scale = 0.25f64;
@@ -61,7 +60,7 @@ fn parse_args() -> Result<Args, String> {
     let mut out_dir = PathBuf::from("reports");
     let mut policy = None;
     let mut failures = None;
-    let mut bench_json = None;
+    let mut pin = None;
     let mut ids = Vec::new();
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
@@ -84,10 +83,8 @@ fn parse_args() -> Result<Args, String> {
                 let v = argv.next().ok_or("--failures needs a value (MTBF hours)")?;
                 failures = Some(v.parse().map_err(|_| format!("invalid --failures {v:?}"))?);
             }
-            "--bench-json" => {
-                bench_json = Some(PathBuf::from(
-                    argv.next().ok_or("--bench-json needs a value")?,
-                ));
+            "--pin" => {
+                pin = Some(PathBuf::from(argv.next().ok_or("--pin needs a value")?));
             }
             "--list" => {
                 println!("all");
@@ -115,59 +112,43 @@ fn parse_args() -> Result<Args, String> {
         out_dir,
         policy,
         failures,
-        bench_json,
+        pin,
         ids,
     })
 }
 
-/// Write the perf trajectory file for `--bench-json`: run metadata plus
-/// one record per policy simulation the experiments executed.
-fn write_bench_json(path: &Path, args: &Args, ctx: &Context) -> Result<(), HeliosError> {
-    let records: Vec<serde_json::Value> = ctx.bench_records().iter().map(|r| r.to_json()).collect();
-    // Per-stage pipeline records (the `pipeline` experiment): one entry
-    // per (cluster, stage) with the stage's wall seconds.
-    let stages: Vec<serde_json::Value> = ctx.stage_records().iter().map(|r| r.to_json()).collect();
-    // Failure-injected run records (the `failure-soak` experiment):
-    // goodput, predictor precision/recall, and outcome digests.
-    let faults: Vec<serde_json::Value> = ctx.fault_records().iter().map(|r| r.to_json()).collect();
-    // Chaos recovery records (the `fleet-chaos` experiment): restarts,
-    // fallbacks, checkpoint write latency, recovery latency.
-    let resilience: Vec<serde_json::Value> = ctx
-        .resilience_records()
-        .iter()
-        .map(|r| r.to_json())
-        .collect();
-    // Overload records (the `fleet-overload` experiment): shed counts,
-    // VC fairness, status staleness, and the shed-vs-overflow digest pin.
-    let overload: Vec<serde_json::Value> =
-        ctx.overload_records().iter().map(|r| r.to_json()).collect();
-    // Scheduler experiments fan clusters x policies out over rayon, so
-    // wall times include sibling-simulation contention: record the host
-    // parallelism (also stamped into every individual record) so
-    // trajectories are only compared like-for-like.
-    let parallelism = helios_bench::experiments::run_parallelism();
+/// The `--pin` file: the arguments that shape the records, then the
+/// records in run order.
+fn render_pin(args: &Args, records: &[ResultRecord]) -> String {
     let doc = serde_json::json!({
-        "schema": "helios-bench/1",
+        "schema": helios_bench::pin::SCHEMA,
         "scale": args.scale,
         "seed": args.seed,
-        "experiment": args.ids.join("+"),
-        "parallelism": parallelism,
-        "note": "wall_secs measured under the parallel clusters x policies fan-out; compare only across runs with the same fan-out shape and parallelism",
-        "runs": records,
-        "stages": stages,
-        "faults": faults,
-        "resilience": resilience,
-        "overload": overload,
+        "policy": args.policy.clone(),
+        "failures": args.failures,
+        "experiments": args.ids.clone(),
+        "records": records.iter().map(ResultRecord::to_json).collect::<Vec<_>>(),
     });
-    let rendered = serde_json::to_string_pretty(&doc).map_err(|e| HeliosError::Io {
-        context: format!("serializing {}", path.display()),
-        message: e.to_string(),
-    })?;
-    let mut f = std::fs::File::create(path)
-        .map_err(|e| HeliosError::io(format!("creating {}", path.display()), &e))?;
-    writeln!(f, "{rendered}")
-        .map_err(|e| HeliosError::io(format!("writing {}", path.display()), &e))?;
-    Ok(())
+    let mut out = serde_json::to_string_pretty(&doc).expect("strings and numbers serialize");
+    out.push('\n');
+    out
+}
+
+/// Check the pin at `path`; on any difference rewrite it with this run's
+/// records and fail.
+fn check_pin(path: &Path, rendered: &str) -> Result<(), String> {
+    let shown = path.display().to_string();
+    let pinned = match std::fs::read_to_string(path) {
+        Ok(text) => Some(text),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+        Err(e) => return Err(format!("reading {shown}: {e}")),
+    };
+    helios_bench::pin::check(&shown, pinned.as_deref(), rendered).or_else(|diff| {
+        std::fs::write(path, rendered).map_err(|e| format!("writing {shown}: {e}"))?;
+        Err(format!(
+            "{diff}\nrewrote {shown} with this run's records; review them with `git diff`"
+        ))
+    })
 }
 
 fn write_reports(dir: &Path, out: &ExperimentOutput) -> Result<(), HeliosError> {
@@ -235,25 +216,13 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    if let Some(path) = &args.bench_json {
-        let n = ctx.bench_records().len();
-        let s = ctx.stage_records().len();
-        let f = ctx.fault_records().len();
-        let r = ctx.resilience_records().len();
-        let o = ctx.overload_records().len();
-        if let Err(e) = write_bench_json(path, &args, &ctx) {
+    if let Some(path) = &args.pin {
+        let records = ctx.records();
+        if let Err(e) = check_pin(path, &render_pin(&args, records)) {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
-        eprintln!(
-            "bench: {} policy-run, {} stage, {} fault, {} resilience, and {} overload records in {}",
-            n,
-            s,
-            f,
-            r,
-            o,
-            path.display()
-        );
+        eprintln!("pin: {} records match {}", records.len(), path.display());
     }
     eprintln!(
         "done: {} experiment(s), scale {}, seed {}, reports in {}",

@@ -1,6 +1,7 @@
 //! Per-experiment implementations. Each function regenerates one paper
 //! artifact (table or figure) as plain text (the rows/series the paper
-//! reports) plus a JSON value for machine consumption.
+//! reports) plus a JSON value for machine consumption; every simulation an
+//! experiment runs also leaves one [`ResultRecord`] in the [`Context`].
 
 use helios::SchedulePolicy;
 use helios_analysis::cdf::Cdf;
@@ -17,9 +18,9 @@ use helios_predict::{
     seasonal_naive, Arima, FourierForecaster, FourierParams, LstmForecaster, LstmParams,
 };
 use helios_sim::{
-    group_delay_ratios, jobs_from_trace, per_vc_queue_delay, schedule_stats, simulate,
-    simulate_with, FaultConfig, FifoPolicy, KernelConfig, Placement, Policy, SchedulingPolicy,
-    SimConfig, SimJob, Simulator,
+    group_delay_ratios, jobs_from_trace, outcome_digest, per_vc_queue_delay, schedule_stats,
+    simulate, simulate_with, FaultConfig, FifoPolicy, JobOutcome, KernelConfig, Placement, Policy,
+    SchedulingPolicy, SimConfig, SimJob, Simulator,
 };
 use helios_trace::{
     generate_helios, generate_philly, GeneratorConfig, HeliosError, Trace, SECS_PER_DAY,
@@ -27,7 +28,7 @@ use helios_trace::{
 use rayon::prelude::*;
 use serde_json::json;
 use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One experiment's rendered output.
 #[derive(Debug, Clone)]
@@ -37,267 +38,54 @@ pub struct ExperimentOutput {
     pub data: serde_json::Value,
 }
 
-/// Wall-time, throughput, and outcome digest of one policy simulation —
-/// the machine-readable perf record behind `repro --bench-json`.
-#[derive(Debug, Clone)]
-pub struct PolicyRunPerf {
+/// What one simulation of an experiment produced, never how long it
+/// took: the unit of the `repro --pin` result files.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ResultRecord {
+    /// Id of the experiment that ran the simulation.
+    pub experiment: String,
     pub cluster: String,
+    /// The policy object's name (`DRAIN+<inner>` when drain-wrapped).
     pub policy: String,
-    /// Jobs simulated (September evaluation window).
+    /// Jobs with an outcome.
     pub jobs: usize,
-    /// Wall-clock seconds for the simulate call (excludes trace
-    /// generation and QSSF training).
-    pub wall_secs: f64,
-    pub jobs_per_sec: f64,
-    /// FNV-1a over every outcome's (id, start, end, preemptions) — a
-    /// stable fingerprint that pins scheduling results across perf work.
-    pub outcome_digest: String,
-    /// Worker threads available when this record was measured
-    /// ([`run_parallelism`]) — wall times are only comparable
-    /// like-for-like.
-    pub parallelism: usize,
+    /// [`outcome_digest`] of the outcomes.
+    pub digest: String,
+    /// Outcome numbers by name: failures, goodput, restarts, sheds, ...
+    pub metrics: BTreeMap<&'static str, serde_json::Value>,
 }
 
-impl PolicyRunPerf {
+impl ResultRecord {
+    fn new(experiment: &str, cluster: &str, policy: &str, outcomes: &[JobOutcome]) -> Self {
+        ResultRecord {
+            experiment: experiment.to_string(),
+            cluster: cluster.to_string(),
+            policy: policy.to_string(),
+            jobs: outcomes.len(),
+            digest: outcome_digest(outcomes),
+            metrics: BTreeMap::new(),
+        }
+    }
+
+    fn metric(mut self, name: &'static str, value: impl Into<serde_json::Value>) -> Self {
+        self.metrics.insert(name, value.into());
+        self
+    }
+
     pub fn to_json(&self) -> serde_json::Value {
+        let mut metrics = serde_json::Map::new();
+        for (name, value) in &self.metrics {
+            metrics.insert(name.to_string(), value.clone());
+        }
         json!({
+            "experiment": self.experiment.clone(),
             "cluster": self.cluster.clone(),
             "policy": self.policy.clone(),
             "jobs": self.jobs,
-            "wall_secs": self.wall_secs,
-            "jobs_per_sec": self.jobs_per_sec,
-            "outcome_digest": self.outcome_digest.clone(),
-            "parallelism": self.parallelism,
+            "digest": self.digest.clone(),
+            "metrics": metrics,
         })
     }
-}
-
-/// Wall time of one façade pipeline stage on one cluster — the per-stage
-/// records the `pipeline` experiment feeds into `repro --bench-json`
-/// (the BENCH_pipeline.json trajectory).
-#[derive(Debug, Clone)]
-pub struct StagePerfRecord {
-    pub cluster: String,
-    /// Stage label (`generate`, `characterize`, `train_qssf`, `train_ces`,
-    /// `schedule:<policy>`, `report`, `pipeline`, or `total`).
-    pub stage: String,
-    pub wall_secs: f64,
-    /// Worker threads available when this record was measured
-    /// ([`run_parallelism`]).
-    pub parallelism: usize,
-}
-
-impl StagePerfRecord {
-    pub fn to_json(&self) -> serde_json::Value {
-        json!({
-            "cluster": self.cluster.clone(),
-            "stage": self.stage.clone(),
-            "wall_secs": self.wall_secs,
-            "parallelism": self.parallelism,
-        })
-    }
-}
-
-/// One failure-injected policy run: goodput, predictor quality, and the
-/// outcome digest — the machine-readable record behind the `faults`
-/// section of `repro --bench-json` (the BENCH_faults.json format).
-#[derive(Debug, Clone)]
-pub struct FaultRunRecord {
-    pub cluster: String,
-    /// Policy label; proactive-drain runs carry the wrapper's
-    /// `DRAIN+<inner>` name.
-    pub policy: String,
-    /// Jobs simulated (September evaluation window).
-    pub jobs: usize,
-    /// Node failures injected during the run.
-    pub failures: u64,
-    /// Gang kills those failures caused.
-    pub killed_jobs: u64,
-    /// Goodput ratio: useful / (useful + lost) GPU·hours.
-    pub goodput: f64,
-    /// GPU·hours of work lost to failure-induced kills.
-    pub lost_gpu_hours: f64,
-    /// Failure-predictor precision on its held-out split (the same
-    /// trained model scores both rows of a cluster's pair).
-    pub precision: f64,
-    /// Failure-predictor recall on its held-out split.
-    pub recall: f64,
-    pub wall_secs: f64,
-    /// FNV-1a over every outcome's (id, start, end, preemptions) — pins
-    /// the injected run including the failure sequence.
-    pub outcome_digest: String,
-    /// Worker threads available when this record was measured
-    /// ([`run_parallelism`]).
-    pub parallelism: usize,
-}
-
-impl FaultRunRecord {
-    pub fn to_json(&self) -> serde_json::Value {
-        json!({
-            "cluster": self.cluster.clone(),
-            "policy": self.policy.clone(),
-            "jobs": self.jobs,
-            "failures": self.failures,
-            "killed_jobs": self.killed_jobs,
-            "goodput": self.goodput,
-            "lost_gpu_hours": self.lost_gpu_hours,
-            "precision": self.precision,
-            "recall": self.recall,
-            "wall_secs": self.wall_secs,
-            "outcome_digest": self.outcome_digest.clone(),
-            "parallelism": self.parallelism,
-        })
-    }
-}
-
-/// One cluster's ledger from the `fleet-chaos` experiment: how much
-/// self-healing the chaos schedule forced (restarts, corrupt-generation
-/// fallbacks), what it cost (checkpoint write latency, recovery time),
-/// and whether the recovered outcome stream still matched the
-/// uninterrupted twin bit for bit — the `resilience` section of
-/// `repro --bench-json` (the BENCH_fleet.json format).
-#[derive(Debug, Clone)]
-pub struct ResilienceRecord {
-    pub cluster: String,
-    pub policy: String,
-    /// Jobs streamed through this cluster during the chaos run.
-    pub jobs: usize,
-    /// Supervisor restarts the injected panics forced.
-    pub restarts: u32,
-    /// Corrupt/undecodable checkpoint generations skipped during those
-    /// recoveries (each one is a successful fall-back to an older
-    /// generation).
-    pub fallbacks: u32,
-    /// Checkpoint generations written (launch + auto + post-recovery
-    /// re-baselines).
-    pub checkpoint_writes: u64,
-    /// Mean wall-clock checkpoint write latency, milliseconds.
-    pub checkpoint_write_ms_mean: f64,
-    /// Total wall-clock time spent in restore-and-replay recovery,
-    /// milliseconds.
-    pub recovery_ms_total: f64,
-    /// Mean wall-clock recovery latency per restart, milliseconds.
-    pub recovery_ms_mean: f64,
-    /// Whether the chaos run's outcome digest equals the uninterrupted
-    /// twin's — the crash-consistency pin. Always `true` in a committed
-    /// BENCH_fleet.json (a mismatch fails the experiment).
-    pub digest_match: bool,
-    /// FNV-1a over every outcome's (id, start, end, preemptions).
-    pub outcome_digest: String,
-    /// Wall-clock seconds of the whole chaos run on this fleet.
-    pub wall_secs: f64,
-    /// Worker threads available when this record was measured
-    /// ([`run_parallelism`]).
-    pub parallelism: usize,
-}
-
-impl ResilienceRecord {
-    pub fn to_json(&self) -> serde_json::Value {
-        json!({
-            "cluster": self.cluster.clone(),
-            "policy": self.policy.clone(),
-            "jobs": self.jobs,
-            "restarts": self.restarts,
-            "fallbacks": self.fallbacks,
-            "checkpoint_writes": self.checkpoint_writes,
-            "checkpoint_write_ms_mean": self.checkpoint_write_ms_mean,
-            "recovery_ms_total": self.recovery_ms_total,
-            "recovery_ms_mean": self.recovery_ms_mean,
-            "digest_match": self.digest_match,
-            "outcome_digest": self.outcome_digest.clone(),
-            "wall_secs": self.wall_secs,
-            "parallelism": self.parallelism,
-        })
-    }
-}
-
-/// One cluster's ledger from the `fleet-overload` experiment: how much
-/// load the adaptive admission control shed under a sustained ≥2×
-/// overload, whether the shedding stayed VC-fair (heavy VC only), what
-/// the deadline-bounded status path observed while the worker was
-/// saturated, and whether disabling shedding reproduced the legacy
-/// FleetOverflow stream bit for bit — the `overload` section of
-/// `repro --bench-json` (the BENCH_fleet.json format).
-#[derive(Debug, Clone)]
-pub struct OverloadRecord {
-    pub cluster: String,
-    pub policy: String,
-    /// Jobs eventually admitted (all of them — shed submissions are
-    /// retried after a drain cycle).
-    pub jobs: usize,
-    /// Offered load per admission cycle over total ingestion capacity.
-    pub overload_factor: f64,
-    /// Shed decisions counted by the fleet ([`FleetHealth::shed_jobs`](helios_fleet::FleetHealth)).
-    pub shed_jobs: u64,
-    /// Driver-observed sheds on the deliberately heavy VC.
-    pub shed_heavy_vc: u64,
-    /// Driver-observed sheds on every light VC (fairness pins this to 0).
-    pub shed_light_vcs: u64,
-    /// FleetOverflow refusals the shedding-disabled twin hit instead.
-    pub twin_overflows: u64,
-    /// `status_within` samples taken while the run was saturated.
-    pub status_samples: u64,
-    /// p99 of the sampled snapshot staleness, in admission cycles.
-    pub status_p99_age_cycles: u64,
-    /// Samples answered in degraded mode (lock miss or unhealthy worker).
-    pub status_degraded: u64,
-    /// Whether the shedding run's outcome digest equals the
-    /// shedding-disabled twin's. Always `true` in a committed
-    /// BENCH_fleet.json (a mismatch fails the experiment).
-    pub digest_match: bool,
-    /// FNV-1a over every outcome's (id, start, end, preemptions).
-    pub outcome_digest: String,
-    /// Wall-clock seconds of the shedding run on this fleet.
-    pub wall_secs: f64,
-    /// Worker threads available when this record was measured
-    /// ([`run_parallelism`]).
-    pub parallelism: usize,
-}
-
-impl OverloadRecord {
-    pub fn to_json(&self) -> serde_json::Value {
-        json!({
-            "cluster": self.cluster.clone(),
-            "policy": self.policy.clone(),
-            "jobs": self.jobs,
-            "overload_factor": self.overload_factor,
-            "shed_jobs": self.shed_jobs,
-            "shed_heavy_vc": self.shed_heavy_vc,
-            "shed_light_vcs": self.shed_light_vcs,
-            "twin_overflows": self.twin_overflows,
-            "status_samples": self.status_samples,
-            "status_p99_age_cycles": self.status_p99_age_cycles,
-            "status_degraded": self.status_degraded,
-            "digest_match": self.digest_match,
-            "outcome_digest": self.outcome_digest.clone(),
-            "wall_secs": self.wall_secs,
-            "parallelism": self.parallelism,
-        })
-    }
-}
-
-/// Worker/thread count of this run — stamped into every perf record so
-/// trajectories are only ever compared like-for-like.
-pub fn run_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Stable FNV-1a fingerprint of a scheduling result.
-pub fn outcome_digest(outcomes: &[helios_sim::JobOutcome]) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for o in outcomes {
-        mix(o.id);
-        mix(o.start as u64);
-        mix(o.end as u64);
-        mix(o.preemptions as u64);
-    }
-    format!("{h:016x}")
 }
 
 /// Cached scheduler comparison for one cluster.
@@ -305,9 +93,30 @@ pub struct SchedulerRun {
     pub cluster: String,
     /// Policy label -> outcomes, keyed in label order so report
     /// iteration is digest-stable.
-    pub outcomes: BTreeMap<&'static str, Vec<helios_sim::JobOutcome>>,
-    /// Per-policy wall-time records, in the order the policies ran.
-    pub perf: Vec<PolicyRunPerf>,
+    pub outcomes: BTreeMap<&'static str, Vec<JobOutcome>>,
+    /// One record per policy run, in the order the policies ran.
+    pub records: Vec<ResultRecord>,
+}
+
+impl SchedulerRun {
+    /// Collect `(label, policy name, outcomes)` runs in run order.
+    fn new(
+        cluster: String,
+        experiment: &str,
+        runs: Vec<(&'static str, String, Vec<JobOutcome>)>,
+    ) -> Self {
+        let mut out = SchedulerRun {
+            cluster,
+            outcomes: BTreeMap::new(),
+            records: Vec::new(),
+        };
+        for (label, name, outcomes) in runs {
+            let record = ResultRecord::new(experiment, &out.cluster, &name, &outcomes);
+            out.records.push(record);
+            out.outcomes.insert(label, outcomes);
+        }
+        out
+    }
 }
 
 /// Shared, lazily-computed experiment state.
@@ -321,25 +130,16 @@ pub struct Context {
     sched_philly: Option<SchedulerRun>,
     ces: Option<Vec<(String, CesEvaluation)>>,
     ces_philly: Option<(String, CesEvaluation)>,
-    stages: Vec<StagePerfRecord>,
-    /// Perf records produced by the `fleet-soak` experiment (empty unless
-    /// it ran) — merged into [`Context::bench_records`].
-    fleet_perf: Vec<PolicyRunPerf>,
     /// Fault model every scheduler simulation runs under (`repro
     /// --failures <mtbf-hours>`); `None` = failure-free, the default.
     faults: Option<FaultConfig>,
     /// Wrap every selected policy in the proactive-drain layer (`repro
     /// --policy drain:<inner>`).
     drain: bool,
-    /// Records produced by the `failure-soak` experiment (empty unless it
-    /// ran) — serialized as the `faults` section of `--bench-json`.
-    faults_perf: Vec<FaultRunRecord>,
-    /// Records produced by the `fleet-chaos` experiment (empty unless it
-    /// ran) — serialized as the `resilience` section of `--bench-json`.
-    resilience: Vec<ResilienceRecord>,
-    /// Records produced by the `fleet-overload` experiment (empty unless
-    /// it ran) — serialized as the `overload` section of `--bench-json`.
-    overload: Vec<OverloadRecord>,
+    /// The experiment [`run`] is executing; it names new records.
+    experiment: String,
+    /// Every simulation's record, in run order.
+    records: Vec<ResultRecord>,
 }
 
 impl Context {
@@ -359,13 +159,10 @@ impl Context {
             sched_philly: None,
             ces: None,
             ces_philly: None,
-            stages: Vec::new(),
-            fleet_perf: Vec::new(),
             faults: None,
             drain: false,
-            faults_perf: Vec::new(),
-            resilience: Vec::new(),
-            overload: Vec::new(),
+            experiment: String::new(),
+            records: Vec::new(),
         })
     }
 
@@ -477,11 +274,14 @@ impl Context {
             );
             let faults = self.faults;
             let drain = self.drain;
+            let experiment = &self.experiment;
             let runs: Vec<SchedulerRun> = traces
                 .par_iter()
                 .with_min_len(1)
-                .map(|t| run_schedulers_with(t, &policies, faults.as_ref(), drain))
+                .map(|t| run_schedulers_with(t, &policies, faults.as_ref(), drain, experiment))
                 .collect();
+            self.records
+                .extend(runs.iter().flat_map(|r| r.records.iter().cloned()));
             self.sched = Some(runs);
         }
         self.sched.as_ref().unwrap()
@@ -501,7 +301,7 @@ impl Context {
             let (lo, hi) = (t.calendar.month_start(0), t.calendar.month_end(1));
             let base = jobs_from_trace(t, lo, hi);
             let kcfg = KernelConfig::default();
-            let results: Vec<(&'static str, PolicyRunPerf, Vec<helios_sim::JobOutcome>)> = policies
+            let results: Vec<(&'static str, String, Vec<JobOutcome>)> = policies
                 .par_iter()
                 .with_min_len(1)
                 .map(|&label| {
@@ -516,72 +316,22 @@ impl Context {
                         &base
                     };
                     let policy = maybe_drain(policy.build(), faults.as_ref(), drain);
-                    timed_run(
-                        "Philly",
-                        label,
-                        &t.spec,
-                        jobs_ref,
-                        policy,
-                        &kcfg,
-                        faults.as_ref(),
-                    )
+                    let (name, outcomes) =
+                        simulate_policy(&t.spec, jobs_ref, policy, &kcfg, faults.as_ref());
+                    (label, name, outcomes)
                 })
                 .collect();
-            let mut outcomes = BTreeMap::new();
-            let mut perf = Vec::new();
-            for (label, p, o) in results {
-                perf.push(p);
-                outcomes.insert(label, o);
-            }
-            self.sched_philly = Some(SchedulerRun {
-                cluster: "Philly".into(),
-                outcomes,
-                perf,
-            });
+            let run = SchedulerRun::new("Philly".into(), &self.experiment, results);
+            self.records.extend(run.records.iter().cloned());
+            self.sched_philly = Some(run);
         }
         self.sched_philly.as_ref().unwrap()
     }
 
-    /// Every per-policy wall-time record the scheduler experiments have
-    /// produced so far (Helios clusters first, then Philly if run) — the
-    /// payload behind `repro --bench-json`.
-    pub fn bench_records(&self) -> Vec<&PolicyRunPerf> {
-        let mut out = Vec::new();
-        if let Some(runs) = &self.sched {
-            out.extend(runs.iter().flat_map(|r| r.perf.iter()));
-        }
-        if let Some(run) = &self.sched_philly {
-            out.extend(run.perf.iter());
-        }
-        out.extend(self.fleet_perf.iter());
-        out
-    }
-
-    /// Per-stage wall-time records produced by the `pipeline` experiment
-    /// (empty unless it ran) — serialized into `repro --bench-json`.
-    pub fn stage_records(&self) -> &[StagePerfRecord] {
-        &self.stages
-    }
-
-    /// Failure-injected run records produced by the `failure-soak`
-    /// experiment (empty unless it ran) — the `faults` section of
-    /// `repro --bench-json` (BENCH_faults.json).
-    pub fn fault_records(&self) -> &[FaultRunRecord] {
-        &self.faults_perf
-    }
-
-    /// Chaos-run resilience records produced by the `fleet-chaos`
-    /// experiment (empty unless it ran) — the `resilience` section of
-    /// `repro --bench-json` (BENCH_fleet.json).
-    pub fn resilience_records(&self) -> &[ResilienceRecord] {
-        &self.resilience
-    }
-
-    /// Overload-run records produced by the `fleet-overload` experiment
-    /// (empty unless it ran) — the `overload` section of
-    /// `repro --bench-json` (BENCH_fleet.json).
-    pub fn overload_records(&self) -> &[OverloadRecord] {
-        &self.overload
+    /// The record of every simulation the experiments ran so far, in run
+    /// order — the payload of `repro --pin`.
+    pub fn records(&self) -> &[ResultRecord] {
+        &self.records
     }
 
     /// CES evaluations: September 1–21 on each Helios cluster, one
@@ -676,26 +426,17 @@ fn maybe_drain(
     )
 }
 
-/// Simulate one policy over one job set, timing the kernel run and
-/// fingerprinting its outcomes; with a fault model the kernel runs under
-/// failure injection. Note: scheduler experiments fan out over rayon, so
-/// `wall_secs` includes whatever core contention the sibling simulations
-/// cause — compare records only across runs with the same fan-out shape
-/// (the `--bench-json` metadata records the parallelism).
-fn timed_run(
-    cluster: &str,
-    label: &'static str,
+/// Simulate one policy over one job set, under failure injection when a
+/// fault model is given. Returns the policy's name (drain-wrapped runs
+/// report the wrapper's `DRAIN+<inner>`) and the outcomes.
+fn simulate_policy(
     spec: &helios_trace::ClusterSpec,
     jobs: &[SimJob],
     policy: Box<dyn SchedulingPolicy>,
     kcfg: &KernelConfig,
     faults: Option<&FaultConfig>,
-) -> (&'static str, PolicyRunPerf, Vec<helios_sim::JobOutcome>) {
-    // Drain-wrapped runs report the wrapper's `DRAIN+<inner>` name so the
-    // perf records distinguish them; `label` stays the inner policy (the
-    // experiments' column key).
-    let policy_name = policy.name().to_string();
-    let started = Instant::now();
+) -> (String, Vec<JobOutcome>) {
+    let name = policy.name().to_string();
     let outcomes = match faults {
         None => {
             simulate_with(spec, jobs, policy, kcfg)
@@ -711,39 +452,26 @@ fn timed_run(
             sim.drain_outcomes()
         }
     };
-    let wall_secs = started.elapsed().as_secs_f64();
-    let perf = PolicyRunPerf {
-        cluster: cluster.to_string(),
-        policy: policy_name,
-        jobs: jobs.len(),
-        wall_secs,
-        jobs_per_sec: if wall_secs > 0.0 {
-            jobs.len() as f64 / wall_secs
-        } else {
-            f64::INFINITY
-        },
-        outcome_digest: outcome_digest(&outcomes),
-        parallelism: run_parallelism(),
-    };
-    (label, perf, outcomes)
+    (name, outcomes)
 }
 
 /// Run the selected scheduling policies on one cluster's September jobs
 /// through the pluggable kernel, one policy per rayon thread, with an
 /// optional fault model (failure injection in every kernel) and optional
-/// proactive-drain wrapping of each policy.
+/// proactive-drain wrapping of each policy. `experiment` names the
+/// records.
 pub fn run_schedulers_with(
     trace: &Trace,
     policies: &[&'static str],
     faults: Option<&FaultConfig>,
     drain: bool,
+    experiment: &str,
 ) -> SchedulerRun {
     let cal = &trace.calendar;
     let (lo, hi) = cal.month_range(5); // September
     let base = jobs_from_trace(trace, lo, hi);
     let kcfg = KernelConfig::default();
-    let cluster = trace.spec.id.name().to_string();
-    let results: Vec<(&'static str, PolicyRunPerf, Vec<helios_sim::JobOutcome>)> = policies
+    let results: Vec<(&'static str, String, Vec<JobOutcome>)> = policies
         .par_iter()
         .with_min_len(1)
         .map(|&label| {
@@ -758,28 +486,12 @@ pub fn run_schedulers_with(
             } else {
                 &base
             };
-            timed_run(
-                &cluster,
-                label,
-                &trace.spec,
-                jobs,
-                maybe_drain(policy.build(), faults, drain),
-                &kcfg,
-                faults,
-            )
+            let policy = maybe_drain(policy.build(), faults, drain);
+            let (name, outcomes) = simulate_policy(&trace.spec, jobs, policy, &kcfg, faults);
+            (label, name, outcomes)
         })
         .collect();
-    let mut outcomes = BTreeMap::new();
-    let mut perf = Vec::new();
-    for (label, p, o) in results {
-        perf.push(p);
-        outcomes.insert(label, o);
-    }
-    SchedulerRun {
-        cluster,
-        outcomes,
-        perf,
-    }
+    SchedulerRun::new(trace.spec.id.name().to_string(), experiment, results)
 }
 
 /// Labels of every shipped scheduler-experiment policy, canonical column
@@ -1927,115 +1639,35 @@ fn ablation_backfill(ctx: &mut Context) -> ExperimentOutput {
     }
 }
 
-// ---------------------------------------------------------------------------
-// End-to-end pipeline throughput
-// ---------------------------------------------------------------------------
-
-/// Full façade pipeline per Helios cluster with per-stage wall times:
-/// `generate → (characterize ∥ train_qssf ∥ train_ces) → schedule(FIFO,
-/// QSSF) → report`, one `Session::pipeline` run per cluster. Regenerates
-/// the README "Performance" per-stage table; `repro --bench-json` persists
-/// the records (the `BENCH_pipeline.json` trajectory).
-fn pipeline_exp(ctx: &mut Context) -> ExperimentOutput {
-    use helios::prelude::*;
-    let mut rows: Vec<StagePerfRecord> = Vec::new();
-    let mut table = TextTable::new(vec!["stage", "Venus", "Earth", "Saturn", "Uranus"]);
-    let mut per_cluster: Vec<(String, Vec<(String, f64)>)> = Vec::new();
-    for preset in Preset::HELIOS {
-        let total = Instant::now();
-        let mut session = Helios::cluster(preset)
-            .scale(ctx.cfg.scale)
-            .seed(ctx.cfg.seed)
-            .build()
-            .expect("config validated in Context::new");
-        session
-            .pipeline()
-            .and_then(|s| s.schedule(SchedulePolicy::Fifo))
-            .and_then(|s| s.schedule(SchedulePolicy::Qssf))
-            .expect("pipeline stages on a valid config");
-        let report = session.report().expect("trace generated");
-        let mut stages: Vec<(String, f64)> = report
-            .stage_perf
-            .iter()
-            .map(|s| (s.stage.clone(), s.wall_secs))
-            .collect();
-        stages.push(("total".into(), total.elapsed().as_secs_f64()));
-        for (stage, wall_secs) in &stages {
-            rows.push(StagePerfRecord {
-                cluster: preset.name().to_string(),
-                stage: stage.clone(),
-                wall_secs: *wall_secs,
-                parallelism: run_parallelism(),
-            });
-        }
-        per_cluster.push((preset.name().to_string(), stages));
-    }
-    let stage_order: Vec<String> = per_cluster[0].1.iter().map(|(s, _)| s.clone()).collect();
-    for stage in &stage_order {
-        let cells: Vec<String> = per_cluster
-            .iter()
-            .map(|(_, stages)| {
-                stages
-                    .iter()
-                    .find(|(s, _)| s == stage)
-                    .map(|(_, w)| format!("{w:.3}s"))
-                    .unwrap_or_else(|| "-".into())
-            })
-            .collect();
-        table.row(
-            std::iter::once(stage.clone())
-                .chain(cells)
-                .collect::<Vec<_>>(),
-        );
-    }
-    let data = json!(rows.iter().map(|r| r.to_json()).collect::<Vec<_>>());
-    ctx.stages = rows;
-    ExperimentOutput {
-        id: "pipeline".into(),
-        text: format!(
-            "Pipeline throughput: per-stage wall time of the full session \
-             (scale {}, characterize/train stages overlapped via Session::pipeline)\n{}",
-            ctx.cfg.scale,
-            table.render()
-        ),
-        data,
-    }
-}
-
 /// `fleet-soak`: the scheduler-as-a-service soak. All five presets are
 /// hosted concurrently by one [`helios_fleet::Fleet`]; 100k jobs stream
 /// through the sharded per-VC ingestion queues in waves while live
-/// status/ETA queries are answered mid-run. Produces the
-/// `BENCH_fleet.json` records: per-cluster outcome digests (the
-/// determinism pin), aggregate ingestion throughput (jobs/sec into the
-/// shards), and mean status-query latency.
+/// status queries are answered between admission cycles. Each cluster's
+/// outcome digest is the determinism pin.
 fn fleet_soak(ctx: &mut Context) -> Result<ExperimentOutput, HeliosError> {
     use helios_fleet::{Fleet, FleetConfig};
 
     const WAVES: usize = 40;
     const JOBS_PER_CLUSTER_PER_WAVE: usize = 500; // 5 clusters x 40 x 500 = 100k
     const WAVE_SECS: i64 = 360;
+    const POLICY: Policy = Policy::Fifo;
 
     eprintln!(
         "[ctx] fleet soak: 5 concurrent clusters, {} streamed jobs each...",
         WAVES * JOBS_PER_CLUSTER_PER_WAVE
     );
-    let fleet = Fleet::launch(&FleetConfig::all_presets(Policy::Fifo))?;
+    let fleet = Fleet::launch(&FleetConfig::all_presets(POLICY))?;
     let clusters = fleet.clusters();
     let mut nvcs = Vec::with_capacity(clusters.len());
     for &c in &clusters {
         nvcs.push(fleet.status(c)?.vcs.len());
     }
 
-    let started = Instant::now();
-    let mut submit_nanos = 0u128;
-    let mut query_nanos = 0u128;
     let mut queries = 0u64;
     let mut next_id = 0u64;
     for wave in 0..WAVES {
         let floor = wave as i64 * WAVE_SECS;
         for (ci, &cluster) in clusters.iter().enumerate() {
-            let t0 = Instant::now();
             for k in 0..JOBS_PER_CLUSTER_PER_WAVE {
                 let job = SimJob {
                     id: next_id,
@@ -2056,15 +1688,12 @@ fn fleet_soak(ctx: &mut Context) -> Result<ExperimentOutput, HeliosError> {
                 }
                 next_id += 1;
             }
-            submit_nanos += t0.elapsed().as_nanos();
         }
         fleet.advance((wave as i64 + 1) * WAVE_SECS)?;
         // Live reads between admission cycles — the query-path half of
         // the soak.
         for &cluster in &clusters {
-            let q0 = Instant::now();
             let status = fleet.status(cluster)?;
-            query_nanos += q0.elapsed().as_nanos();
             queries += 1;
             if status.pending_ingest != 0 {
                 return Err(HeliosError::invalid_config(
@@ -2075,99 +1704,46 @@ fn fleet_soak(ctx: &mut Context) -> Result<ExperimentOutput, HeliosError> {
         }
     }
     let per_cluster = fleet.shutdown()?;
-    let wall_secs = started.elapsed().as_secs_f64();
     let submitted = next_id;
 
-    let submit_secs = submit_nanos as f64 / 1e9;
-    let ingest_jps = if submit_secs > 0.0 {
-        submitted as f64 / submit_secs
-    } else {
-        f64::INFINITY
-    };
-    let query_secs = query_nanos as f64 / 1e9;
-    let query_lat_us = if queries > 0 {
-        query_nanos as f64 / queries as f64 / 1e3
-    } else {
-        0.0
-    };
-    let parallelism = run_parallelism();
-
+    let policy = format!("{POLICY:?}").to_uppercase();
     let mut table = TextTable::new(vec!["cluster", "jobs", "outcome digest"]);
     let mut rows_json = Vec::new();
-    for (cluster, outcomes) in &per_cluster {
-        let mut sorted = outcomes.clone();
-        sorted.sort_by_key(|o| o.id);
-        let digest = outcome_digest(&sorted);
-        if sorted.len() != submitted as usize / clusters.len() {
+    for (cluster, mut outcomes) in per_cluster {
+        outcomes.sort_by_key(|o| o.id);
+        if outcomes.len() != submitted as usize / clusters.len() {
             return Err(HeliosError::invalid_config(
                 "fleet_soak",
                 format!(
                     "{}: {} outcomes for {} submissions",
                     cluster.name(),
-                    sorted.len(),
+                    outcomes.len(),
                     submitted as usize / clusters.len()
                 ),
             ));
         }
+        let record = ResultRecord::new(&ctx.experiment, cluster.name(), &policy, &outcomes);
         table.row(vec![
-            cluster.name().to_string(),
-            fmt_count(sorted.len() as u64),
-            digest.clone(),
+            record.cluster.clone(),
+            fmt_count(record.jobs as u64),
+            record.digest.clone(),
         ]);
-        rows_json.push(json!({
-            "cluster": cluster.name(),
-            "jobs": sorted.len(),
-            "outcome_digest": digest.clone(),
-        }));
-        ctx.fleet_perf.push(PolicyRunPerf {
-            cluster: cluster.name().to_string(),
-            policy: "FLEET-SOAK".into(),
-            jobs: sorted.len(),
-            wall_secs,
-            jobs_per_sec: sorted.len() as f64 / wall_secs.max(f64::MIN_POSITIVE),
-            outcome_digest: digest,
-            parallelism,
-        });
+        rows_json.push(record.to_json());
+        ctx.records.push(record);
     }
-    ctx.fleet_perf.push(PolicyRunPerf {
-        cluster: "ALL".into(),
-        policy: "FLEET-INGEST".into(),
-        jobs: submitted as usize,
-        wall_secs: submit_secs,
-        jobs_per_sec: ingest_jps,
-        outcome_digest: outcome_digest(&[]),
-        parallelism,
-    });
-    ctx.fleet_perf.push(PolicyRunPerf {
-        cluster: "ALL".into(),
-        policy: "FLEET-QUERY".into(),
-        jobs: queries as usize,
-        wall_secs: query_secs,
-        jobs_per_sec: queries as f64 / query_secs.max(f64::MIN_POSITIVE),
-        outcome_digest: outcome_digest(&[]),
-        parallelism,
-    });
 
     let text = format!(
-        "Fleet soak: {} jobs streamed across {} concurrent clusters in {:.2}s \
-         (ingestion {:.0} jobs/sec into the shards; {} live status queries, \
-         mean {:.1}us each)\n{}",
+        "Fleet soak: {} jobs streamed across {} concurrent clusters, \
+         {} live status queries between admission cycles\n{}",
         submitted,
         clusters.len(),
-        wall_secs,
-        ingest_jps,
         queries,
-        query_lat_us,
         table.render()
     );
     let data = json!({
         "submitted": submitted,
         "clusters": clusters.len(),
-        "wall_secs": wall_secs,
-        "ingest_jobs_per_sec": ingest_jps,
         "queries": queries,
-        "query_latency_us_mean": query_lat_us,
-        "parallelism": parallelism,
         "per_cluster": rows_json,
     });
     Ok(ExperimentOutput {
@@ -2184,9 +1760,8 @@ fn fleet_soak(ctx: &mut Context) -> Result<ExperimentOutput, HeliosError> {
 /// forced through the corrupt-newest fall-back path. An identical
 /// chaos-free twin fleet runs the same job stream; the experiment fails
 /// (typed error, never a panic) unless every cluster's recovered outcome
-/// digest matches its uninterrupted twin bit for bit. Produces the
-/// `resilience` records of `BENCH_fleet.json`: restarts, fallbacks,
-/// checkpoint write latency, and recovery latency.
+/// digest matches its uninterrupted twin bit for bit. Each cluster's
+/// record carries its restarts, fallbacks and checkpoint writes.
 fn fleet_chaos(ctx: &mut Context) -> Result<ExperimentOutput, HeliosError> {
     use helios_fleet::{ChaosConfig, CheckpointConfig, ClusterConfig, Fleet, FleetConfig};
     use helios_trace::ClusterId;
@@ -2266,12 +1841,12 @@ fn fleet_chaos(ctx: &mut Context) -> Result<ExperimentOutput, HeliosError> {
         }
         Ok(())
     };
-    let digests = |per_cluster: Vec<(ClusterId, Vec<helios_sim::JobOutcome>)>| {
+    let sorted = |per_cluster: Vec<(ClusterId, Vec<JobOutcome>)>| {
         per_cluster
             .into_iter()
             .map(|(cluster, mut outcomes)| {
                 outcomes.sort_by_key(|o| o.id);
-                (cluster, outcomes.len(), outcome_digest(&outcomes))
+                (cluster, outcomes)
             })
             .collect::<Vec<_>>()
     };
@@ -2280,7 +1855,6 @@ fn fleet_chaos(ctx: &mut Context) -> Result<ExperimentOutput, HeliosError> {
     for &at in &PANIC_EVENTS {
         chaos = chaos.panic_at(at);
     }
-    let started = Instant::now();
     let fleet = Fleet::launch(&topology(Some(chaos)))?;
     stream(&fleet)?;
     let health: Vec<_> = fleet
@@ -2288,14 +1862,12 @@ fn fleet_chaos(ctx: &mut Context) -> Result<ExperimentOutput, HeliosError> {
         .into_iter()
         .map(|s| (s.cluster, s.health))
         .collect();
-    let chaos_digests = digests(fleet.shutdown()?);
-    let wall_secs = started.elapsed().as_secs_f64();
+    let chaos_outcomes = sorted(fleet.shutdown()?);
 
     let twin = Fleet::launch(&topology(None))?;
     stream(&twin)?;
-    let twin_digests = digests(twin.shutdown()?);
+    let twin_outcomes = sorted(twin.shutdown()?);
 
-    let parallelism = run_parallelism();
     let mut table = TextTable::new(vec![
         "cluster",
         "policy",
@@ -2303,15 +1875,13 @@ fn fleet_chaos(ctx: &mut Context) -> Result<ExperimentOutput, HeliosError> {
         "restarts",
         "fallbacks",
         "ckpts",
-        "ckpt ms",
-        "recov ms",
         "digest",
     ]);
     let mut rows_json = Vec::new();
     for (i, &(cluster, policy)) in hosted.iter().enumerate() {
         let (hc, h) = health[i];
-        let (cc, jobs, digest) = &chaos_digests[i];
-        let (tc, _, twin_digest) = &twin_digests[i];
+        let (cc, outcomes) = &chaos_outcomes[i];
+        let (tc, twin) = &twin_outcomes[i];
         if hc != cluster || *cc != cluster || *tc != cluster {
             return Err(HeliosError::invalid_config(
                 "fleet_chaos",
@@ -2338,6 +1908,7 @@ fn fleet_chaos(ctx: &mut Context) -> Result<ExperimentOutput, HeliosError> {
                 ),
             ));
         }
+        let (digest, twin_digest) = (outcome_digest(outcomes), outcome_digest(twin));
         if digest != twin_digest {
             return Err(HeliosError::invalid_config(
                 "fleet_chaos",
@@ -2349,62 +1920,36 @@ fn fleet_chaos(ctx: &mut Context) -> Result<ExperimentOutput, HeliosError> {
                 ),
             ));
         }
-        let ckpt_ms_mean = if h.checkpoint_writes > 0 {
-            h.checkpoint_write_secs_total * 1e3 / h.checkpoint_writes as f64
-        } else {
-            0.0
-        };
-        let recovery_ms_total = h.recovery_secs_total * 1e3;
-        let recovery_ms_mean = if h.restarts > 0 {
-            recovery_ms_total / h.restarts as f64
-        } else {
-            0.0
-        };
-        let record = ResilienceRecord {
-            cluster: cluster.name().to_string(),
-            policy: format!("{policy:?}").to_uppercase(),
-            jobs: *jobs,
-            restarts: h.restarts,
-            fallbacks: h.fallbacks,
-            checkpoint_writes: h.checkpoint_writes,
-            checkpoint_write_ms_mean: ckpt_ms_mean,
-            recovery_ms_total,
-            recovery_ms_mean,
-            digest_match: true,
-            outcome_digest: digest.clone(),
-            wall_secs,
-            parallelism,
-        };
+        let policy = format!("{policy:?}").to_uppercase();
+        let record = ResultRecord::new(&ctx.experiment, cluster.name(), &policy, outcomes)
+            .metric("restarts", h.restarts)
+            .metric("fallbacks", h.fallbacks)
+            .metric("checkpoint_writes", h.checkpoint_writes);
         table.row(vec![
             record.cluster.clone(),
             record.policy.clone(),
             fmt_count(record.jobs as u64),
-            record.restarts.to_string(),
-            record.fallbacks.to_string(),
-            record.checkpoint_writes.to_string(),
-            format!("{ckpt_ms_mean:.3}"),
-            format!("{recovery_ms_total:.1}"),
-            record.outcome_digest.clone(),
+            h.restarts.to_string(),
+            h.fallbacks.to_string(),
+            h.checkpoint_writes.to_string(),
+            record.digest.clone(),
         ]);
         rows_json.push(record.to_json());
-        ctx.resilience.push(record);
+        ctx.records.push(record);
     }
 
     let text = format!(
         "Fleet chaos: {} injected panics + 1 corrupted checkpoint generation per worker \
          across {} clusters; every recovered outcome digest matched its uninterrupted \
-         twin ({:.2}s chaos run)\n{}",
+         twin\n{}",
         PANIC_EVENTS.len(),
         hosted.len(),
-        wall_secs,
         table.render()
     );
     let data = json!({
         "clusters": hosted.len(),
         "panics_per_worker": PANIC_EVENTS.len(),
         "corrupt_generation": CORRUPT_GENERATION,
-        "wall_secs": wall_secs,
-        "parallelism": parallelism,
         "per_cluster": rows_json,
     });
     Ok(ExperimentOutput {
@@ -2417,14 +1962,14 @@ fn fleet_chaos(ctx: &mut Context) -> Result<ExperimentOutput, HeliosError> {
 /// `fleet-overload`: the adaptive admission-control soak. Venus/FIFO and
 /// Saturn/SRTF each absorb a sustained 2× ingestion overload with a
 /// deliberately heavy VC (60% of the stream) while a sampler thread
-/// hammers the deadline-bounded status path. The experiment pins four
+/// hammers the deadline-bounded status path. The experiment checks four
 /// properties: shedding is VC-fair (only the heavy VC is ever shed, with
 /// a usable retry hint), status reads never block and stay bounded-stale
-/// (p99 staleness in cycles), the whole stream still completes (shed
-/// submissions are retried after a drain cycle), and a shedding-disabled
-/// twin driven through the legacy FleetOverflow path produces a
-/// bit-identical outcome digest. Produces the `overload` records of
-/// `BENCH_fleet.json`.
+/// (p99 staleness at most two cycles), the whole stream still completes
+/// (shed submissions are retried after a drain cycle), and a
+/// shedding-disabled twin driven through the legacy FleetOverflow path
+/// produces a bit-identical outcome digest. Each cluster's record carries
+/// its shed and twin-overflow counts.
 fn fleet_overload(ctx: &mut Context) -> Result<ExperimentOutput, HeliosError> {
     use helios_fleet::{ClusterConfig, Fleet, FleetConfig, ShedConfig, StatusKind, WatchdogConfig};
     use helios_trace::ClusterId;
@@ -2534,49 +2079,37 @@ fn fleet_overload(ctx: &mut Context) -> Result<ExperimentOutput, HeliosError> {
         }
         cfg
     };
-    let digest_of = |fleet: Fleet| -> Result<(usize, String), HeliosError> {
+    let outcomes_of = |fleet: Fleet| -> Result<Vec<JobOutcome>, HeliosError> {
         let (_, mut outcomes) = fleet
             .shutdown()?
             .pop()
             .ok_or_else(|| HeliosError::invalid_config("fleet_overload", "no hosted cluster"))?;
         outcomes.sort_by_key(|o| o.id);
-        Ok((outcomes.len(), outcome_digest(&outcomes)))
+        Ok(outcomes)
     };
 
-    let parallelism = run_parallelism();
     let mut table = TextTable::new(vec![
-        "cluster",
-        "policy",
-        "jobs",
-        "shed",
-        "heavy",
-        "light",
-        "twin ovf",
-        "p99 stale",
-        "degraded",
-        "digest",
+        "cluster", "policy", "jobs", "shed", "heavy", "light", "twin ovf", "digest",
     ]);
     let mut rows_json = Vec::new();
     for &(cluster, policy) in &hosted {
-        let started = Instant::now();
         let fleet = Fleet::launch(&config(cluster, policy, true))?;
         let stop = AtomicBool::new(false);
-        let (streamed, sampled) = std::thread::scope(|s| {
+        let (streamed, mut ages) = std::thread::scope(|s| {
             let sampler = s.spawn(|| {
-                let (mut ages, mut degraded) = (Vec::new(), 0u64);
+                let mut ages = Vec::new();
                 // sync: acquires the Release store below that ends the sampling run
                 while !stop.load(Ordering::Acquire) {
-                    match fleet.status_within(cluster, Duration::from_millis(2)) {
-                        Ok(report) => match report.kind {
+                    if let Ok(report) = fleet.status_within(cluster, Duration::from_millis(2)) {
+                        match report.kind {
                             StatusKind::Fresh => ages.push(0),
                             StatusKind::Stale { age_cycles } => ages.push(age_cycles),
-                            StatusKind::Degraded => degraded += 1,
-                        },
-                        Err(_) => degraded += 1,
+                            StatusKind::Degraded => {}
+                        }
                     }
                     std::thread::sleep(Duration::from_micros(100));
                 }
-                (ages, degraded)
+                ages
             });
             let streamed = stream(&fleet, cluster);
             // sync: releases to the sampler thread's Acquire poll loop
@@ -2590,12 +2123,11 @@ fn fleet_overload(ctx: &mut Context) -> Result<ExperimentOutput, HeliosError> {
         // fires first by construction); only the twin's matters.
         let (shed_heavy, shed_light, _overflows) = streamed?;
         let health = fleet.statuses()[0].health;
-        let (jobs, digest) = digest_of(fleet)?;
-        let wall_secs = started.elapsed().as_secs_f64();
+        let outcomes = outcomes_of(fleet)?;
 
         let twin = Fleet::launch(&config(cluster, policy, false))?;
         let (twin_sh, twin_sl, twin_overflows) = stream(&twin, cluster)?;
-        let (twin_jobs, twin_digest) = digest_of(twin)?;
+        let twin_outcomes = outcomes_of(twin)?;
 
         if shed_heavy == 0 || health.shed_jobs == 0 {
             return Err(HeliosError::invalid_config(
@@ -2622,20 +2154,20 @@ fn fleet_overload(ctx: &mut Context) -> Result<ExperimentOutput, HeliosError> {
                 ),
             ));
         }
-        if jobs != twin_jobs || digest != twin_digest {
+        let (digest, twin_digest) = (outcome_digest(&outcomes), outcome_digest(&twin_outcomes));
+        if outcomes.len() != twin_outcomes.len() || digest != twin_digest {
             return Err(HeliosError::invalid_config(
                 "fleet_overload",
                 format!(
                     "{}: shed digest {} ({} jobs) != overflow twin {} ({} jobs)",
                     cluster.name(),
                     digest,
-                    jobs,
+                    outcomes.len(),
                     twin_digest,
-                    twin_jobs
+                    twin_outcomes.len()
                 ),
             ));
         }
-        let (mut ages, degraded) = sampled;
         ages.sort_unstable();
         let p99 = ages
             .get(((ages.len().saturating_sub(1)) as f64 * 0.99) as usize)
@@ -2651,37 +2183,24 @@ fn fleet_overload(ctx: &mut Context) -> Result<ExperimentOutput, HeliosError> {
             ));
         }
 
-        let record = OverloadRecord {
-            cluster: cluster.name().to_string(),
-            policy: format!("{policy:?}").to_uppercase(),
-            jobs,
-            overload_factor: OVERLOAD as f64,
-            shed_jobs: health.shed_jobs,
-            shed_heavy_vc: shed_heavy,
-            shed_light_vcs: shed_light,
-            twin_overflows,
-            status_samples: (ages.len() as u64) + degraded,
-            status_p99_age_cycles: p99,
-            status_degraded: degraded,
-            digest_match: true,
-            outcome_digest: digest,
-            wall_secs,
-            parallelism,
-        };
+        let policy = format!("{policy:?}").to_uppercase();
+        let record = ResultRecord::new(&ctx.experiment, cluster.name(), &policy, &outcomes)
+            .metric("shed_jobs", health.shed_jobs)
+            .metric("shed_heavy_vc", shed_heavy)
+            .metric("shed_light_vcs", shed_light)
+            .metric("twin_overflows", twin_overflows);
         table.row(vec![
             record.cluster.clone(),
             record.policy.clone(),
             fmt_count(record.jobs as u64),
-            record.shed_jobs.to_string(),
-            record.shed_heavy_vc.to_string(),
-            record.shed_light_vcs.to_string(),
-            record.twin_overflows.to_string(),
-            record.status_p99_age_cycles.to_string(),
-            record.status_degraded.to_string(),
-            record.outcome_digest.clone(),
+            health.shed_jobs.to_string(),
+            shed_heavy.to_string(),
+            shed_light.to_string(),
+            twin_overflows.to_string(),
+            record.digest.clone(),
         ]);
         rows_json.push(record.to_json());
-        ctx.overload.push(record);
+        ctx.records.push(record);
     }
 
     let text = format!(
@@ -2711,10 +2230,9 @@ fn fleet_overload(ctx: &mut Context) -> Result<ExperimentOutput, HeliosError> {
 /// (Venus and Saturn), train the GPU-failure predictor on April–August
 /// telemetry from the fault model itself, then run September twice under
 /// identical injection — the inner policy bare, and wrapped in the
-/// proactive-drain layer driven by that predictor. Produces the
-/// `BENCH_faults.json` records: per-run goodput, work lost to kills,
-/// predictor precision/recall, and outcome digests (the determinism pin
-/// for the injected runs).
+/// proactive-drain layer driven by that predictor. Each run's record
+/// carries its failures, kills, goodput, work lost to kills and the
+/// predictor's precision/recall.
 fn failure_soak(ctx: &mut Context) -> Result<ExperimentOutput, HeliosError> {
     /// Preset indices into [`Context::helios`]: Venus, Saturn.
     const SOAK_CLUSTERS: [usize; 2] = [0, 2];
@@ -2739,13 +2257,20 @@ fn failure_soak(ctx: &mut Context) -> Result<ExperimentOutput, HeliosError> {
         pcfg.horizon_hours,
     );
 
-    type SoakRow = (String, FailurePredictorQuality, Vec<FaultRunRecord>);
+    type SoakRow = (String, FailurePredictorQuality, Vec<SoakRun>);
     struct FailurePredictorQuality {
         precision: f64,
         recall: f64,
         base_rate: f64,
     }
+    /// One injected run: its record plus the numbers the table prints.
+    struct SoakRun {
+        record: ResultRecord,
+        stats: helios_sim::FaultStats,
+        goodput: helios_faults::Goodput,
+    }
     let kcfg = KernelConfig::default();
+    let experiment = &ctx.experiment;
     let rows: Vec<Result<SoakRow, HeliosError>> = SOAK_CLUSTERS
         .par_iter()
         .map(|&i| {
@@ -2763,7 +2288,7 @@ fn failure_soak(ctx: &mut Context) -> Result<ExperimentOutput, HeliosError> {
                 base_rate: predictor.base_rate,
             };
 
-            let mut records = Vec::with_capacity(2);
+            let mut runs = Vec::with_capacity(2);
             for drained in [false, true] {
                 let inner: Box<dyn SchedulingPolicy> = Box::new(FifoPolicy);
                 let policy: Box<dyn SchedulingPolicy> = if drained {
@@ -2780,33 +2305,28 @@ fn failure_soak(ctx: &mut Context) -> Result<ExperimentOutput, HeliosError> {
                     inner
                 };
                 let policy_name = policy.name().to_string();
-                let started = Instant::now();
                 let mut sim = Simulator::with_config(&t.spec, policy, &kcfg);
                 sim.enable_faults(&faults)?;
                 sim.push_jobs(&jobs)?;
                 sim.run_to_completion();
-                let outcomes = sim.drain_outcomes();
+                let mut outcomes = sim.drain_outcomes();
                 let stats = sim.fault_stats().expect("faults enabled above");
-                let wall_secs = started.elapsed().as_secs_f64();
-                let mut sorted = outcomes;
-                sorted.sort_by_key(|o| o.id);
-                let g = goodput(&sorted, Some(stats));
-                records.push(FaultRunRecord {
-                    cluster: cluster.clone(),
-                    policy: policy_name,
-                    jobs: jobs.len(),
-                    failures: stats.failures,
-                    killed_jobs: stats.killed_jobs,
-                    goodput: g.ratio(),
-                    lost_gpu_hours: g.lost_gpu_hours,
-                    precision: predictor.precision,
-                    recall: predictor.recall,
-                    wall_secs,
-                    outcome_digest: outcome_digest(&sorted),
-                    parallelism: run_parallelism(),
+                outcomes.sort_by_key(|o| o.id);
+                let g = goodput(&outcomes, Some(stats));
+                let record = ResultRecord::new(experiment, &cluster, &policy_name, &outcomes)
+                    .metric("failures", stats.failures)
+                    .metric("killed_jobs", stats.killed_jobs)
+                    .metric("goodput", g.ratio())
+                    .metric("lost_gpu_hours", g.lost_gpu_hours)
+                    .metric("precision", predictor.precision)
+                    .metric("recall", predictor.recall);
+                runs.push(SoakRun {
+                    record,
+                    stats,
+                    goodput: g,
                 });
             }
-            Ok((cluster, quality, records))
+            Ok((cluster, quality, runs))
         })
         .collect();
 
@@ -2823,21 +2343,21 @@ fn failure_soak(ctx: &mut Context) -> Result<ExperimentOutput, HeliosError> {
     let mut wins = 0usize;
     let mut pairs = 0usize;
     for row in rows {
-        let (cluster, quality, records) = row?;
-        let (base, drain) = (&records[0], &records[1]);
+        let (cluster, quality, runs) = row?;
+        let (base, drain) = (&runs[0], &runs[1]);
         pairs += 1;
-        if drain.goodput > base.goodput {
+        if drain.goodput.ratio() > base.goodput.ratio() {
             wins += 1;
         }
-        for r in &records {
+        for r in &runs {
             table.row(vec![
-                r.cluster.clone(),
-                r.policy.clone(),
-                fmt_count(r.failures),
-                fmt_count(r.killed_jobs),
-                format!("{:.0}", r.lost_gpu_hours),
-                format!("{:.3}%", r.goodput * 100.0),
-                r.outcome_digest.clone(),
+                r.record.cluster.clone(),
+                r.record.policy.clone(),
+                fmt_count(r.stats.failures),
+                fmt_count(r.stats.killed_jobs),
+                format!("{:.0}", r.goodput.lost_gpu_hours),
+                format!("{:.3}%", r.goodput.ratio() * 100.0),
+                r.record.digest.clone(),
             ]);
         }
         rows_json.push(json!({
@@ -2848,11 +2368,11 @@ fn failure_soak(ctx: &mut Context) -> Result<ExperimentOutput, HeliosError> {
                 "base_rate": quality.base_rate,
                 "horizon_hours": pcfg.horizon_hours,
             }),
-            "baseline": base.to_json(),
-            "drain": drain.to_json(),
-            "drain_goodput_gain": drain.goodput - base.goodput,
+            "baseline": base.record.to_json(),
+            "drain": drain.record.to_json(),
+            "drain_goodput_gain": drain.goodput.ratio() - base.goodput.ratio(),
         }));
-        ctx.faults_perf.extend(records);
+        ctx.records.extend(runs.into_iter().map(|r| r.record));
     }
 
     let text = format!(
@@ -2874,7 +2394,6 @@ fn failure_soak(ctx: &mut Context) -> Result<ExperimentOutput, HeliosError> {
         "horizon_hours": pcfg.horizon_hours,
         "drain_wins": wins,
         "clusters": pairs,
-        "parallelism": run_parallelism(),
         "per_cluster": rows_json,
     });
     Ok(ExperimentOutput {
@@ -2884,22 +2403,22 @@ fn failure_soak(ctx: &mut Context) -> Result<ExperimentOutput, HeliosError> {
     })
 }
 
-/// Experiments not covered by a paper artifact id: predictor quality,
-/// ablations, and the end-to-end pipeline throughput probe. Run by `all`
-/// after [`ALL_EXPERIMENTS`], and listed by the `repro` binary — one
-/// source of truth so the lists cannot drift.
-pub const EXTRA_EXPERIMENTS: [&str; 8] = [
+/// Experiments beyond the paper's artifacts: the forecaster comparison,
+/// ablations, and the fleet and failure soaks. Run by `all` after
+/// [`ALL_EXPERIMENTS`], and listed by the `repro` binary — one source of
+/// truth so the lists cannot drift.
+pub const EXTRA_EXPERIMENTS: [&str; 7] = [
     "pred-ces",
     "ablation-lambda",
     "ablation-backfill",
-    "pipeline",
     "fleet-soak",
     "fleet-chaos",
     "fleet-overload",
     "failure-soak",
 ];
 
-/// All experiment ids, in DESIGN.md order.
+/// The paper's artifacts, in the order the paper presents them, then the
+/// QSSF predictor's quality.
 pub const ALL_EXPERIMENTS: [&str; 20] = [
     "table1",
     "table2",
@@ -2926,6 +2445,9 @@ pub const ALL_EXPERIMENTS: [&str; 20] = [
 /// Run one experiment (or `all`). Unknown ids are an error, not a panic,
 /// so the `repro` binary can exit non-zero cleanly.
 pub fn run(id: &str, ctx: &mut Context) -> Result<Vec<ExperimentOutput>, HeliosError> {
+    if id != "all" {
+        ctx.experiment = id.to_string();
+    }
     Ok(match id {
         "table1" => vec![table1(ctx)],
         "table2" => vec![table2(ctx)],
@@ -2950,7 +2472,6 @@ pub fn run(id: &str, ctx: &mut Context) -> Result<Vec<ExperimentOutput>, HeliosE
         "pred-ces" => vec![pred_ces(ctx)],
         "ablation-lambda" => vec![ablation_lambda(ctx)],
         "ablation-backfill" => vec![ablation_backfill(ctx)],
-        "pipeline" => vec![pipeline_exp(ctx)],
         "fleet-soak" => vec![fleet_soak(ctx)?],
         "fleet-chaos" => vec![fleet_chaos(ctx)?],
         "fleet-overload" => vec![fleet_overload(ctx)?],

@@ -2,8 +2,9 @@
 //!
 //! Experiment harness regenerating every table and figure of the paper.
 //! The `repro` binary exposes one subcommand per artifact (`repro --list`
-//! prints them); this library holds the shared experiment context and the
-//! per-experiment implementations the binary drives.
+//! prints them); this library holds the shared experiment context, the
+//! per-experiment implementations the binary drives, and the byte check
+//! behind `repro --pin`.
 //!
 //! ```no_run
 //! use helios_bench::experiments::{run, Context};
@@ -15,5 +16,6 @@
 //! ```
 
 pub mod experiments;
+pub mod pin;
 
-pub use experiments::{Context, ExperimentOutput};
+pub use experiments::{Context, ExperimentOutput, ResultRecord};

@@ -234,7 +234,7 @@ impl CheckpointManager {
     /// configured, and evict past the ring bound. Returns the generation
     /// index.
     pub fn checkpoint(&mut self, sim: &Simulator<'_>) -> HeliosResult<u64> {
-        // guard: allow(determinism, reason = "checkpoint write-time telemetry for the resilience bench; never feeds kernel state")
+        // guard: allow(determinism, reason = "checkpoint write-time telemetry for FleetHealth; never feeds kernel state")
         let t0 = std::time::Instant::now();
         let mut bytes = std::mem::take(&mut self.spare);
         sim.snapshot_into(&mut bytes);

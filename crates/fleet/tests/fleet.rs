@@ -6,26 +6,11 @@ use helios_fleet::{
     ClusterConfig, Fleet, FleetConfig, FLEET_SNAPSHOT_MAGIC, FLEET_SNAPSHOT_VERSION,
     MAX_SHARD_CAPACITY,
 };
-use helios_sim::{jobs_from_trace, ByteWriter, JobOutcome, Policy, SimJob, Simulator};
+use helios_sim::{
+    jobs_from_trace, outcome_digest, ByteWriter, JobOutcome, Policy, SimJob, Simulator,
+};
 use helios_trace::{generate, preset, ClusterId, GeneratorConfig, HeliosError};
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// FNV-1a over the schedule-relevant outcome fields — the same
-/// fingerprint `BENCH_*.json` trajectory records use.
-fn outcome_digest(outcomes: &[JobOutcome]) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for o in outcomes {
-        mix(o.id);
-        mix(o.start as u64);
-        mix(o.end as u64);
-        mix(o.preemptions as u64);
-    }
-    format!("{h:016x}")
-}
 
 fn sorted_digest(mut outcomes: Vec<JobOutcome>) -> (usize, String) {
     outcomes.sort_by_key(|o| o.id);

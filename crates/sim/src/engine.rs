@@ -523,7 +523,8 @@ impl<'a> Simulator<'a> {
     /// inconsistency — wrong cluster, wrong policy, out-of-range indices,
     /// slot mismatches, job records `push_jobs` would refuse, jobs listed
     /// under another VC, allocations the pool could not release, a queue
-    /// head that fits its pool — surfaces as a typed
+    /// head that fits its pool, a live finish event for a job that is not
+    /// running — surfaces as a typed
     /// [`HeliosError::Snapshot`], never a panic.
     pub fn restore(
         spec: &ClusterSpec,
@@ -690,7 +691,26 @@ impl<'a> Simulator<'a> {
         }
         let mut finishes_data = Vec::with_capacity(snap.finishes.len());
         for &(t, idx, epoch) in &snap.finishes {
-            finishes_data.push((t, check_idx(idx, "a finish event")?, epoch));
+            let idx = check_idx(idx, "a finish event")?;
+            // A live entry (current epoch, job not ended) finishes a job
+            // when it fires, so that job must sit in its VC's running set.
+            if let Some(s) = states
+                .get(idx)
+                .filter(|s| s.epoch == epoch && s.end == UNSET)
+            {
+                let running = vcs
+                    .get(s.job.vc as usize)
+                    .and_then(|vc| vc.running.get(s.run_slot as usize));
+                if running != Some(&idx) {
+                    return Err(HeliosError::snapshot(
+                        ctx,
+                        format!(
+                            "a live finish event targets job index {idx}, which is not running"
+                        ),
+                    ));
+                }
+            }
+            finishes_data.push((t, idx, epoch));
         }
         if !is_heap(&finishes_data) {
             return Err(HeliosError::snapshot(

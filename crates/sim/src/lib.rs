@@ -65,8 +65,8 @@ pub use fault::{
 };
 pub use job::{jobs_from_trace, JobOutcome, SimJob};
 pub use metrics::{
-    group_delay_ratios, jct_samples, per_vc_queue_delay, queue_delay_by_group, schedule_stats,
-    ScheduleStats, DURATION_GROUPS, QUEUED_THRESHOLD_SECS,
+    group_delay_ratios, jct_samples, outcome_digest, per_vc_queue_delay, queue_delay_by_group,
+    schedule_stats, ScheduleStats, DURATION_GROUPS, QUEUED_THRESHOLD_SECS,
 };
 pub use observer::{
     ClusterView, OccupancyObserver, QueueLengthObserver, SimEvent, SimObserver,

@@ -43,6 +43,25 @@ pub fn schedule_stats(outcomes: &[JobOutcome]) -> ScheduleStats {
     }
 }
 
+/// Stable FNV-1a fingerprint of a scheduling result: each outcome's id,
+/// start, end and preemption count, in the order given. The committed
+/// `BENCH_*.json` result pins and every byte-identity test compare this
+/// digest, so it must never change.
+pub fn outcome_digest(outcomes: &[JobOutcome]) -> String {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut mix = |v: u64| {
+        h ^= v;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    };
+    for o in outcomes {
+        mix(o.id);
+        mix(o.start as u64);
+        mix(o.end as u64);
+        mix(o.preemptions as u64);
+    }
+    format!("{h:016x}")
+}
+
 /// Per-VC average queue delay (Figs. 12–13).
 ///
 /// Returns a `BTreeMap` so iteration order is the VC id order — this
@@ -140,6 +159,21 @@ mod tests {
         assert!((s.avg_queue_delay - 150.0).abs() < 1e-9);
         assert!((s.avg_jct - (100.0 + 400.0) / 2.0).abs() < 1e-9);
         assert_eq!(s.queued_jobs, 1);
+    }
+
+    #[test]
+    fn outcome_digest_is_pinned() {
+        // FNV-1a's offset basis for no outcomes; every field and the
+        // outcome order reach the digest.
+        assert_eq!(outcome_digest(&[]), "cbf29ce484222325");
+        let two = [outcome(0, 0, 300, 100), outcome(1, 0, 0, 50)];
+        let mut moved = two;
+        moved[0].start += 1;
+        assert_ne!(outcome_digest(&moved), outcome_digest(&two));
+        let mut ids = two;
+        ids[1].id = 7;
+        assert_ne!(outcome_digest(&ids), outcome_digest(&two));
+        assert_ne!(outcome_digest(&[two[1], two[0]]), outcome_digest(&two));
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! ordering invariants.
 
 use helios_sim::{
-    simulate, simulate_with, ClusterView, JobOutcome, KernelConfig, Policy, SimConfig, SimEvent,
-    SimJob, SimObserver, Simulator,
+    outcome_digest, simulate, simulate_with, ClusterView, JobOutcome, KernelConfig, Policy,
+    SimConfig, SimEvent, SimJob, SimObserver, Simulator,
 };
 use helios_trace::{saturn, venus, ClusterSpec};
 use rand::{Rng, SeedableRng};
@@ -102,23 +102,6 @@ fn policy_object_path_is_identical_to_enum_path() {
         let via_object = simulate_with(&spec, &jobs, object, &KernelConfig::default()).unwrap();
         assert_eq!(via_enum.outcomes, via_object.outcomes, "{policy:?}");
     }
-}
-
-/// FNV-1a over each outcome's id, start, end and preemption count — the
-/// fingerprint the `BENCH_*.json` files pin.
-fn outcome_digest(outcomes: &[JobOutcome]) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for o in outcomes {
-        mix(o.id);
-        mix(o.start as u64);
-        mix(o.end as u64);
-        mix(o.preemptions as u64);
-    }
-    format!("{h:016x}")
 }
 
 #[test]

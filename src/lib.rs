@@ -56,9 +56,7 @@ pub mod prelude;
 pub mod session;
 
 pub use error::{HeliosError, HeliosResult};
-pub use session::{
-    Helios, Preset, SchedulePolicy, Session, SessionBuilder, SessionReport, StagePerf,
-};
+pub use session::{Helios, Preset, SchedulePolicy, Session, SessionBuilder, SessionReport};
 
 pub use helios_analysis as analysis;
 pub use helios_core as core;

@@ -6,7 +6,7 @@
 pub use crate::error::{HeliosError, HeliosResult};
 pub use crate::session::{
     CesSummary, Characterization, FleetBuilder, Helios, PolicyGain, Preset, ScheduleOutcome,
-    SchedulePolicy, ScheduleSummary, Session, SessionBuilder, SessionReport, StagePerf,
+    SchedulePolicy, ScheduleSummary, Session, SessionBuilder, SessionReport,
 };
 
 // Substrate types that appear in façade signatures or configs.

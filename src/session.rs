@@ -52,7 +52,6 @@ use helios_trace::{
     generate, profile_for, ClusterId, GeneratorConfig, Trace, WorkloadProfile, SECS_PER_DAY,
 };
 use serde_json::json;
-use std::time::Instant;
 
 /// The clusters of the paper (Table 1 plus the Philly comparison cluster).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -333,19 +332,6 @@ impl SessionBuilder {
     }
 }
 
-/// Wall time of one executed pipeline stage, recorded by every stage
-/// method (and by [`Session::pipeline`] for its overlapped run). The
-/// `repro --bench-json` trajectory serializes these records.
-#[derive(Debug, Clone)]
-pub struct StagePerf {
-    /// Stage label: `generate`, `characterize`, `train_qssf`, `train_ces`,
-    /// `schedule:<policy>`, `report`, or `pipeline` (the overlapped
-    /// characterize/train span).
-    pub stage: String,
-    /// Wall-clock seconds of this stage execution.
-    pub wall_secs: f64,
-}
-
 /// One cluster's end-to-end pipeline state. Stages chain through
 /// `Result<&mut Session>`, so a pipeline reads as
 /// `session.generate()?.characterize()?.train_qssf()?...`. `Clone` forks
@@ -361,7 +347,6 @@ pub struct Session {
     ces_eval: Option<CesEvaluation>,
     failure_model: Option<FailurePredictor>,
     schedules: Vec<ScheduleOutcome>,
-    stage_perf: Vec<StagePerf>,
 }
 
 /// Characterization highlights (§3), computed by [`Session::characterize`].
@@ -415,26 +400,12 @@ impl Session {
             ces_eval: None,
             failure_model: None,
             schedules: Vec::new(),
-            stage_perf: Vec::new(),
         }
     }
 
     /// The cluster preset this session runs on.
     pub fn preset(&self) -> Preset {
         self.preset
-    }
-
-    /// Wall-time records of every stage executed so far, in execution
-    /// order (see [`StagePerf`]).
-    pub fn stage_perf(&self) -> &[StagePerf] {
-        &self.stage_perf
-    }
-
-    fn record_stage(&mut self, stage: impl Into<String>, started: Instant) {
-        self.stage_perf.push(StagePerf {
-            stage: stage.into(),
-            wall_secs: started.elapsed().as_secs_f64(),
-        });
     }
 
     /// The generated trace (after [`Session::generate`]).
@@ -470,8 +441,6 @@ impl Session {
 
     /// Stage 1: synthesize the cluster trace.
     pub fn generate(&mut self) -> Result<&mut Session> {
-        // guard: allow(determinism, reason = "stage wall-time telemetry for session reports; never feeds kernel state or digests")
-        let started = Instant::now();
         let cfg = GeneratorConfig {
             scale: self.knobs.scale,
             seed: self.knobs.seed,
@@ -479,21 +448,17 @@ impl Session {
         let trace = generate(&self.preset.profile(), &cfg)
             .map_err(|e| e.for_cluster(self.preset.name()))?;
         self.trace = Some(trace);
-        self.record_stage("generate", started);
         Ok(self)
     }
 
     /// Stage 2: compute the §3 characterization highlights (fused
     /// single-pass engine; equals the legacy per-figure scans exactly).
     pub fn characterize(&mut self) -> Result<&mut Session> {
-        // guard: allow(determinism, reason = "stage wall-time telemetry for session reports; never feeds kernel state or digests")
-        let started = Instant::now();
         let trace = self.trace.as_ref().ok_or(HeliosError::MissingStage {
             stage: "characterize",
             requires: "generate",
         })?;
         self.characterization = Some(compute_characterization(trace));
-        self.record_stage("characterize", started);
         Ok(self)
     }
 
@@ -501,14 +466,11 @@ impl Session {
     /// the evaluation window (the paper trains on April–August and
     /// schedules September).
     pub fn train_qssf(&mut self) -> Result<&mut Session> {
-        // guard: allow(determinism, reason = "stage wall-time telemetry for session reports; never feeds kernel state or digests")
-        let started = Instant::now();
         let (lo, _) = self.eval_window()?;
         let trace = self.trace.as_ref().expect("eval_window checked generate");
         let svc = compute_qssf(trace, self.knobs.qssf, lo)
             .map_err(|e| e.for_cluster(self.preset.name()))?;
         self.qssf = Some(svc);
-        self.record_stage("train_qssf", started);
         Ok(self)
     }
 
@@ -516,14 +478,11 @@ impl Session {
     /// DRS evaluation (first three weeks of the evaluation window,
     /// Fig. 14/15, Table 5).
     pub fn train_ces(&mut self) -> Result<&mut Session> {
-        // guard: allow(determinism, reason = "stage wall-time telemetry for session reports; never feeds kernel state or digests")
-        let started = Instant::now();
         let (lo, hi) = self.eval_window()?;
         let trace = self.trace.as_ref().expect("eval_window checked generate");
         let eval = compute_ces(trace, &self.knobs, lo, hi)
             .map_err(|e| e.for_cluster(self.preset.name()))?;
         self.ces_eval = Some(eval);
-        self.record_stage("train_ces", started);
         Ok(self)
     }
 
@@ -534,9 +493,7 @@ impl Session {
     /// stage instead of their sum. Generates the trace first if needed.
     ///
     /// Results are identical to running the stages sequentially (each
-    /// stage is a pure function of the trace); per-stage wall times are
-    /// recorded under their usual labels plus a `pipeline` record for the
-    /// overlapped span.
+    /// stage is a pure function of the trace).
     ///
     /// ```no_run
     /// use helios::prelude::*;
@@ -549,9 +506,7 @@ impl Session {
     ///     .schedule(SchedulePolicy::Fifo)?
     ///     .schedule(SchedulePolicy::Qssf)?
     ///     .report()?;
-    /// for s in &report.stage_perf {
-    ///     println!("{:<16} {:.3}s", s.stage, s.wall_secs);
-    /// }
+    /// println!("{}", report.render());
     /// # Ok(())
     /// # }
     /// ```
@@ -559,69 +514,33 @@ impl Session {
         if self.trace.is_none() {
             self.generate()?;
         }
-        // guard: allow(determinism, reason = "stage wall-time telemetry for session reports; never feeds kernel state or digests")
-        let started = Instant::now();
         let (lo, hi) = self.eval_window()?;
         let trace = self.trace.as_ref().expect("generated above");
         let name = self.preset.name();
+        let knobs = &self.knobs;
         #[allow(clippy::large_enum_variant)] // three short-lived carriers
         enum StageOut {
             Char(Characterization),
             Qssf(QssfService),
             Ces(CesEvaluation),
         }
-        type Task<'a> = Box<dyn Fn() -> Result<(StageOut, f64)> + Send + Sync + 'a>;
-        let timed = |f: &dyn Fn() -> Result<StageOut>| -> Result<(StageOut, f64)> {
-            // guard: allow(determinism, reason = "stage wall-time telemetry for session reports; never feeds kernel state or digests")
-            let t = Instant::now();
-            Ok((f()?, t.elapsed().as_secs_f64()))
-        };
-        let knobs = &self.knobs;
-        let tasks: Vec<Task> = vec![
-            Box::new(move || timed(&|| Ok(StageOut::Char(compute_characterization(trace))))),
-            Box::new(move || {
-                timed(&|| {
-                    compute_qssf(trace, knobs.qssf, lo)
-                        .map(StageOut::Qssf)
-                        .map_err(|e| e.for_cluster(name))
-                })
-            }),
-            Box::new(move || {
-                timed(&|| {
-                    compute_ces(trace, knobs, lo, hi)
-                        .map(StageOut::Ces)
-                        .map_err(|e| e.for_cluster(name))
-                })
-            }),
-        ];
         use rayon::prelude::*;
-        let results: Vec<Result<(StageOut, f64)>> = tasks
+        let results: Vec<Result<StageOut>> = (0..3)
             .into_par_iter()
             .with_min_len(1)
-            .map(|task| task())
+            .map(|stage| match stage {
+                0 => Ok(StageOut::Char(compute_characterization(trace))),
+                1 => compute_qssf(trace, knobs.qssf, lo).map(StageOut::Qssf),
+                _ => compute_ces(trace, knobs, lo, hi).map(StageOut::Ces),
+            })
             .collect();
         for result in results {
-            let (out, secs) = result?;
-            let stage = match out {
-                StageOut::Char(c) => {
-                    self.characterization = Some(c);
-                    "characterize"
-                }
-                StageOut::Qssf(q) => {
-                    self.qssf = Some(q);
-                    "train_qssf"
-                }
-                StageOut::Ces(e) => {
-                    self.ces_eval = Some(e);
-                    "train_ces"
-                }
-            };
-            self.stage_perf.push(StagePerf {
-                stage: stage.into(),
-                wall_secs: secs,
-            });
+            match result.map_err(|e| e.for_cluster(name))? {
+                StageOut::Char(c) => self.characterization = Some(c),
+                StageOut::Qssf(q) => self.qssf = Some(q),
+                StageOut::Ces(e) => self.ces_eval = Some(e),
+            }
         }
-        self.record_stage("pipeline", started);
         Ok(self)
     }
 
@@ -649,8 +568,6 @@ impl Session {
     /// split. Requires [`Session::generate`] and an active
     /// [`Session::with_failures`] configuration.
     pub fn train_failure_model(&mut self, cfg: &PredictorConfig) -> Result<&mut Session> {
-        // guard: allow(determinism, reason = "stage wall-time telemetry for session reports; never feeds kernel state or digests")
-        let started = Instant::now();
         let (lo, hi) = self.eval_window()?;
         let trace = self.trace.as_ref().expect("eval_window checked generate");
         let faults = self.knobs.failures.ok_or(HeliosError::MissingStage {
@@ -661,7 +578,6 @@ impl Session {
         let model = train_failure_predictor(&trace.spec, &jobs, &faults, cfg)
             .map_err(|e| e.for_cluster(self.preset.name()))?;
         self.failure_model = Some(model);
-        self.record_stage("train_failure_model", started);
         Ok(self)
     }
 
@@ -716,8 +632,6 @@ impl Session {
         policy: Box<dyn SchedulingPolicy + 'o>,
         observers: Vec<Box<dyn SimObserver + 'o>>,
     ) -> Result<&mut Session> {
-        // guard: allow(determinism, reason = "stage wall-time telemetry for session reports; never feeds kernel state or digests")
-        let started = Instant::now();
         let (lo, hi) = self.eval_window()?;
         let trace = self.trace.as_ref().expect("eval_window checked generate");
         let jobs = match builtin {
@@ -766,7 +680,6 @@ impl Session {
         let run_goodput = goodput(&outcomes, fault_stats);
         // Re-running a policy replaces its previous outcome.
         self.schedules.retain(|s| s.label != label);
-        self.record_stage(format!("schedule:{label}"), started);
         self.schedules.push(ScheduleOutcome {
             label,
             policy: builtin,
@@ -792,8 +705,6 @@ impl Session {
     /// Final stage: assemble everything computed so far into a
     /// [`SessionReport`]. Requires at least [`Session::generate`].
     pub fn report(&self) -> Result<SessionReport> {
-        // guard: allow(determinism, reason = "stage wall-time telemetry for session reports; never feeds kernel state or digests")
-        let started = Instant::now();
         let trace = self.trace.as_ref().ok_or(HeliosError::MissingStage {
             stage: "report",
             requires: "generate",
@@ -832,11 +743,6 @@ impl Session {
                 annual_kwh_saved: annualize(energy_saved_kwh(e.guided.drs_node_seconds), window),
             }
         });
-        let mut stage_perf = self.stage_perf.clone();
-        stage_perf.push(StagePerf {
-            stage: "report".into(),
-            wall_secs: started.elapsed().as_secs_f64(),
-        });
         Ok(SessionReport {
             cluster: self.preset.name().to_string(),
             scale: self.knobs.scale,
@@ -850,7 +756,6 @@ impl Session {
             schedules,
             qssf_vs_fifo,
             ces,
-            stage_perf,
         })
     }
 }
@@ -950,8 +855,6 @@ pub struct SessionReport {
     pub schedules: Vec<ScheduleSummary>,
     pub qssf_vs_fifo: Option<PolicyGain>,
     pub ces: Option<CesSummary>,
-    /// Wall-time records of every executed stage, in execution order.
-    pub stage_perf: Vec<StagePerf>,
 }
 
 impl SessionReport {
@@ -1054,14 +957,6 @@ impl SessionReport {
         root.insert("jobs".into(), json!(self.jobs));
         root.insert("gpu_jobs".into(), json!(self.gpu_jobs));
         root.insert("schedules".into(), json!(schedules));
-        root.insert(
-            "stages".into(),
-            json!(self
-                .stage_perf
-                .iter()
-                .map(|s| json!({"stage": s.stage.clone(), "wall_secs": s.wall_secs}))
-                .collect::<Vec<_>>()),
-        );
         if let Some(g) = &self.qssf_vs_fifo {
             root.insert(
                 "qssf_vs_fifo".into(),

@@ -4,9 +4,9 @@
 use helios_core::{CesService, CesServiceConfig, QssfConfig, QssfService};
 use helios_energy::node_series_from_trace;
 use helios_sim::{
-    jobs_from_trace, schedule_stats, simulate, simulate_with, FaultConfig, FifoPolicy, JobOutcome,
-    KernelConfig, Placement, Policy, SchedulingPolicy, SimConfig, Simulator, SjfPolicy, SrtfPolicy,
-    TiresiasPolicy,
+    jobs_from_trace, outcome_digest, schedule_stats, simulate, simulate_with, FaultConfig,
+    FifoPolicy, KernelConfig, Placement, Policy, SchedulingPolicy, SimConfig, Simulator, SjfPolicy,
+    SrtfPolicy, TiresiasPolicy,
 };
 use helios_trace::{
     generate, generate_helios, venus_profile, GeneratorConfig, Trace, SECS_PER_DAY,
@@ -156,43 +156,28 @@ fn trace_roundtrips_through_csv() {
     }
 }
 
-/// FNV-1a over each outcome's id, start, end and preemption count — the
-/// digest the committed `BENCH_*.json` files pin.
-fn outcome_digest(outcomes: &[JobOutcome]) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for o in outcomes {
-        mix(o.id);
-        mix(o.start as u64);
-        mix(o.end as u64);
-        mix(o.preemptions as u64);
-    }
-    format!("{h:016x}")
-}
-
-/// The flat records of a committed `BENCH_*.json` file that carry an
-/// outcome digest, as `(key, raw value)` pairs. The vendored `serde_json`
-/// only writes JSON, so the records are scanned out of the text: every
-/// record is one brace-delimited object without nested objects.
+/// The records of a committed result pin (`repro --pin`), each as
+/// `(key, raw value)` pairs with its metrics flattened in. The vendored
+/// `serde_json` only writes JSON, so the records are scanned out of the
+/// pretty-printed text: one `key: value` per line, every record starting
+/// at its `experiment` key.
 fn digest_records(file: &str) -> Vec<Vec<(String, String)>> {
     let path = format!("{}/{file}", env!("CARGO_MANIFEST_DIR"));
     let text = std::fs::read_to_string(&path).expect("committed at the repo root");
-    text.split('{')
-        .filter_map(|chunk| chunk.split_once('}').map(|(body, _)| body))
-        .filter(|body| body.contains("\"outcome_digest\""))
-        .map(|body| {
-            body.split(',')
-                .filter_map(|field| field.split_once(':'))
-                .map(|(k, v)| {
-                    let unquote = |t: &str| t.trim().trim_matches('"').to_string();
-                    (unquote(k), unquote(v))
-                })
-                .collect()
-        })
-        .collect()
+    let mut records: Vec<Vec<(String, String)>> = Vec::new();
+    for line in text.lines() {
+        let Some((k, v)) = line.trim().trim_end_matches(',').split_once(": ") else {
+            continue;
+        };
+        let unquote = |t: &str| t.trim_matches('"').to_string();
+        if k == "\"experiment\"" {
+            records.push(Vec::new());
+        }
+        if let Some(record) = records.last_mut() {
+            record.push((unquote(k), unquote(v)));
+        }
+    }
+    records
 }
 
 fn field<'r>(record: &'r [(String, String)], key: &str) -> &'r str {
@@ -237,7 +222,7 @@ fn scale_one_runs_reproduce_committed_bench_digests() {
             let want = sched
                 .iter()
                 .find(|r| field(r, "cluster") == cluster && field(r, "policy") == policy)
-                .map(|r| field(r, "outcome_digest"))
+                .map(|r| field(r, "digest"))
                 .expect("BENCH_sched.json pins every cluster and policy");
             let outcomes = simulate_with(&trace.spec, &jobs, make(), &KernelConfig::default())
                 .unwrap()
@@ -259,11 +244,7 @@ fn scale_one_runs_reproduce_committed_bench_digests() {
         let mut outcomes = sim.drain_outcomes();
         outcomes.sort_by_key(|o| o.id);
         let stats = sim.fault_stats().unwrap();
-        assert_eq!(
-            outcome_digest(&outcomes),
-            field(pin, "outcome_digest"),
-            "{cluster}"
-        );
+        assert_eq!(outcome_digest(&outcomes), field(pin, "digest"), "{cluster}");
         assert_eq!(
             stats.failures.to_string(),
             field(pin, "failures"),

@@ -337,8 +337,7 @@ fn tiresias_and_energy_builtins_schedule() {
 }
 
 /// `Session::pipeline` (characterize ∥ train_qssf ∥ train_ces over rayon)
-/// must produce exactly what the sequential stage chain produces, and
-/// record per-stage wall times.
+/// must produce exactly what the sequential stage chain produces.
 #[test]
 fn pipeline_fast_path_matches_sequential_stages() {
     let build = || {
@@ -396,24 +395,4 @@ fn pipeline_fast_path_matches_sequential_stages() {
         assert_eq!(sa.label, sb.label);
         assert_eq!(sa.outcomes, sb.outcomes);
     }
-
-    // Stage perf: every stage recorded, pipeline span present.
-    let stages: Vec<&str> = par.stage_perf().iter().map(|s| s.stage.as_str()).collect();
-    for expect in [
-        "generate",
-        "characterize",
-        "train_qssf",
-        "train_ces",
-        "pipeline",
-        "schedule:FIFO",
-        "schedule:QSSF",
-    ] {
-        assert!(stages.contains(&expect), "missing stage record {expect}");
-    }
-    assert!(par.stage_perf().iter().all(|s| s.wall_secs >= 0.0));
-    let report = par.report().unwrap();
-    assert_eq!(
-        report.stage_perf.last().map(|s| s.stage.as_str()),
-        Some("report")
-    );
 }

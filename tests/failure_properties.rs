@@ -6,26 +6,10 @@
 
 use helios_faults::{goodput, DrainConfig, DrainPolicy};
 use helios_sim::{
-    jobs_from_trace, xxh64, FaultConfig, JobOutcome, Policy, SimJob, SimSnapshot, Simulator,
+    jobs_from_trace, outcome_digest, xxh64, FaultConfig, JobOutcome, Policy, SimJob, SimSnapshot,
+    Simulator,
 };
 use helios_trace::{generate, profile_for, ClusterId, GeneratorConfig, HeliosError, Trace};
-
-/// FNV-1a over the schedule-relevant outcome fields — the same
-/// fingerprint the bench trajectory records use.
-fn outcome_digest(outcomes: &[JobOutcome]) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for o in outcomes {
-        mix(o.id);
-        mix(o.start as u64);
-        mix(o.end as u64);
-        mix(o.preemptions as u64);
-    }
-    format!("{h:016x}")
-}
 
 /// One cluster's trace plus its September jobs.
 fn september(cluster: ClusterId, seed: u64, scale: f64) -> (Trace, Vec<SimJob>, i64, i64) {

@@ -11,27 +11,10 @@ use helios_fleet::{
     ChaosConfig, CheckpointConfig, ClusterConfig, Fleet, FleetConfig, RetryConfig, ShedConfig,
     StatusKind, WatchdogConfig, WorkerState,
 };
-use helios_sim::{JobOutcome, Policy, SimJob};
+use helios_sim::{outcome_digest, JobOutcome, Policy, SimJob};
 use helios_trace::{ClusterId, HeliosError};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
-
-/// FNV-1a over the schedule-relevant outcome fields — the same
-/// fingerprint `BENCH_*.json` trajectory records use.
-fn outcome_digest(outcomes: &[JobOutcome]) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for o in outcomes {
-        mix(o.id);
-        mix(o.start as u64);
-        mix(o.end as u64);
-        mix(o.preemptions as u64);
-    }
-    format!("{h:016x}")
-}
 
 fn sorted_digest(mut outcomes: Vec<JobOutcome>) -> (usize, String) {
     outcomes.sort_by_key(|o| o.id);
@@ -414,7 +397,7 @@ fn statuses_stay_infallible_and_monotone_during_recovery() {
 
 #[test]
 fn injection_off_fleet_reproduces_committed_bench_digests() {
-    // The committed BENCH_fleet.json resilience digests pin the
+    // The committed BENCH_fleet.json fleet-chaos digests pin the
     // fleet-chaos job stream's outcome fingerprints. An injection-off
     // fleet replaying that exact stream must reproduce them — if this
     // fails, either determinism regressed or BENCH_fleet.json was
@@ -428,40 +411,30 @@ fn injection_off_fleet_reproduces_committed_bench_digests() {
     ];
 
     // The vendored serde_json stand-in is serialize-only, so the pins
-    // are scanned straight out of the committed text: string values of
-    // `cluster` / `outcome_digest` keys, in order, after the
-    // `"resilience"` marker.
+    // are scanned straight out of the committed text: the `cluster` and
+    // `digest` lines of every `fleet-chaos` record, in order.
     let text = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_fleet.json"))
         .expect("BENCH_fleet.json is committed at the repo root");
-    let start = text
-        .find("\"resilience\"")
-        .expect("resilience section present");
-    // Bound the scan at the next top-level section (the `overload`
-    // records carry the same keys).
-    let end = text[start..]
-        .find("\"overload\"")
-        .map_or(text.len(), |i| start + i);
-    let resilience = &text[start..end];
-    let grab = |key: &str| -> Vec<String> {
-        let pat = format!("\"{key}\": \"");
-        let mut out = Vec::new();
-        let mut rest = resilience;
-        while let Some(i) = rest.find(&pat) {
-            let start = i + pat.len();
-            let len = rest[start..].find('"').expect("closing quote");
-            out.push(rest[start..start + len].to_string());
-            rest = &rest[start + len..];
+    let (mut experiment, mut cluster) = ("", "");
+    let mut pinned: Vec<(String, String)> = Vec::new();
+    for line in text.lines() {
+        let Some((key, value)) = line.trim().trim_end_matches(',').split_once(": ") else {
+            continue;
+        };
+        let value = value.trim_matches('"');
+        match key {
+            "\"experiment\"" => experiment = value,
+            "\"cluster\"" => cluster = value,
+            "\"digest\"" if experiment == "fleet-chaos" => {
+                pinned.push((cluster.to_string(), value.to_string()));
+            }
+            _ => {}
         }
-        out
-    };
-    let pinned: Vec<(String, String)> = grab("cluster")
-        .into_iter()
-        .zip(grab("outcome_digest"))
-        .collect();
+    }
     assert_eq!(
         pinned.len(),
         hosted.len(),
-        "BENCH_fleet.json should carry one resilience record per hosted cluster"
+        "BENCH_fleet.json should carry one fleet-chaos record per hosted cluster"
     );
 
     let mut config = FleetConfig::new()

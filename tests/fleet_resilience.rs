@@ -10,27 +10,9 @@ use helios_fleet::{
     ChaosConfig, CheckpointConfig, ClusterConfig, Fleet, FleetConfig, RetryConfig, WorkerState,
     FLEET_SNAPSHOT_MAGIC, FLEET_SNAPSHOT_VERSION,
 };
-use helios_sim::{ByteWriter, JobOutcome, Policy, SimJob, SimSnapshot, Simulator};
+use helios_sim::{outcome_digest, ByteWriter, JobOutcome, Policy, SimJob, SimSnapshot, Simulator};
 use helios_trace::{preset, ClusterId, HeliosError};
 use std::time::Duration;
-
-/// FNV-1a over the schedule-relevant outcome fields — the same
-/// fingerprint `BENCH_*.json` trajectory records use, so "digests match"
-/// here means exactly what bench-record equality means.
-fn outcome_digest(outcomes: &[JobOutcome]) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for o in outcomes {
-        mix(o.id);
-        mix(o.start as u64);
-        mix(o.end as u64);
-        mix(o.preemptions as u64);
-    }
-    format!("{h:016x}")
-}
 
 fn sorted_digest(mut outcomes: Vec<JobOutcome>) -> (usize, String) {
     outcomes.sort_by_key(|o| o.id);

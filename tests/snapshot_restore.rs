@@ -1,32 +1,14 @@
 //! Snapshot/restore equivalence: checkpointing a kernel mid-run, dropping
 //! it, and resuming from the serialized bytes must reproduce the
 //! uninterrupted run's outcomes **byte-identically** — same digest over
-//! `(id, start, end, preemptions)` as the bench trajectory records.
+//! `(id, start, end, preemptions)` as the committed result pins.
 
 use helios_energy::EnergyAwarePolicy;
 use helios_sim::{
-    jobs_from_trace, FaultConfig, JobOutcome, Policy, SchedulingPolicy, SimJob, SimSnapshot,
+    jobs_from_trace, outcome_digest, FaultConfig, Policy, SchedulingPolicy, SimJob, SimSnapshot,
     Simulator, SrtfPolicy, TiresiasPolicy, SNAPSHOT_VERSION,
 };
 use helios_trace::{generate, preset, profile_for, ClusterId, GeneratorConfig, HeliosError};
-
-/// FNV-1a over the schedule-relevant outcome fields — the same
-/// fingerprint the bench trajectory records use, so "digests match" here
-/// means exactly what `BENCH_*.json` equality means.
-fn outcome_digest(outcomes: &[JobOutcome]) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for o in outcomes {
-        mix(o.id);
-        mix(o.start as u64);
-        mix(o.end as u64);
-        mix(o.preemptions as u64);
-    }
-    format!("{h:016x}")
-}
 
 /// Uninterrupted baseline vs. checkpoint-at-`cut`, serialize, drop,
 /// restore-from-bytes, resume. Returns (baseline digest, resumed digest).
@@ -220,13 +202,24 @@ fn restore_refuses_unrunnable_allocations_and_queue_heads() {
     assert!(Simulator::restore(&spec, Policy::Fifo.build(), &snap).is_ok());
     let mut fits = snap.clone();
     fits.jobs[1].job.gpus = gpn;
-    let mut elsewhere = snap;
+    let mut elsewhere = snap.clone();
     elsewhere.jobs[1].job.vc = 1;
-    for bad in [fits, elsewhere] {
-        let err = Simulator::restore(&spec, Policy::Fifo.build(), &bad)
-            .err()
-            .expect("refused");
-        assert!(matches!(err, HeliosError::Snapshot { .. }), "{err}");
+    // A live finish event (current epoch, no end) for the queued job: it
+    // would fire first and remove a job that holds no running slot.
+    let mut finishes_queued = snap.clone();
+    finishes_queued
+        .finishes
+        .insert(0, (100, 1, snap.jobs[1].epoch));
+    for bad in [fits, elsewhere, finishes_queued] {
+        for bad in [
+            bad.clone(),
+            SimSnapshot::from_bytes(&bad.to_bytes()).unwrap(),
+        ] {
+            let err = Simulator::restore(&spec, Policy::Fifo.build(), &bad)
+                .err()
+                .expect("refused");
+            assert!(matches!(err, HeliosError::Snapshot { .. }), "{err}");
+        }
     }
 }
 
