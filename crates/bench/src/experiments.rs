@@ -19,8 +19,8 @@ use helios_predict::{
 };
 use helios_sim::{
     group_delay_ratios, jobs_from_trace, outcome_digest, per_vc_queue_delay, schedule_stats,
-    simulate, simulate_with, FaultConfig, FifoPolicy, JobOutcome, KernelConfig, Placement, Policy,
-    SchedulingPolicy, SimConfig, SimJob, Simulator,
+    simulate_with, FaultConfig, FifoPolicy, JobOutcome, KernelConfig, Placement, Policy,
+    SchedulingPolicy, SimJob, Simulator,
 };
 use helios_trace::{
     generate_helios, generate_philly, GeneratorConfig, HeliosError, Trace, SECS_PER_DAY,
@@ -1577,9 +1577,14 @@ fn ablation_lambda(ctx: &mut Context) -> ExperimentOutput {
         svc.train(&venus, 0, lo).expect("training window non-empty");
         let scored = svc.assign_priorities(&venus, lo, hi);
         let stats = schedule_stats(
-            &simulate(&venus.spec, &scored, &SimConfig::new(Policy::Priority))
-                .expect("sim inputs pre-filtered")
-                .outcomes,
+            &simulate_with(
+                &venus.spec,
+                &scored,
+                Policy::Priority.build(),
+                &KernelConfig::default(),
+            )
+            .expect("sim inputs pre-filtered")
+            .outcomes,
         );
         if stats.avg_jct < best.1 {
             best = (lambda, stats.avg_jct);
@@ -1611,13 +1616,12 @@ fn ablation_backfill(ctx: &mut Context) -> ExperimentOutput {
     let mut t = TextTable::new(vec!["config", "avg JCT (s)", "avg queue (s)", "# queued"]);
     let mut data = serde_json::Map::new();
     for (label, backfill) in [("QSSF", false), ("QSSF+backfill", true)] {
-        let cfg = SimConfig {
-            policy: Policy::Priority,
+        let cfg = KernelConfig {
             placement: Placement::Consolidate,
             backfill,
         };
         let stats = schedule_stats(
-            &simulate(&venus.spec, &scored, &cfg)
+            &simulate_with(&venus.spec, &scored, Policy::Priority.build(), &cfg)
                 .expect("sim inputs pre-filtered")
                 .outcomes,
         );

@@ -305,27 +305,4 @@ mod tests {
         }
         assert!(same < exact.len() / 10, "noise must perturb priorities");
     }
-
-    #[test]
-    fn scheduling_policy_object_matches_priority_enum() {
-        // QSSF routed through the pluggable kernel must reproduce the
-        // legacy Priority-enum path outcome for outcome.
-        use helios_sim::{
-            simulate, simulate_with, KernelConfig, Policy, PriorityPolicy, SimConfig,
-        };
-        let t = trace();
-        let (lo, hi) = t.calendar.month_range(5);
-        let mut svc = QssfService::new(QssfConfig::default());
-        svc.train(&t, 0, lo).unwrap();
-        let scored = svc.assign_priorities(&t, lo, hi);
-        let legacy = simulate(&t.spec, &scored, &SimConfig::new(Policy::Priority)).unwrap();
-        let pluggable = simulate_with(
-            &t.spec,
-            &scored,
-            Box::new(PriorityPolicy::named("QSSF")),
-            &KernelConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(legacy.outcomes, pluggable.outcomes);
-    }
 }

@@ -11,8 +11,7 @@
 //! or up to a horizon ([`Simulator::run_until`]), and surrenders finished
 //! jobs through [`Simulator::drain_outcomes`] — callers never need the
 //! whole trace or the whole outcome vector resident. The one-shot
-//! [`simulate`] / [`simulate_with`] entry points are thin convenience
-//! wrappers over it.
+//! [`simulate_with`] entry point is a thin wrapper over it.
 
 use crate::fault::{
     DrainDirective, FaultConfig, FaultSemantics, FaultState, FaultStats, FAULT_EV_FAIL,
@@ -22,9 +21,7 @@ use crate::job::{JobOutcome, SimJob};
 use crate::observer::{ClusterView, SimEvent, SimObserver};
 use crate::policy::{FifoPolicy, JobView, PriorityPolicy, SchedulingPolicy, SjfPolicy, SrtfPolicy};
 use crate::pool::{Allocation, NodePool, Placement};
-use crate::snapshot::{
-    spec_fingerprint, JobStateSnap, QueueKey, SimSnapshot, SnapView, VcSnap, VcView,
-};
+use crate::snapshot::{spec_fingerprint, JobStateSnap, QueueKey, SimSnapshot, SnapView, VcView};
 use helios_trace::{ClusterSpec, HeliosError, HeliosResult};
 use std::borrow::Cow;
 
@@ -79,36 +76,7 @@ impl Default for KernelConfig {
     }
 }
 
-/// One-shot simulation configuration over the built-in [`Policy`] table.
-/// Streaming metrics that used to hang off this struct (`occupancy_bin`)
-/// now live in observers — see [`crate::OccupancyObserver`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SimConfig {
-    pub policy: Policy,
-    pub placement: Placement,
-    /// See [`KernelConfig::backfill`].
-    pub backfill: bool,
-}
-
-impl SimConfig {
-    /// Paper-default configuration for a policy.
-    pub fn new(policy: Policy) -> Self {
-        SimConfig {
-            policy,
-            placement: Placement::Consolidate,
-            backfill: false,
-        }
-    }
-
-    fn kernel(&self) -> KernelConfig {
-        KernelConfig {
-            placement: self.placement,
-            backfill: self.backfill,
-        }
-    }
-}
-
-/// Simulation output of the one-shot wrappers.
+/// Simulation output of [`simulate_with`].
 #[derive(Debug, Clone)]
 pub struct SimResult {
     /// One outcome per input job, in input order.
@@ -493,19 +461,15 @@ impl<'a> Simulator<'a> {
             policy_name: self.policy.name(),
             spec_fingerprint: spec_fingerprint(&self.spec),
             horizon: self.horizon,
-            finished: self.finished as u64,
             jobs: &self.states,
             vcs: self
                 .vcs
                 .iter()
                 .map(|vc| VcView {
-                    free: vc.pool.free_counts(),
                     queue: vc.queue.as_slice(),
-                    running: &vc.running,
                     running_allocs: &vc.running_allocs,
                 })
                 .collect(),
-            pending_arrivals: self.arrivals.get(self.next_arrival..).unwrap_or_default(),
             finishes: self.finishes.as_slice(),
             completed: &self.completed,
             policy_state: Cow::Owned(policy_state),
@@ -516,97 +480,160 @@ impl<'a> Simulator<'a> {
     /// Rebuild a kernel from a [`SimSnapshot`] taken against `spec`.
     /// `policy` must be a fresh instance of the same discipline the
     /// snapshot was taken under (checked by name); its dynamic state is
-    /// rehydrated through
-    /// [`SchedulingPolicy::load_state`].
-    /// Derived state (cluster aggregates, pool buckets) is recomputed,
-    /// scratch buffers start empty, and no observers are attached. Every
-    /// inconsistency — wrong cluster, wrong policy, out-of-range indices,
-    /// slot mismatches, job records `push_jobs` would refuse, jobs listed
-    /// under another VC, allocations the pool could not release, a queue
-    /// head that fits its pool, a live finish event for a job that is not
-    /// running — surfaces as a typed
+    /// rehydrated through [`SchedulingPolicy::load_state`].
+    ///
+    /// The snapshot stores each fact once; restore derives the rest in one
+    /// membership pass that puts every job in exactly one place:
+    /// *pending* (never started and not queued; in submit, then index,
+    /// order these are the arrival cursor), *queued* (once, in its own VC),
+    /// *running* (started, its `run_slot` naming one of its VC's
+    /// allocations, with exactly one live finish entry, at `started_at +
+    /// remaining`) or *finished* (an end and a first start; undrained
+    /// completions name only finished jobs, each once). Free GPUs come
+    /// from the allocations, the finished count from the end times, and
+    /// the cluster aggregates and pool indices from both. Scratch buffers
+    /// start empty and no observers are attached. Any other state — wrong
+    /// cluster or policy, job records `push_jobs` would refuse, an
+    /// allocation the pool could not release, a queue head that fits its
+    /// pool, a heap array out of order — is a typed
     /// [`HeliosError::Snapshot`], never a panic.
     pub fn restore(
         spec: &ClusterSpec,
         mut policy: Box<dyn SchedulingPolicy + 'a>,
         snap: &SimSnapshot,
     ) -> HeliosResult<Simulator<'a>> {
-        let ctx = "restoring kernel snapshot";
+        let refuse = |detail: String| HeliosError::snapshot("restoring kernel snapshot", detail);
         if snap.spec_fingerprint != spec_fingerprint(spec) {
-            return Err(HeliosError::snapshot(
-                ctx,
-                format!(
-                    "snapshot was taken against a different cluster than {}",
-                    spec.id.name()
-                ),
-            ));
+            return Err(refuse(format!(
+                "snapshot was taken against a different cluster than {}",
+                spec.id.name()
+            )));
         }
         if policy.name() != snap.policy_name {
-            return Err(HeliosError::snapshot(
-                ctx,
-                format!(
-                    "snapshot was taken under policy `{}` but `{}` was supplied",
-                    snap.policy_name,
-                    policy.name()
-                ),
-            ));
+            return Err(refuse(format!(
+                "snapshot was taken under policy `{}` but `{}` was supplied",
+                snap.policy_name,
+                policy.name()
+            )));
         }
         if snap.vcs.len() != spec.num_vcs() {
-            return Err(HeliosError::snapshot(
-                ctx,
-                format!(
-                    "snapshot has {} VCs but the spec has {}",
-                    snap.vcs.len(),
-                    spec.num_vcs()
-                ),
-            ));
+            return Err(refuse(format!(
+                "snapshot has {} VCs but the spec has {}",
+                snap.vcs.len(),
+                spec.num_vcs()
+            )));
         }
         policy.load_state(&snap.policy_state)?;
         let fault: Option<Box<FaultState>> = match &snap.fault {
             Some(fs) => Some(Box::new(FaultState::from_snap(fs, spec)?)),
             None => None,
         };
-        let n_jobs = snap.jobs.len();
-        let check_idx = |idx: usize, what: &str| -> HeliosResult<usize> {
-            if idx < n_jobs {
-                Ok(idx)
-            } else {
-                Err(HeliosError::snapshot(
-                    ctx,
-                    format!("{what} references state index {idx} but only {n_jobs} jobs exist"),
-                ))
-            }
-        };
         for s in &snap.jobs {
-            validate_job(spec, &s.job)
-                .map_err(|e| HeliosError::snapshot(ctx, format!("job record refused: {e}")))?;
+            validate_job(spec, &s.job).map_err(|e| refuse(format!("job record refused: {e}")))?;
         }
         let states = snap.jobs.clone();
-        let check_vc = |idx: usize, v: usize, what: &str| -> HeliosResult<()> {
-            match states.get(idx) {
-                Some(s) if s.job.vc as usize == v => Ok(()),
-                _ => Err(HeliosError::snapshot(
-                    ctx,
-                    format!(
-                        "VC {v} lists job index {idx} as {what} but the job belongs to another VC"
-                    ),
-                )),
+        // Queues, live finish entries and completions list disjoint sets of
+        // jobs (queued, running, finished), so one mark per job finds any
+        // job listed twice.
+        let mut listed = vec![false; states.len()];
+        for (v, vc) in snap.vcs.iter().enumerate() {
+            for &(_, idx) in &vc.queue {
+                match (states.get(idx), listed.get_mut(idx)) {
+                    (Some(s), Some(mark)) if s.job.vc as usize == v && !*mark => *mark = true,
+                    _ => {
+                        return Err(refuse(format!(
+                            "VC {v} queues job index {idx}, which is not a job of the VC \
+                             queued once"
+                        )))
+                    }
+                }
             }
-        };
+        }
+        let mut running: Vec<Vec<usize>> = snap
+            .vcs
+            .iter()
+            .map(|vc| vec![usize::MAX; vc.running_allocs.len()])
+            .collect();
+        let mut arrivals = Vec::new();
+        let mut finished = 0;
+        for (idx, (s, &queued)) in states.iter().zip(&listed).enumerate() {
+            let started = s.first_start != UNSET;
+            let placed = match (queued, s.end != UNSET, s.started_at != UNSET) {
+                (true, false, false) => true,
+                (false, true, _) => {
+                    finished += 1;
+                    started
+                }
+                (false, false, true) => {
+                    let slot = running
+                        .get_mut(s.job.vc as usize)
+                        .and_then(|slots| slots.get_mut(s.run_slot as usize));
+                    match slot {
+                        Some(slot) if started && *slot == usize::MAX => {
+                            *slot = idx;
+                            true
+                        }
+                        _ => false,
+                    }
+                }
+                (false, false, false) => {
+                    arrivals.push(idx);
+                    !started
+                }
+                _ => false,
+            };
+            if !placed {
+                return Err(refuse(format!(
+                    "job index {idx} is neither pending, queued once, running in a free slot \
+                     of its VC, nor finished"
+                )));
+            }
+        }
+        // Indices were pushed in ascending order, so a stable sort by
+        // submit time yields the kernel's (submit, index) arrival order.
+        arrivals.sort_by_key(|&idx| states.get(idx).map_or(0, |s| s.job.submit));
+        let gpn = spec.gpus_per_node;
         let mut stats = ClusterStats::default();
         let mut vcs = Vec::with_capacity(snap.vcs.len());
-        for (v, (vc_snap, vc_spec)) in snap.vcs.iter().zip(&spec.vcs).enumerate() {
-            if vc_snap.free.len() != vc_spec.nodes as usize {
-                return Err(HeliosError::snapshot(
-                    ctx,
-                    format!(
-                        "VC {v} snapshot has {} nodes but the spec has {}",
-                        vc_snap.free.len(),
-                        vc_spec.nodes
-                    ),
-                ));
+        for (v, ((vc_snap, vc_spec), running)) in
+            snap.vcs.iter().zip(&spec.vcs).zip(running).enumerate()
+        {
+            if running.contains(&usize::MAX) {
+                return Err(refuse(format!(
+                    "VC {v} has {} allocations but fewer running jobs",
+                    running.len()
+                )));
             }
-            let mut pool = NodePool::from_free_counts(spec.gpus_per_node, &vc_snap.free)?;
+            // Each node's free GPUs are its size minus what the running
+            // gangs hold there; a gang must hold exactly its request.
+            let mut free = vec![gpn; vc_spec.nodes as usize];
+            for (&idx, alloc) in running.iter().zip(&vc_snap.running_allocs) {
+                let mut total = 0u64;
+                for &(node, gpus) in alloc.slices() {
+                    let left = free.get_mut(node as usize).ok_or_else(|| {
+                        refuse(format!(
+                            "VC {v} job index {idx} holds GPUs on node {node} but the VC has {} \
+                             nodes",
+                            vc_spec.nodes
+                        ))
+                    })?;
+                    if gpus == 0 || gpus > *left {
+                        return Err(refuse(format!(
+                            "VC {v} job index {idx} holds {gpus} GPUs on node {node}, which has \
+                             {left} of {gpn} unheld"
+                        )));
+                    }
+                    *left -= gpus;
+                    total += u64::from(gpus);
+                }
+                let want = states.get(idx).map_or(0, |s| s.job.gpus);
+                if total != u64::from(want) {
+                    return Err(refuse(format!(
+                        "VC {v} job index {idx} holds {total} GPUs but requested {want}"
+                    )));
+                }
+            }
+            let mut pool = NodePool::from_free_counts(gpn, &free)?;
             // Re-apply node up/down and drain state before aggregates are
             // computed: offline nodes keep their free counts but leave the
             // placement index, exactly as they did in the source kernel.
@@ -619,117 +646,84 @@ impl<'a> Simulator<'a> {
                     }
                 }
             }
-            let mut queue_data = Vec::with_capacity(vc_snap.queue.len());
-            for &(key, idx) in &vc_snap.queue {
-                let idx = check_idx(idx, "a queue entry")?;
-                check_vc(idx, v, "queued")?;
-                queue_data.push((key, idx));
-            }
-            if !is_heap(&queue_data) {
-                return Err(HeliosError::snapshot(
-                    ctx,
-                    format!("VC {v} queue array violates the heap property"),
-                ));
+            if !is_heap(&vc_snap.queue) {
+                return Err(refuse(format!(
+                    "VC {v} queue array violates the heap property"
+                )));
             }
             // Between events a queue head never fits its pool (every pool
             // change reschedules the VC), and arrivals rely on that.
-            if let Some(&(_, head)) = queue_data.first() {
-                let g = states.get(head).map_or(0, |s| s.job.gpus);
-                if g > 0 && pool.fits(g) {
-                    return Err(HeliosError::snapshot(
-                        ctx,
-                        format!("VC {v} queue head (job index {head}) fits the free GPUs"),
-                    ));
+            if let Some(&(_, head)) = vc_snap.queue.first() {
+                if states.get(head).is_some_and(|s| pool.fits(s.job.gpus)) {
+                    return Err(refuse(format!(
+                        "VC {v} queue head (job index {head}) fits the free GPUs"
+                    )));
                 }
             }
-            if vc_snap.running.len() != vc_snap.running_allocs.len() {
-                return Err(HeliosError::snapshot(
-                    ctx,
-                    format!(
-                        "VC {v} has {} running jobs but {} allocations",
-                        vc_snap.running.len(),
-                        vc_snap.running_allocs.len()
-                    ),
-                ));
-            }
-            let mut running = Vec::with_capacity(vc_snap.running.len());
-            for (slot, &idx) in vc_snap.running.iter().enumerate() {
-                let idx = check_idx(idx, "a running entry")?;
-                check_vc(idx, v, "running")?;
-                if states[idx].run_slot as usize != slot {
-                    return Err(HeliosError::snapshot(
-                        ctx,
-                        format!(
-                            "VC {v} running slot {slot} holds job index {idx} whose \
-                             recorded slot is {}",
-                            states[idx].run_slot
-                        ),
-                    ));
-                }
-                running.push(idx);
-            }
-            check_allocations(v, vc_snap, &states, spec.gpus_per_node)?;
             // True free counts (not `pool.free_gpus()`, which excludes
             // offline nodes): busy must mean "held by a running gang".
-            stats.busy_gpus += pool.capacity() - vc_snap.free.iter().sum::<u32>();
+            stats.busy_gpus += pool.capacity() - free.iter().sum::<u32>();
             stats.busy_nodes += pool.busy_nodes();
             stats.total_nodes += pool.nodes();
             stats.capacity_gpus += pool.capacity();
-            stats.queued_jobs += queue_data.len();
+            stats.queued_jobs += vc_snap.queue.len();
             stats.running_jobs += running.len();
             vcs.push(VcState {
                 pool,
-                queue: MinHeap::from_heap_vec(queue_data),
+                queue: MinHeap::from_heap_vec(vc_snap.queue.clone()),
                 running,
                 running_allocs: vc_snap.running_allocs.clone(),
                 held_head: false,
             });
         }
-        let mut arrivals = Vec::with_capacity(snap.pending_arrivals.len());
-        for &idx in &snap.pending_arrivals {
-            arrivals.push(check_idx(idx, "a pending arrival")?);
-        }
-        let mut finishes_data = Vec::with_capacity(snap.finishes.len());
+        // A live entry (the job's epoch, no end yet) finishes its job when
+        // it fires; stale ones stay, since popping them still moves the
+        // clock. An entry from a later epoch would come alive on restart.
+        let mut live = 0;
         for &(t, idx, epoch) in &snap.finishes {
-            let idx = check_idx(idx, "a finish event")?;
-            // A live entry (current epoch, job not ended) finishes a job
-            // when it fires, so that job must sit in its VC's running set.
-            if let Some(s) = states
-                .get(idx)
-                .filter(|s| s.epoch == epoch && s.end == UNSET)
-            {
-                let running = vcs
-                    .get(s.job.vc as usize)
-                    .and_then(|vc| vc.running.get(s.run_slot as usize));
-                if running != Some(&idx) {
-                    return Err(HeliosError::snapshot(
-                        ctx,
-                        format!(
-                            "a live finish event targets job index {idx}, which is not running"
-                        ),
-                    ));
+            let Some(s) = states.get(idx).filter(|s| epoch <= s.epoch) else {
+                return Err(refuse(format!(
+                    "a finish event targets job index {idx} at epoch {epoch}, which it has not \
+                     reached"
+                )));
+            };
+            if epoch == s.epoch && s.end == UNSET {
+                let ends_at =
+                    (s.started_at != UNSET).then(|| s.started_at.checked_add(s.remaining));
+                match listed.get_mut(idx) {
+                    Some(mark) if !*mark && ends_at == Some(Some(t)) => {
+                        *mark = true;
+                        live += 1;
+                    }
+                    _ => {
+                        return Err(refuse(format!(
+                            "a live finish event at {t} targets job index {idx}, which is not \
+                             running to end at {t} or already has one"
+                        )))
+                    }
                 }
             }
-            finishes_data.push((t, idx, epoch));
         }
-        if !is_heap(&finishes_data) {
-            return Err(HeliosError::snapshot(
-                ctx,
-                "finish heap array violates the heap property",
+        if live != stats.running_jobs {
+            return Err(refuse(format!(
+                "{live} live finish events for {} running jobs",
+                stats.running_jobs
+            )));
+        }
+        if !is_heap(&snap.finishes) {
+            return Err(refuse(
+                "finish heap array violates the heap property".into(),
             ));
         }
-        let mut completed = Vec::with_capacity(snap.completed.len());
         for &idx in &snap.completed {
-            completed.push(check_idx(idx, "an undrained completion")?);
-        }
-        if snap.finished as usize > n_jobs {
-            return Err(HeliosError::snapshot(
-                ctx,
-                format!(
-                    "finished count {} exceeds the {n_jobs} admitted jobs",
-                    snap.finished
-                ),
-            ));
+            match (states.get(idx), listed.get_mut(idx)) {
+                (Some(s), Some(mark)) if s.end != UNSET && !*mark => *mark = true,
+                _ => {
+                    return Err(refuse(format!(
+                        "undrained completion {idx} is not a finished job listed once"
+                    )))
+                }
+            }
         }
         Ok(Simulator {
             spec: spec.clone(),
@@ -742,10 +736,10 @@ impl<'a> Simulator<'a> {
             stats,
             arrivals,
             next_arrival: 0,
-            finishes: MinHeap::from_heap_vec(finishes_data),
+            finishes: MinHeap::from_heap_vec(snap.finishes.clone()),
             horizon: snap.horizon,
-            completed,
-            finished: snap.finished as usize,
+            completed: snap.completed.clone(),
+            finished,
             trial_log: Vec::new(),
             scratch_victims: Vec::new(),
             scratch_ends: Vec::new(),
@@ -1585,63 +1579,6 @@ impl<'a> Simulator<'a> {
 /// Maximum queue positions scanned for backfill candidates.
 const BACKFILL_SCAN: usize = 64;
 
-/// Refuse running allocations the pool could not release: a slice on a
-/// node outside the VC or holding no GPUs, a gang whose slices do not add
-/// up to its job's request, or a node whose held plus free GPUs differ
-/// from its size. Expects the running indices already checked.
-fn check_allocations(
-    v: usize,
-    snap: &VcSnap,
-    states: &[JobStateSnap],
-    gpus_per_node: u32,
-) -> HeliosResult<()> {
-    let ctx = "restoring kernel snapshot";
-    let mut held = vec![0u64; snap.free.len()];
-    for (&idx, alloc) in snap.running.iter().zip(&snap.running_allocs) {
-        let mut total = 0u64;
-        for &(node, gpus) in alloc.slices() {
-            let slot = held.get_mut(node as usize).ok_or_else(|| {
-                HeliosError::snapshot(
-                    ctx,
-                    format!(
-                        "VC {v} job index {idx} holds GPUs on node {node} but the VC has {} nodes",
-                        snap.free.len()
-                    ),
-                )
-            })?;
-            if gpus == 0 {
-                return Err(HeliosError::snapshot(
-                    ctx,
-                    format!("VC {v} job index {idx} holds an empty slice on node {node}"),
-                ));
-            }
-            *slot += u64::from(gpus);
-            total += u64::from(gpus);
-        }
-        let want = states.get(idx).map_or(0, |s| s.job.gpus);
-        if total != u64::from(want) {
-            return Err(HeliosError::snapshot(
-                ctx,
-                format!("VC {v} job index {idx} holds {total} GPUs but requested {want}"),
-            ));
-        }
-    }
-    let mismatch = held
-        .iter()
-        .zip(&snap.free)
-        .enumerate()
-        .find(|(_, (&h, &f))| h + u64::from(f) != u64::from(gpus_per_node));
-    if let Some((node, (h, f))) = mismatch {
-        return Err(HeliosError::snapshot(
-            ctx,
-            format!(
-                "VC {v} node {node} has {h} GPUs held and {f} free but {gpus_per_node} GPUs in all"
-            ),
-        ));
-    }
-    Ok(())
-}
-
 /// 4-ary heap property check (matching `MinHeap`'s arity) for the heap
 /// arrays a snapshot restores verbatim — untrusted input, so the check
 /// runs in release builds too, not just as a debug assertion.
@@ -1662,12 +1599,6 @@ pub fn simulate_with(
     let outcomes = sim.drain_outcomes();
     debug_assert_eq!(outcomes.len(), jobs.len());
     Ok(SimResult { outcomes })
-}
-
-/// Run one simulation with a built-in [`Policy`] — the legacy one-shot
-/// entry point, now a thin wrapper over [`Simulator`].
-pub fn simulate(spec: &ClusterSpec, jobs: &[SimJob], cfg: &SimConfig) -> HeliosResult<SimResult> {
-    simulate_with(spec, jobs, cfg.policy.build(), &cfg.kernel())
 }
 
 #[cfg(test)]
@@ -1706,7 +1637,17 @@ mod tests {
     }
 
     fn run(policy: Policy, jobs: &[SimJob]) -> Vec<JobOutcome> {
-        simulate(&spec(1), jobs, &SimConfig::new(policy))
+        simulate_with(&spec(1), jobs, policy.build(), &KernelConfig::default())
+            .unwrap()
+            .outcomes
+    }
+
+    fn run_backfilled(jobs: &[SimJob]) -> Vec<JobOutcome> {
+        let cfg = KernelConfig {
+            backfill: true,
+            ..KernelConfig::default()
+        };
+        simulate_with(&spec(1), jobs, Policy::Fifo.build(), &cfg)
             .unwrap()
             .outcomes
     }
@@ -1791,7 +1732,13 @@ mod tests {
                 priority: 1.0,
             },
         ];
-        let r = simulate(&spec(2), &jobs, &SimConfig::new(Policy::Fifo)).unwrap();
+        let r = simulate_with(
+            &spec(2),
+            &jobs,
+            Box::new(FifoPolicy),
+            &KernelConfig::default(),
+        )
+        .unwrap();
         assert_eq!(r.outcomes[1].start, 500, "16-GPU job needs 2 free nodes");
     }
 
@@ -1813,9 +1760,7 @@ mod tests {
             job(1, 4, 10, 2_000), // blocked head; shadow = 1000
             job(2, 2, 20, 100),   // fits now and ends (120) before shadow
         ];
-        let mut cfg = SimConfig::new(Policy::Fifo);
-        cfg.backfill = true;
-        let o = simulate(&spec(1), &jobs, &cfg).unwrap().outcomes;
+        let o = run_backfilled(&jobs);
         assert_eq!(o[2].start, 20, "backfill should start job 2 immediately");
         // Head must not be delayed by the backfilled job.
         assert_eq!(o[1].start, 1_000);
@@ -1828,9 +1773,7 @@ mod tests {
             job(1, 4, 10, 2_000),  // blocked head; shadow = 1000
             job(2, 2, 20, 50_000), // fits now but would overrun the shadow
         ];
-        let mut cfg = SimConfig::new(Policy::Fifo);
-        cfg.backfill = true;
-        let o = simulate(&spec(1), &jobs, &cfg).unwrap().outcomes;
+        let o = run_backfilled(&jobs);
         assert_eq!(o[1].start, 1_000);
         assert!(o[2].start >= 1_000, "long job must not backfill");
     }
@@ -2021,7 +1964,7 @@ mod tests {
         let mut sorted = jobs.clone();
         sorted.sort_by_key(|j| j.submit);
         for policy in [Policy::Fifo, Policy::Sjf, Policy::Srtf, Policy::Priority] {
-            let o = simulate(&spec(3), &sorted, &SimConfig::new(policy))
+            let o = simulate_with(&spec(3), &sorted, policy.build(), &KernelConfig::default())
                 .unwrap()
                 .outcomes;
             assert_eq!(o.len(), sorted.len());

@@ -11,22 +11,23 @@
 //! — FIFO, oracle SJF, oracle preemptive SRTF, externally-scored Priority
 //! for QSSF — ship as policy objects, plus a Tiresias-style discretized
 //! least-attained-service policy), metrics stream through [`SimObserver`]s
-//! (occupancy, queue length, per-VC utilization), and the [`Simulator`]
+//! (occupancy, queue length), and the [`Simulator`]
 //! kernel is incremental: push jobs online, advance to a horizon, drain
 //! outcomes.
 //!
 //! ```
-//! use helios_sim::{simulate, SimConfig, Policy, SimJob};
+//! use helios_sim::{simulate_with, KernelConfig, Policy, SimJob};
 //! use helios_trace::venus;
 //!
 //! let spec = venus();
+//! let cfg = KernelConfig::default();
 //! let jobs = vec![SimJob { id: 0, vc: 0, gpus: 8, submit: 0, duration: 60, priority: 1.0 }];
-//! let result = simulate(&spec, &jobs, &SimConfig::new(Policy::Fifo))?;
+//! let result = simulate_with(&spec, &jobs, Policy::Fifo.build(), &cfg)?;
 //! assert_eq!(result.outcomes[0].start, 0);
 //!
 //! // Unplaceable jobs are rejected up front instead of hanging the queue.
 //! let giant = vec![SimJob { id: 1, vc: 0, gpus: u32::MAX, submit: 0, duration: 60, priority: 1.0 }];
-//! assert!(simulate(&spec, &giant, &SimConfig::new(Policy::Fifo)).is_err());
+//! assert!(simulate_with(&spec, &giant, Policy::Fifo.build(), &cfg).is_err());
 //! # Ok::<(), helios_trace::HeliosError>(())
 //! ```
 //!
@@ -56,9 +57,7 @@ pub mod policy;
 pub mod pool;
 pub mod snapshot;
 
-pub use engine::{
-    simulate, simulate_with, validate_job, KernelConfig, Policy, SimConfig, SimResult, Simulator,
-};
+pub use engine::{simulate_with, validate_job, KernelConfig, Policy, SimResult, Simulator};
 pub use fault::{
     DrainDirective, FaultConfig, FaultSemantics, FaultSnap, FaultState, FaultStats,
     FAULT_CODEC_VERSION, NODE_FEATURES, NODE_FEATURE_NAMES,
@@ -68,10 +67,7 @@ pub use metrics::{
     group_delay_ratios, jct_samples, outcome_digest, per_vc_queue_delay, queue_delay_by_group,
     schedule_stats, ScheduleStats, DURATION_GROUPS, QUEUED_THRESHOLD_SECS,
 };
-pub use observer::{
-    ClusterView, OccupancyObserver, QueueLengthObserver, SimEvent, SimObserver,
-    VcUtilizationObserver,
-};
+pub use observer::{ClusterView, OccupancyObserver, QueueLengthObserver, SimEvent, SimObserver};
 pub use policy::{
     FifoPolicy, JobView, PriorityPolicy, SchedulingPolicy, SjfPolicy, SrtfPolicy, TiresiasPolicy,
 };

@@ -225,8 +225,7 @@ impl<T: SimObserver + ?Sized> SimObserver for &mut T {
 }
 
 /// Piecewise-exact busy-node series, binned at a fixed width — the signal
-/// behind the CES experiments (Figs. 14–15). Replaces the old
-/// `SimConfig::occupancy_bin` engine knob.
+/// behind the CES experiments (Figs. 14–15).
 #[derive(Debug, Clone)]
 pub struct OccupancyObserver {
     bin: i64,
@@ -322,65 +321,5 @@ impl SimObserver for QueueLengthObserver {
             Some(last) if last.0 == now => last.1 = q,
             _ => self.samples.push((now, q)),
         }
-    }
-}
-
-/// Time-integrated per-VC GPU utilization (busy GPU·seconds over capacity
-/// GPU·seconds), streamed — the per-VC slice of Fig. 2a computed without
-/// retaining outcomes.
-#[derive(Debug, Clone, Default)]
-pub struct VcUtilizationObserver {
-    t0: Option<i64>,
-    last_t: i64,
-    busy_gpu_secs: Vec<f64>,
-    capacities: Vec<u32>,
-}
-
-impl VcUtilizationObserver {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Busy GPU·seconds accumulated per VC.
-    pub fn busy_gpu_seconds(&self) -> &[f64] {
-        &self.busy_gpu_secs
-    }
-
-    /// Utilization in `\[0, 1\]` per VC over the observed window.
-    pub fn utilization(&self) -> Vec<f64> {
-        let window = (self.last_t - self.t0.unwrap_or(self.last_t)) as f64;
-        self.busy_gpu_secs
-            .iter()
-            .zip(&self.capacities)
-            .map(|(&busy, &cap)| {
-                if window > 0.0 && cap > 0 {
-                    busy / (window * cap as f64)
-                } else {
-                    0.0
-                }
-            })
-            .collect()
-    }
-}
-
-impl SimObserver for VcUtilizationObserver {
-    fn on_clock(&mut self, now: i64, cluster: &ClusterView<'_>) {
-        if self.t0.is_none() {
-            self.t0 = Some(now);
-            self.last_t = now;
-            self.busy_gpu_secs = vec![0.0; cluster.num_vcs()];
-            self.capacities = (0..cluster.num_vcs())
-                .map(|vc| cluster.vc_capacity_gpus(vc))
-                .collect();
-        }
-        // `on_clock` sees the state that held over `[last_t, now)`, so the
-        // pre-event busy counts integrate the elapsed interval exactly.
-        let dt = (now - self.last_t) as f64;
-        if dt > 0.0 {
-            for (vc, acc) in self.busy_gpu_secs.iter_mut().enumerate() {
-                *acc += cluster.vc_busy_gpus(vc) as f64 * dt;
-            }
-        }
-        self.last_t = now;
     }
 }

@@ -286,9 +286,8 @@ impl NodePool {
     }
 
     /// Per-node free-GPU counts — the pool's complete logical state
-    /// (equality is defined over exactly this plus `gpus_per_node`).
-    /// Snapshot hook: persist these and rebuild with
-    /// [`NodePool::from_free_counts`].
+    /// (equality is defined over exactly this plus `gpus_per_node`);
+    /// [`NodePool::from_free_counts`] rebuilds a pool from them.
     pub fn free_counts(&self) -> &[u32] {
         &self.free
     }
@@ -298,8 +297,9 @@ impl NodePool {
         self.gpus_per_node
     }
 
-    /// Rebuild a pool from per-node free counts previously obtained via
-    /// [`NodePool::free_counts`]. The buckets, non-empty mask, and free
+    /// Rebuild a pool from per-node free counts, such as those
+    /// [`NodePool::free_counts`] returns or a kernel restore derives from
+    /// the running allocations. The buckets, non-empty mask, and free
     /// aggregate are derived indices, so reconstructing them from the
     /// counts restores the pool exactly.
     pub fn from_free_counts(

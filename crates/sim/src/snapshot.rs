@@ -2,16 +2,21 @@
 //! checksummed frame every persisted format is written in.
 //!
 //! [`SimSnapshot`] captures everything a [`Simulator`](crate::Simulator)
-//! needs to resume with **byte-identical downstream outcomes**: job
-//! execution state, per-VC pool occupancy, the policy-ordered queues and
-//! finish heap verbatim (backing arrays, so pop order is reproduced bit
-//! for bit), the arrival cursor, the simulated horizon, undrained
-//! completions, opaque policy state
+//! needs to resume with **byte-identical downstream outcomes**, and each
+//! fact once: the job table, the policy-ordered queues and finish heap
+//! verbatim (backing arrays, so pop order is reproduced bit for bit, stale
+//! finish entries included), each VC's running allocations in slot order,
+//! the simulated horizon, undrained completions, opaque policy state
 //! ([`SchedulingPolicy::save_state`](crate::SchedulingPolicy::save_state)),
 //! and the failure state behind a presence byte.
 //!
-//! Deliberately *not* captured: the scratch buffers and registered
-//! observers (restore starts with none; re-attach as needed).
+//! Deliberately *not* captured, because restore derives it: the arrival
+//! cursor (every job that never started and is not queued, sorted by
+//! submit time and index), each VC's running list (from the jobs'
+//! `run_slot`s), the per-node free counts (node size minus the GPUs the
+//! allocations hold), and the finished count (jobs with an end time).
+//! Nor the scratch buffers and registered observers (restore starts with
+//! none; re-attach as needed).
 //!
 //! ## The frame
 //!
@@ -43,10 +48,9 @@ use std::borrow::Cow;
 
 /// Frame magic of a serialized [`SimSnapshot`].
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"HSIMSNAP";
-/// Kernel snapshot frame version. Version 4 is the checksummed frame
-/// with the failure state behind a presence byte; versions 1 to 3 are
-/// refused by number.
-pub const SNAPSHOT_VERSION: u32 = 4;
+/// Kernel snapshot frame version. Version 5 stores no state restore can
+/// derive (see the module docs); versions 1 to 4 are refused by number.
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// Bytes a frame adds around its body: magic, version, body length and
 /// the closing checksum.
@@ -70,15 +74,11 @@ pub struct SimSnapshot {
     pub spec_fingerprint: u64,
     /// Simulated horizon (`i64::MIN` before any activity).
     pub horizon: i64,
-    /// Jobs finished so far.
-    pub finished: u64,
     /// Every admitted job's execution state, in admission order (state
     /// indices elsewhere in the snapshot point into this array).
     pub jobs: Vec<JobStateSnap>,
-    /// Per-VC pool/queue/running state, in VC order.
+    /// Per-VC queue and allocations, in VC order.
     pub vcs: Vec<VcSnap>,
-    /// Unconsumed arrival cursor tail (state indices, submit-sorted).
-    pub pending_arrivals: Vec<usize>,
     /// The finish heap's backing array verbatim: `(time, state index,
     /// epoch)`.
     pub finishes: Vec<(i64, usize, u32)>,
@@ -142,23 +142,18 @@ impl Ord for QueueKey {
 /// One VC's state inside a [`SimSnapshot`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct VcSnap {
-    /// Per-node free-GPU counts — the pool's complete logical state.
-    pub free: Vec<u32>,
     /// The policy queue's backing heap array verbatim: `(key, state
     /// index)`.
     pub queue: Vec<(QueueKey, usize)>,
-    /// Running jobs (state indices), slot order.
-    pub running: Vec<usize>,
-    /// `running_allocs[i]` is `running[i]`'s live allocation.
+    /// `running_allocs[i]` is the live allocation of the running job
+    /// whose `run_slot` is `i`.
     pub running_allocs: Vec<Allocation>,
 }
 
 impl VcSnap {
     fn view(&self) -> VcView<'_> {
         VcView {
-            free: &self.free,
             queue: &self.queue,
-            running: &self.running,
             running_allocs: &self.running_allocs,
         }
     }
@@ -174,10 +169,8 @@ pub(crate) struct SnapView<'a> {
     pub policy_name: &'a str,
     pub spec_fingerprint: u64,
     pub horizon: i64,
-    pub finished: u64,
     pub jobs: &'a [JobStateSnap],
     pub vcs: Vec<VcView<'a>>,
-    pub pending_arrivals: &'a [usize],
     pub finishes: &'a [(i64, usize, u32)],
     pub completed: &'a [usize],
     pub policy_state: Cow<'a, [u8]>,
@@ -186,9 +179,7 @@ pub(crate) struct SnapView<'a> {
 
 /// One VC of a [`SnapView`].
 pub(crate) struct VcView<'a> {
-    pub free: &'a [u32],
     pub queue: &'a [(QueueKey, usize)],
-    pub running: &'a [usize],
     pub running_allocs: &'a [Allocation],
 }
 
@@ -562,9 +553,7 @@ impl SnapView<'_> {
             .vcs
             .iter()
             .map(|vc| {
-                32 + vc.free.len() * 4
-                    + vc.queue.len() * 24
-                    + vc.running.len() * 8
+                16 + vc.queue.len() * 24
                     + vc.running_allocs
                         .iter()
                         .map(|a| 8 + a.slices().len() * 8)
@@ -579,13 +568,11 @@ impl SnapView<'_> {
             + 2
             + 8
             + self.policy_name.len()
-            + 3 * 8
+            + 2 * 8
             + 8
             + self.jobs.len() * (JOB_WIRE_BYTES + 44)
             + 8
             + vcs
-            + 8
-            + self.pending_arrivals.len() * 8
             + 8
             + self.finishes.len() * 20
             + 8
@@ -623,7 +610,6 @@ impl SnapView<'_> {
         w.str(self.policy_name);
         w.u64(self.spec_fingerprint);
         w.i64(self.horizon);
-        w.u64(self.finished);
         w.u64(self.jobs.len() as u64);
         for j in self.jobs {
             w.job(&j.job);
@@ -637,18 +623,10 @@ impl SnapView<'_> {
         }
         w.u64(self.vcs.len() as u64);
         for vc in &self.vcs {
-            w.u64(vc.free.len() as u64);
-            for &f in vc.free {
-                w.u32(f);
-            }
             w.u64(vc.queue.len() as u64);
             for &(QueueKey(key, id), idx) in vc.queue {
                 w.f64(key);
                 w.u64(id);
-                w.u64(idx as u64);
-            }
-            w.u64(vc.running.len() as u64);
-            for &idx in vc.running {
                 w.u64(idx as u64);
             }
             w.u64(vc.running_allocs.len() as u64);
@@ -659,10 +637,6 @@ impl SnapView<'_> {
                     w.u32(gpus);
                 }
             }
-        }
-        w.u64(self.pending_arrivals.len() as u64);
-        for &idx in self.pending_arrivals {
-            w.u64(idx as u64);
         }
         w.u64(self.finishes.len() as u64);
         for &(t, idx, epoch) in self.finishes {
@@ -689,19 +663,15 @@ impl SnapView<'_> {
             policy_name: self.policy_name.to_string(),
             spec_fingerprint: self.spec_fingerprint,
             horizon: self.horizon,
-            finished: self.finished,
             jobs: self.jobs.to_vec(),
             vcs: self
                 .vcs
                 .iter()
                 .map(|vc| VcSnap {
-                    free: vc.free.to_vec(),
                     queue: vc.queue.to_vec(),
-                    running: vc.running.to_vec(),
                     running_allocs: vc.running_allocs.to_vec(),
                 })
                 .collect(),
-            pending_arrivals: self.pending_arrivals.to_vec(),
             finishes: self.finishes.to_vec(),
             completed: self.completed.to_vec(),
             policy_state: self.policy_state.into_owned(),
@@ -718,10 +688,8 @@ impl SimSnapshot {
             policy_name: &self.policy_name,
             spec_fingerprint: self.spec_fingerprint,
             horizon: self.horizon,
-            finished: self.finished,
             jobs: &self.jobs,
             vcs: self.vcs.iter().map(VcSnap::view).collect(),
-            pending_arrivals: &self.pending_arrivals,
             finishes: &self.finishes,
             completed: &self.completed,
             policy_state: Cow::Borrowed(&self.policy_state),
@@ -747,7 +715,6 @@ impl SimSnapshot {
         let policy_name = r.str()?;
         let spec_fingerprint = r.u64()?;
         let horizon = r.i64()?;
-        let finished = r.u64()?;
         let n_jobs = r.len(JOB_WIRE_BYTES + 44)?;
         let mut jobs = Vec::with_capacity(n_jobs);
         for _ in 0..n_jobs {
@@ -762,24 +729,14 @@ impl SimSnapshot {
                 run_slot: r.u32()?,
             });
         }
-        let n_vcs = r.len(32)?;
+        let n_vcs = r.len(16)?;
         let mut vcs = Vec::with_capacity(n_vcs);
         for _ in 0..n_vcs {
-            let n_free = r.len(4)?;
-            let mut free = Vec::with_capacity(n_free);
-            for _ in 0..n_free {
-                free.push(r.u32()?);
-            }
             let n_queue = r.len(24)?;
             let mut queue = Vec::with_capacity(n_queue);
             for _ in 0..n_queue {
                 let key = QueueKey(r.f64()?, r.u64()?);
                 queue.push((key, r.u64()? as usize));
-            }
-            let n_running = r.len(8)?;
-            let mut running = Vec::with_capacity(n_running);
-            for _ in 0..n_running {
-                running.push(r.u64()? as usize);
             }
             let n_allocs = r.len(8)?;
             let mut running_allocs = Vec::with_capacity(n_allocs);
@@ -792,16 +749,9 @@ impl SimSnapshot {
                 running_allocs.push(slices.into_iter().collect());
             }
             vcs.push(VcSnap {
-                free,
                 queue,
-                running,
                 running_allocs,
             });
-        }
-        let n_arr = r.len(8)?;
-        let mut pending_arrivals = Vec::with_capacity(n_arr);
-        for _ in 0..n_arr {
-            pending_arrivals.push(r.u64()? as usize);
         }
         let n_fin = r.len(20)?;
         let mut finishes = Vec::with_capacity(n_fin);
@@ -826,10 +776,8 @@ impl SimSnapshot {
             policy_name,
             spec_fingerprint,
             horizon,
-            finished,
             jobs,
             vcs,
-            pending_arrivals,
             finishes,
             completed,
             policy_state,
@@ -850,7 +798,6 @@ mod tests {
             policy_name: "FIFO".into(),
             spec_fingerprint: spec_fingerprint(&venus()),
             horizon: 12_345,
-            finished: 1,
             jobs: vec![JobStateSnap {
                 job: SimJob {
                     id: 7,
@@ -869,12 +816,9 @@ mod tests {
                 run_slot: 0,
             }],
             vcs: vec![VcSnap {
-                free: vec![0, 8, 3],
                 queue: vec![(QueueKey(100.0, 7), 0), (QueueKey(101.5, 9), 0)],
-                running: vec![0],
                 running_allocs: vec![[(0, 8)].into_iter().collect()],
             }],
-            pending_arrivals: vec![0],
             finishes: vec![(700, 0, 2)],
             completed: vec![0],
             policy_state: vec![1, 2, 3],
@@ -943,9 +887,9 @@ mod tests {
         // a type, so swapping two u64 fields would pass it; these pins
         // would not.
         let mut snap = sample();
-        assert_eq!(xxh64(&snap.to_bytes()), 0x17d0_4b1d_2a6d_9cf7);
+        assert_eq!(xxh64(&snap.to_bytes()), 0xf67d_60c5_b50f_a3ca);
         snap.fault = Some(sample_fault());
-        assert_eq!(xxh64(&snap.to_bytes()), 0xb6eb_b5e0_1495_bad9);
+        assert_eq!(xxh64(&snap.to_bytes()), 0x41cc_9254_27b7_5f14);
     }
 
     #[test]
@@ -1009,11 +953,12 @@ mod tests {
         let mut wrong_magic = bytes.clone();
         wrong_magic[0] ^= 0xFF;
         assert!(SimSnapshot::from_bytes(&wrong_magic).is_err());
-        // Version 3 frames (one byte longer) are refused by number.
-        let mut version_three = bytes.clone();
-        version_three[8..12].copy_from_slice(&3u32.to_le_bytes());
-        let err = SimSnapshot::from_bytes(&version_three).unwrap_err();
-        assert!(err.to_string().contains("HSIMSNAP version 3 "), "{err}");
+        // Version 4 frames (which also stored the derivable state) are
+        // refused by number.
+        let mut version_four = bytes.clone();
+        version_four[8..12].copy_from_slice(&4u32.to_le_bytes());
+        let err = SimSnapshot::from_bytes(&version_four).unwrap_err();
+        assert!(err.to_string().contains("HSIMSNAP version 4 "), "{err}");
         let mut wrong_version = bytes;
         wrong_version[8] = 0xEE;
         let err = SimSnapshot::from_bytes(&wrong_version).unwrap_err();

@@ -1,13 +1,13 @@
 //! Property tests for the pluggable kernel: the incremental
 //! `Simulator` + policy-object path must produce byte-identical
-//! `JobOutcome` vectors to the one-shot `simulate()` wrapper, for every
+//! `JobOutcome` vectors to the one-shot `simulate_with`, for every
 //! built-in policy, across random workloads (seeded ChaCha), batch-fed
 //! arrivals, and two cluster presets. Plus: observer event-stream
 //! ordering invariants.
 
 use helios_sim::{
-    outcome_digest, simulate, simulate_with, ClusterView, JobOutcome, KernelConfig, Policy,
-    SimConfig, SimEvent, SimJob, SimObserver, Simulator,
+    outcome_digest, simulate_with, ClusterView, JobOutcome, KernelConfig, Policy, SimEvent, SimJob,
+    SimObserver, Simulator,
 };
 use helios_trace::{saturn, venus, ClusterSpec};
 use rand::{Rng, SeedableRng};
@@ -49,9 +49,10 @@ fn incremental_batches_match_one_shot_across_seeds_policies_presets() {
             let mut rng = ChaCha12Rng::seed_from_u64(seed);
             let jobs = random_jobs(&preset, 400, &mut rng);
             for policy in [Policy::Fifo, Policy::Sjf, Policy::Srtf] {
-                let one_shot = simulate(&preset, &jobs, &SimConfig::new(policy))
-                    .expect("valid workload")
-                    .outcomes;
+                let one_shot =
+                    simulate_with(&preset, &jobs, policy.build(), &KernelConfig::default())
+                        .expect("valid workload")
+                        .outcomes;
                 assert_eq!(one_shot.len(), jobs.len());
 
                 // Feed arrivals in 5 time-ordered batches, advancing the
@@ -80,27 +81,6 @@ fn incremental_batches_match_one_shot_across_seeds_policies_presets() {
                 assert_eq!(a, b, "{policy:?} seed {seed}: outcomes must match");
             }
         }
-    }
-}
-
-#[test]
-fn policy_object_path_is_identical_to_enum_path() {
-    // simulate() is defined over Policy::build(); drive simulate_with
-    // directly with explicitly-constructed policy objects and compare.
-    use helios_sim::{FifoPolicy, PriorityPolicy, SjfPolicy, SrtfPolicy};
-    let spec = venus();
-    let mut rng = ChaCha12Rng::seed_from_u64(99);
-    let jobs = random_jobs(&spec, 300, &mut rng);
-    let cases: Vec<(Policy, Box<dyn helios_sim::SchedulingPolicy>)> = vec![
-        (Policy::Fifo, Box::new(FifoPolicy)),
-        (Policy::Sjf, Box::new(SjfPolicy)),
-        (Policy::Srtf, Box::new(SrtfPolicy)),
-        (Policy::Priority, Box::new(PriorityPolicy::default())),
-    ];
-    for (policy, object) in cases {
-        let via_enum = simulate(&spec, &jobs, &SimConfig::new(policy)).unwrap();
-        let via_object = simulate_with(&spec, &jobs, object, &KernelConfig::default()).unwrap();
-        assert_eq!(via_enum.outcomes, via_object.outcomes, "{policy:?}");
     }
 }
 

@@ -2,7 +2,7 @@
 //! behaviours that only show up at the boundaries (empty windows, saturated
 //! pools, one-job clusters, malformed CSV).
 
-use helios_sim::{simulate, Placement, Policy, SimConfig, SimJob};
+use helios_sim::{simulate_with, KernelConfig, Placement, Policy, SimJob};
 use helios_trace::{
     generate, venus_profile, ClusterId, ClusterSpec, GeneratorConfig, GpuModel, VcSpec,
 };
@@ -26,7 +26,13 @@ fn tiny_spec() -> ClusterSpec {
 
 #[test]
 fn simulator_handles_empty_job_list() {
-    let r = simulate(&tiny_spec(), &[], &SimConfig::new(Policy::Fifo)).unwrap();
+    let r = simulate_with(
+        &tiny_spec(),
+        &[],
+        Policy::Fifo.build(),
+        &KernelConfig::default(),
+    )
+    .unwrap();
     assert!(r.outcomes.is_empty());
     // Observers on an empty run stay empty too.
     let mut occ = helios_sim::OccupancyObserver::new(60).unwrap();
@@ -48,7 +54,13 @@ fn simulator_handles_single_job() {
         priority: 0.0,
     }];
     for policy in [Policy::Fifo, Policy::Sjf, Policy::Srtf, Policy::Priority] {
-        let r = simulate(&tiny_spec(), &jobs, &SimConfig::new(policy)).unwrap();
+        let r = simulate_with(
+            &tiny_spec(),
+            &jobs,
+            policy.build(),
+            &KernelConfig::default(),
+        )
+        .unwrap();
         assert_eq!(r.outcomes[0].start, 1_000, "{policy:?}");
         assert_eq!(r.outcomes[0].end, 1_042, "{policy:?}");
         assert_eq!(r.outcomes[0].queue_delay(), 0, "{policy:?}");
@@ -68,7 +80,13 @@ fn simulator_mass_simultaneous_arrivals() {
             priority: i as f64,
         })
         .collect();
-    let r = simulate(&tiny_spec(), &jobs, &SimConfig::new(Policy::Priority)).unwrap();
+    let r = simulate_with(
+        &tiny_spec(),
+        &jobs,
+        Policy::Priority.build(),
+        &KernelConfig::default(),
+    )
+    .unwrap();
     let mut starts: Vec<i64> = r.outcomes.iter().map(|o| o.start).collect();
     starts.sort_unstable();
     for (k, s) in starts.iter().enumerate() {
@@ -90,7 +108,13 @@ fn srtf_preemption_storm_terminates() {
             priority: 0.0,
         })
         .collect();
-    let r = simulate(&tiny_spec(), &jobs, &SimConfig::new(Policy::Srtf)).unwrap();
+    let r = simulate_with(
+        &tiny_spec(),
+        &jobs,
+        Policy::Srtf.build(),
+        &KernelConfig::default(),
+    )
+    .unwrap();
     assert_eq!(r.outcomes.len(), 50);
     for (o, j) in r.outcomes.iter().zip(&jobs) {
         assert!(o.end >= o.start + j.duration);
@@ -110,12 +134,11 @@ fn backfill_with_empty_queue_is_noop() {
         duration: 100,
         priority: 0.0,
     }];
-    let cfg = SimConfig {
-        policy: Policy::Fifo,
+    let cfg = KernelConfig {
         placement: Placement::Consolidate,
         backfill: true,
     };
-    let r = simulate(&tiny_spec(), &jobs, &cfg).unwrap();
+    let r = simulate_with(&tiny_spec(), &jobs, Policy::Fifo.build(), &cfg).unwrap();
     assert_eq!(r.outcomes[0].start, 0);
 }
 

@@ -4,9 +4,9 @@
 use helios_core::{CesService, CesServiceConfig, QssfConfig, QssfService};
 use helios_energy::node_series_from_trace;
 use helios_sim::{
-    jobs_from_trace, outcome_digest, schedule_stats, simulate, simulate_with, FaultConfig,
-    FifoPolicy, KernelConfig, Placement, Policy, SchedulingPolicy, SimConfig, Simulator, SjfPolicy,
-    SrtfPolicy, TiresiasPolicy,
+    jobs_from_trace, outcome_digest, schedule_stats, simulate_with, FaultConfig, FifoPolicy,
+    KernelConfig, Placement, Policy, SchedulingPolicy, Simulator, SjfPolicy, SrtfPolicy,
+    TiresiasPolicy,
 };
 use helios_trace::{
     generate, generate_helios, venus_profile, GeneratorConfig, Trace, SECS_PER_DAY,
@@ -30,28 +30,48 @@ fn qssf_beats_fifo_and_tracks_sjf() {
     let (lo, hi) = t.calendar.month_range(5);
     let base = jobs_from_trace(&t, lo, hi);
     let fifo = schedule_stats(
-        &simulate(&t.spec, &base, &SimConfig::new(Policy::Fifo))
-            .unwrap()
-            .outcomes,
+        &simulate_with(
+            &t.spec,
+            &base,
+            Policy::Fifo.build(),
+            &KernelConfig::default(),
+        )
+        .unwrap()
+        .outcomes,
     );
     let sjf = schedule_stats(
-        &simulate(&t.spec, &base, &SimConfig::new(Policy::Sjf))
-            .unwrap()
-            .outcomes,
+        &simulate_with(
+            &t.spec,
+            &base,
+            Policy::Sjf.build(),
+            &KernelConfig::default(),
+        )
+        .unwrap()
+        .outcomes,
     );
     let srtf = schedule_stats(
-        &simulate(&t.spec, &base, &SimConfig::new(Policy::Srtf))
-            .unwrap()
-            .outcomes,
+        &simulate_with(
+            &t.spec,
+            &base,
+            Policy::Srtf.build(),
+            &KernelConfig::default(),
+        )
+        .unwrap()
+        .outcomes,
     );
 
     let mut svc = QssfService::new(QssfConfig::default());
     svc.train(&t, 0, lo).unwrap();
     let scored = svc.assign_priorities(&t, lo, hi);
     let qssf = schedule_stats(
-        &simulate(&t.spec, &scored, &SimConfig::new(Policy::Priority))
-            .unwrap()
-            .outcomes,
+        &simulate_with(
+            &t.spec,
+            &scored,
+            Policy::Priority.build(),
+            &KernelConfig::default(),
+        )
+        .unwrap()
+        .outcomes,
     );
 
     assert!(
@@ -83,15 +103,25 @@ fn short_jobs_gain_most_but_long_jobs_still_gain() {
     let t = trace();
     let (lo, hi) = t.calendar.month_range(5);
     let base = jobs_from_trace(&t, lo, hi);
-    let fifo = simulate(&t.spec, &base, &SimConfig::new(Policy::Fifo))
-        .unwrap()
-        .outcomes;
+    let fifo = simulate_with(
+        &t.spec,
+        &base,
+        Policy::Fifo.build(),
+        &KernelConfig::default(),
+    )
+    .unwrap()
+    .outcomes;
     let mut svc = QssfService::new(QssfConfig::default());
     svc.train(&t, 0, lo).unwrap();
     let scored = svc.assign_priorities(&t, lo, hi);
-    let qssf = simulate(&t.spec, &scored, &SimConfig::new(Policy::Priority))
-        .unwrap()
-        .outcomes;
+    let qssf = simulate_with(
+        &t.spec,
+        &scored,
+        Policy::Priority.build(),
+        &KernelConfig::default(),
+    )
+    .unwrap()
+    .outcomes;
     let ratios = helios_sim::group_delay_ratios(&fifo, &qssf);
     assert!(
         ratios[0] > ratios[2],

@@ -184,7 +184,7 @@ fn empty_job_set_is_an_empty_input_error() {
 
 #[test]
 fn unschedulable_job_is_an_invalid_job_error() {
-    use helios::sim::{simulate, SimConfig, SimJob};
+    use helios::sim::{simulate_with, KernelConfig, SimJob};
     let spec = helios::trace::venus();
     let giant = SimJob {
         id: 7,
@@ -194,7 +194,13 @@ fn unschedulable_job_is_an_invalid_job_error() {
         duration: 10,
         priority: 1.0,
     };
-    let err = simulate(&spec, &[giant], &SimConfig::new(Policy::Fifo)).unwrap_err();
+    let err = simulate_with(
+        &spec,
+        &[giant],
+        Policy::Fifo.build(),
+        &KernelConfig::default(),
+    )
+    .unwrap_err();
     assert!(
         matches!(err, HeliosError::InvalidJob { job_id: 7, .. }),
         "{err}"
@@ -208,7 +214,13 @@ fn unschedulable_job_is_an_invalid_job_error() {
         duration: 10,
         priority: 1.0,
     };
-    assert!(simulate(&spec, &[bad_vc], &SimConfig::new(Policy::Fifo)).is_err());
+    assert!(simulate_with(
+        &spec,
+        &[bad_vc],
+        Policy::Fifo.build(),
+        &KernelConfig::default()
+    )
+    .is_err());
 }
 
 #[test]

@@ -6,7 +6,7 @@
 use helios_analysis::cdf::Cdf;
 use helios_analysis::quantiles::BoxStats;
 use helios_predict::text::{levenshtein, normalized_distance};
-use helios_sim::{simulate, Policy, SimConfig, SimJob};
+use helios_sim::{simulate_with, KernelConfig, Policy, SimJob};
 use helios_trace::{ClusterId, ClusterSpec, GpuModel, VcSpec};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
@@ -52,7 +52,7 @@ fn simulator_conserves_jobs_and_capacity() {
         let policy =
             [Policy::Fifo, Policy::Sjf, Policy::Srtf, Policy::Priority][(seed % 4) as usize];
         let spec = one_vc_spec(3); // 24 GPUs
-        let result = simulate(&spec, &jobs, &SimConfig::new(policy)).unwrap();
+        let result = simulate_with(&spec, &jobs, policy.build(), &KernelConfig::default()).unwrap();
         assert_eq!(result.outcomes.len(), jobs.len(), "seed {seed}");
         let mut events: Vec<(i64, i64)> = Vec::new();
         for (o, j) in result.outcomes.iter().zip(&jobs) {

@@ -1,17 +1,39 @@
 //! Snapshot/restore equivalence: checkpointing a kernel mid-run, dropping
 //! it, and resuming from the serialized bytes must reproduce the
 //! uninterrupted run's outcomes **byte-identically** — same digest over
-//! `(id, start, end, preemptions)` as the committed result pins.
+//! `(id, start, end, preemptions)` as the committed result pins. The state
+//! restore derives rather than reads (arrival cursor, running lists, free
+//! GPUs, finished count) must equal the source kernel's at the cut.
 
 use helios_energy::EnergyAwarePolicy;
 use helios_sim::{
-    jobs_from_trace, outcome_digest, FaultConfig, Policy, SchedulingPolicy, SimJob, SimSnapshot,
-    Simulator, SrtfPolicy, TiresiasPolicy, SNAPSHOT_VERSION,
+    jobs_from_trace, outcome_digest, FaultConfig, Policy, QueueKey, SchedulingPolicy, SimJob,
+    SimSnapshot, Simulator, SrtfPolicy, TiresiasPolicy, SNAPSHOT_VERSION,
 };
 use helios_trace::{generate, preset, profile_for, ClusterId, GeneratorConfig, HeliosError};
 
-/// Uninterrupted baseline vs. checkpoint-at-`cut`, serialize, drop,
-/// restore-from-bytes, resume. Returns (baseline digest, resumed digest).
+/// The derived state as the kernel's public reads show it: busy GPUs and
+/// nodes, running and queued jobs, pending events and unfinished jobs,
+/// then each VC's busy GPUs and queue length.
+fn derived_state(sim: &Simulator<'_>) -> (Vec<usize>, Vec<(u32, usize)>) {
+    let view = sim.cluster_view();
+    let totals = vec![
+        view.busy_gpus() as usize,
+        view.busy_nodes() as usize,
+        view.running_jobs(),
+        view.queue_len(),
+        sim.pending_events(),
+        sim.unfinished_jobs(),
+    ];
+    let per_vc = (0..view.num_vcs())
+        .map(|vc| (view.vc_busy_gpus(vc), view.vc_queue_len(vc)))
+        .collect();
+    (totals, per_vc)
+}
+
+/// Uninterrupted baseline vs. checkpoint-at-`cut`, serialize, restore
+/// from the bytes (checking the restored kernel against the source),
+/// drop the source, resume. Returns (baseline digest, resumed digest).
 fn run_both(
     cluster: ClusterId,
     seed: u64,
@@ -35,12 +57,17 @@ fn run_both(
     // Drain what finished before the cut: outcomes already surrendered
     // must not reappear after restore, and vice versa.
     let mut resumed_outcomes = first.drain_outcomes();
-    let bytes = first.snapshot().to_bytes();
-    drop(first);
+    let mut bytes = Vec::new();
+    first.snapshot_into(&mut bytes);
 
     let snap = SimSnapshot::from_bytes(&bytes).unwrap();
     let mut second = Simulator::restore(&trace.spec, make_policy(), &snap).unwrap();
     assert_eq!(second.now(), cut);
+    let mut again = Vec::new();
+    second.snapshot_into(&mut again);
+    assert!(again == bytes, "the restored kernel re-encodes differently");
+    assert_eq!(derived_state(&second), derived_state(&first));
+    drop(first);
     second.run_to_completion();
     resumed_outcomes.extend(second.drain_outcomes());
     resumed_outcomes.sort_by_key(|o| o.id);
@@ -139,13 +166,8 @@ fn restore_refuses_unrunnable_allocations_and_queue_heads() {
     sim.push_jobs(&[job]).unwrap();
     sim.run_until(0);
     let snap = sim.snapshot();
-    let vc = &snap.vcs[0];
-    assert_eq!(vc.running_allocs, [[(0, 8)].into_iter().collect()]);
-    let idle = vc
-        .free
-        .iter()
-        .rposition(|&f| f == spec.gpus_per_node)
-        .unwrap() as u32;
+    assert_eq!(snap.vcs[0].running_allocs, [[(0, 8)].into_iter().collect()]);
+    let idle = spec.vcs[0].nodes - 1;
     let mut twin = Simulator::restore(&spec, Policy::Fifo.build(), &snap).unwrap();
     twin.run_to_completion();
     assert_eq!(twin.drain_outcomes().len(), 1);
@@ -160,9 +182,8 @@ fn restore_refuses_unrunnable_allocations_and_queue_heads() {
         bad.jobs[0].job.vc = vc;
         bad
     };
-    let cases: [(&str, SimSnapshot); 7] = [
+    let cases: [(&str, SimSnapshot); 6] = [
         ("node outside the VC", corrupt(&[(9999, 8)])),
-        ("a fully free node", corrupt(&[(idle, 8)])),
         ("an empty slice", corrupt(&[(0, 8), (idle, 0)])),
         ("fewer GPUs than requested", corrupt(&[(0, 4)])),
         ("more GPUs than requested", corrupt(&[(0, 8), (idle, 1)])),
@@ -210,7 +231,38 @@ fn restore_refuses_unrunnable_allocations_and_queue_heads() {
     finishes_queued
         .finishes
         .insert(0, (100, 1, snap.jobs[1].epoch));
-    for bad in [fits, elsewhere, finishes_queued] {
+    // Each job is in exactly one place: an undrained completion that names
+    // the queued job, the running gang also queued, and the queued job
+    // queued twice are each refused.
+    let mut completes_queued = snap.clone();
+    completes_queued.completed.push(1);
+    let mut queues_running = snap.clone();
+    queues_running.vcs[0]
+        .queue
+        .insert(0, (QueueKey(f64::NEG_INFINITY, hog.id), 0));
+    let mut queued_twice = snap.clone();
+    let entry = queued_twice.vcs[0].queue[0];
+    queued_twice.vcs[0].queue.push(entry);
+    // The gang's one live finish entry fires when it will end, and no
+    // entry carries an epoch its job has not reached: one would come alive
+    // when the queued job starts, at 600, and end it at 900.
+    assert_eq!(snap.finishes, [(600, 0, snap.jobs[0].epoch)]);
+    let mut finishes_early = snap.clone();
+    finishes_early.finishes[0].0 = 599;
+    let mut finishes_later_epoch = snap.clone();
+    finishes_later_epoch
+        .finishes
+        .push((900, 1, snap.jobs[1].epoch + 1));
+    for bad in [
+        fits,
+        elsewhere,
+        finishes_queued,
+        completes_queued,
+        queues_running,
+        queued_twice,
+        finishes_early,
+        finishes_later_epoch,
+    ] {
         for bad in [
             bad.clone(),
             SimSnapshot::from_bytes(&bad.to_bytes()).unwrap(),
