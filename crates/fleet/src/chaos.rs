@@ -9,7 +9,7 @@
 //!   events too, so the schedule is a deterministic function of the
 //!   workload);
 //! * **checkpoint corruption**: the generation with a scheduled index
-//!   gets its in-memory blob bit-flipped or truncated right after it is
+//!   gets its in-memory live frame bit-flipped or truncated right after it is
 //!   written, forcing recovery to detect the damage and fall back;
 //! * **shard stalls**: scheduled admission cycles skip draining the
 //!   ingestion shards entirely, building real backpressure for
@@ -57,8 +57,8 @@ pub struct ChaosConfig {
     /// Observed-kernel-event counts at which a worker panics (each point
     /// trips at most once per fleet).
     pub panic_at_events: Vec<u64>,
-    /// Checkpoint generation indices whose in-memory blob is corrupted
-    /// immediately after being written.
+    /// Checkpoint generation indices whose in-memory live frame is
+    /// corrupted immediately after being written.
     pub corrupt_generations: Vec<u64>,
     /// Admission-cycle numbers (1-based, per worker) that skip shard
     /// draining entirely, simulating a stalled ingestion path.

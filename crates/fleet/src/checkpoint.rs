@@ -1,58 +1,79 @@
 //! Crash-consistent auto-checkpointing: a bounded ring of kernel
-//! snapshot generations plus an admission journal, kept in memory for
-//! supervisor restarts and optionally mirrored to disk (temp-file +
-//! atomic rename) so a whole fleet process can be rebuilt after death.
+//! generations over one shared finished-record log, plus an admission
+//! journal, kept in memory for supervisor restarts and optionally mirrored
+//! to disk so a whole fleet process can be rebuilt after death.
 //!
 //! ## Recovery model
 //!
-//! Restart = restore the newest generation that still decodes cleanly +
-//! replay the admission journal segments recorded after it. Every
-//! generation is a kernel snapshot frame ([`ByteWriter::frame`]),
-//! sealed with an XXH64 checksum at write time, so a bit-flipped or
-//! truncated blob is *detected* (not silently restored) and recovery
-//! falls back to the previous generation. Journal segments record
-//! admitted jobs **post-clamp** in admission order, which is exactly the
-//! information the deterministic kernel needs to re-produce the
-//! interrupted run bit for bit (batched admission == one-shot is pinned
-//! by the kernel equivalence suite).
+//! A generation is the kernel's live frame
+//! ([`Simulator::live_frame_into`]: the unfinished jobs, the queues,
+//! allocations, finish heap, policy and failure state) plus the length
+//! the worker's finished-record log had when it was taken. Every
+//! generation shares that one log: taking a generation appends a single
+//! log frame holding the records finished since the previous one
+//! ([`Simulator::log_frame_into`]). A finished record never changes, so
+//! the frames an older generation references stay valid under every
+//! newer one, and a generation costs the unfinished work plus what
+//! finished since the last one — not every job ever admitted.
 //!
-//! A checkpoint costs one encode pass over the kernel state
-//! ([`Simulator::snapshot_into`], straight from the kernel's arrays into
-//! the buffer of the generation the ring last evicted) plus the frame's
-//! checksum pass at memory speed.
+//! Restart = restore the newest generation whose live frame decodes and
+//! whose log prefix ends on a whole frame ([`SimSnapshot::from_parts`]) +
+//! replay the admission journal segments recorded after it. Every frame
+//! is sealed with an XXH64 checksum at write time, so a bit-flipped or
+//! truncated generation is *detected* (not silently restored) and
+//! recovery falls back to the previous one; settling on a generation cuts
+//! the log back to its prefix. Journal segments record admitted jobs
+//! **post-clamp** in admission order, which is exactly the information the
+//! deterministic kernel needs to re-produce the interrupted run bit for
+//! bit (batched admission == one-shot is pinned by the kernel equivalence
+//! suite).
+//!
+//! The live frame is encoded straight from the kernel's arrays into the
+//! buffer of the generation the ring last evicted, and the log grows in
+//! place; each costs one checksum pass at memory speed.
 //!
 //! ## Disk layout
 //!
-//! With [`CheckpointConfig::dir`] set, generation `i` lands in slot
+//! With [`CheckpointConfig::dir`] set, the log is one append-only file,
+//! `<cluster>.log`, of `HSIMDONE` frames; each append is synced before the
+//! slot that references it is written, and a torn tail (an interrupted
+//! append) is dropped at load. Generation `i` lands in slot
 //! `i % generations`: `<cluster>-slot<k>.ckpt` (one `HELCKPT1` frame
-//! holding the cluster, the generation index, its clock and the kernel
-//! frame; written to a `.tmp` and atomically renamed) and
-//! `<cluster>-slot<k>.journal` (append-only `HELJRNL2` frames, one per
-//! admitted batch, each tagged with the generation index it extends — a
-//! torn tail record is dropped at load, never replayed). Both are frames
-//! at on-disk format version 3 ([`CHECKPOINT_VERSION`]); a directory of
-//! an older version is refused by its version rather than read.
-//! Monotonically increasing generation indices make slot reuse
-//! unambiguous: the loader orders slots by the index each one carries.
+//! holding the cluster, the generation index, its clock, the log length
+//! at capture and the live frame; written to a `.tmp` and atomically
+//! renamed) and `<cluster>-slot<k>.journal` (append-only `HELJRNL2`
+//! frames, one per admitted batch, each tagged with the generation index
+//! it extends — a torn tail record is dropped at load, never replayed).
+//! Slots and journal records are frames at on-disk format version 4
+//! ([`CHECKPOINT_VERSION`]); a directory of an older version is refused by
+//! its version rather than read. Monotonically increasing generation
+//! indices make slot reuse unambiguous: the loader orders slots by the
+//! index each one carries. A fresh [`Fleet::launch`](crate::Fleet::launch)
+//! refuses a directory that already holds a ring file of a hosted
+//! cluster, so it can never mix its generations with an earlier fleet's.
 //!
 //! In-process drains are exactly-once across restarts (per-generation
 //! delivered-outcome counters suppress re-delivery); disk recovery via
 //! [`Fleet::recover`](crate::Fleet::recover) is at-least-once, because
 //! delivered counters die with the process.
 
-use helios_sim::{ByteReader, ByteWriter, SimJob, SimSnapshot, Simulator, JOB_WIRE_BYTES};
+use helios_sim::{
+    whole_log_prefix, ByteReader, ByteWriter, SimJob, SimSnapshot, Simulator, JOB_WIRE_BYTES,
+    SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+};
 use helios_trace::{ClusterId, HeliosError, HeliosResult};
 use std::collections::VecDeque;
-use std::io::Write;
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Frame magic of an on-disk checkpoint slot file.
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"HELCKPT1";
 /// Frame magic of an admission-journal record.
 pub const JOURNAL_MAGIC: [u8; 8] = *b"HELJRNL2";
-/// Frame version of slot files and journal records (3: both are
-/// checksummed frames; versions 1 and 2 are refused by number).
-pub const CHECKPOINT_VERSION: u32 = 3;
+/// Frame version of slot files and journal records (4: a slot holds a
+/// live frame and the length of the shared log; versions 1 to 3 are
+/// refused by number).
+pub const CHECKPOINT_VERSION: u32 = 4;
 
 /// Auto-checkpointing knobs of a [`Fleet`](crate::Fleet) worker.
 #[derive(Debug, Clone, PartialEq)]
@@ -67,11 +88,10 @@ pub struct CheckpointConfig {
     /// evicted; a corrupt newest generation falls back to the previous
     /// retained one.
     pub generations: usize,
-    /// Mirror generations and journal frames to this directory via
-    /// temp-file + atomic rename, enabling
-    /// [`Fleet::recover`](crate::Fleet::recover) after process death.
-    /// `None` keeps the ring in memory only (supervisor restarts still
-    /// work).
+    /// Mirror generations, the finished-record log and journal frames to
+    /// this directory, enabling [`Fleet::recover`](crate::Fleet::recover)
+    /// after process death. `None` keeps the ring in memory only
+    /// (supervisor restarts still work).
     pub dir: Option<PathBuf>,
 }
 
@@ -126,9 +146,13 @@ pub(crate) struct Generation {
     pub index: u64,
     /// Virtual clock at snapshot time (`i64::MIN` before any activity).
     pub clock: i64,
-    /// Kernel snapshot frame ([`SimSnapshot::to_bytes`]); its checksum
-    /// makes recovery refuse a damaged copy instead of restoring it.
+    /// The kernel's live frame ([`Simulator::live_frame_into`]); its
+    /// checksum makes recovery refuse a damaged copy instead of restoring
+    /// it.
     pub bytes: Vec<u8>,
+    /// Bytes of the shared finished-record log at capture: the log frames
+    /// this generation restores over.
+    pub log_len: usize,
     /// Jobs admitted (post-clamp, admission order) after this snapshot
     /// and before the next one.
     pub journal: Vec<SimJob>,
@@ -138,10 +162,35 @@ pub(crate) struct Generation {
     pub drained: u64,
 }
 
+/// The finished-record log every generation of one worker shares.
+#[derive(Debug, Default)]
+pub(crate) struct FinishedLog {
+    /// Whole `HSIMDONE` frames, oldest first.
+    pub bytes: Vec<u8>,
+    /// Records those frames hold: the kernel's finish-order position the
+    /// next frame starts from.
+    pub records: usize,
+}
+
+impl FinishedLog {
+    /// The log of a worker restored from the full snapshot `blob`, which
+    /// finished `records` jobs: the blob's own log frame, so the first
+    /// generation after the restore appends only what finishes later.
+    pub fn of_snapshot(mut blob: Vec<u8>, records: usize) -> HeliosResult<Self> {
+        let mut r = ByteReader::new(&blob, "decoding kernel snapshot");
+        r.frame(&SNAPSHOT_MAGIC, SNAPSHOT_VERSION)?;
+        let live_len = blob.len() - r.remaining();
+        Ok(FinishedLog {
+            bytes: blob.split_off(live_len),
+            records,
+        })
+    }
+}
+
 /// Everything a supervisor needs to rebuild a worker after a crash.
 #[derive(Debug)]
 pub(crate) struct Recovery {
-    /// The newest generation that decoded cleanly.
+    /// The newest generation that decoded cleanly, over its log prefix.
     pub snapshot: SimSnapshot,
     /// Journal segments recorded after that generation, concatenated in
     /// admission order.
@@ -150,15 +199,37 @@ pub(crate) struct Recovery {
     pub suppress: u64,
     /// Index of the generation restored from.
     pub generation: u64,
+    /// Bytes of the log that generation restores over.
+    pub log_len: usize,
     /// Generations skipped because they were corrupt or truncated.
     pub fallbacks: u32,
 }
 
-/// Walk `ring` newest-to-oldest, returning the first generation that
-/// decodes (checksum included), plus the journal/suppress suffix.
-pub(crate) fn recover_from(ring: &VecDeque<Generation>, cluster: &str) -> HeliosResult<Recovery> {
+impl Recovery {
+    /// The log a worker resuming from this recovery continues: `log` cut
+    /// back to the recovered generation's prefix.
+    pub fn log_prefix(&self, mut log: Vec<u8>) -> FinishedLog {
+        log.truncate(self.log_len);
+        FinishedLog {
+            bytes: log,
+            records: self.snapshot.finished.len(),
+        }
+    }
+}
+
+/// Walk `ring` newest-to-oldest, returning the first generation whose
+/// live frame decodes over its prefix of `log` (checksums included), plus
+/// the journal/suppress suffix.
+pub(crate) fn recover_from(
+    ring: &VecDeque<Generation>,
+    log: &[u8],
+    cluster: &str,
+) -> HeliosResult<Recovery> {
     for (i, g) in ring.iter().enumerate().rev() {
-        let Ok(snapshot) = SimSnapshot::from_bytes(&g.bytes) else {
+        let Some(prefix) = log.get(..g.log_len) else {
+            continue;
+        };
+        let Ok(snapshot) = SimSnapshot::from_parts(&g.bytes, prefix) else {
             continue;
         };
         let mut replay = Vec::new();
@@ -172,6 +243,7 @@ pub(crate) fn recover_from(ring: &VecDeque<Generation>, cluster: &str) -> Helios
             replay,
             suppress,
             generation: g.index,
+            log_len: g.log_len,
             fallbacks: (ring.len() - 1 - i) as u32,
         });
     }
@@ -181,31 +253,36 @@ pub(crate) fn recover_from(ring: &VecDeque<Generation>, cluster: &str) -> Helios
     ))
 }
 
-/// The per-worker checkpoint ring + admission journal. Lives on the
-/// worker thread; the supervisor consults it on every restart.
+/// The per-worker checkpoint ring, shared log and admission journal.
+/// Lives on the worker thread; the supervisor consults it on every
+/// restart.
 pub(crate) struct CheckpointManager {
     cluster: ClusterId,
     cfg: CheckpointConfig,
     ring: VecDeque<Generation>,
+    log: FinishedLog,
     next_index: u64,
     /// The buffer of the generation the ring last evicted; the next
     /// generation is encoded into it.
     spare: Vec<u8>,
-    /// Checkpoint blobs written and total write nanoseconds (snapshot
-    /// serialization + checksum + disk mirror), for the resilience bench
-    /// records.
+    /// Checkpoint generations written and total write nanoseconds (live
+    /// frame, log frame, checksums and disk mirror), for the resilience
+    /// bench records.
     writes: u64,
     write_nanos: u64,
 }
 
 impl CheckpointManager {
-    /// Seed the ring with one launch generation (`resume_index`
-    /// continues the index sequence after a disk recovery), mirroring it
-    /// to disk when configured.
+    /// Seed the ring with one launch generation over `log` (empty at a
+    /// fresh launch, the snapshot's log frame after a restore, the
+    /// recovered prefix after a disk recovery, whose `resume_index`
+    /// continues the index sequence), mirroring it to disk when
+    /// configured.
     pub fn new(
         cluster: ClusterId,
         cfg: CheckpointConfig,
         resume_index: u64,
+        log: FinishedLog,
         sim: &Simulator<'_>,
     ) -> HeliosResult<Self> {
         cfg.validate()?;
@@ -213,6 +290,7 @@ impl CheckpointManager {
             cluster,
             cfg,
             ring: VecDeque::new(),
+            log,
             next_index: resume_index,
             spare: Vec::new(),
             writes: 0,
@@ -230,24 +308,35 @@ impl CheckpointManager {
         cycle.is_multiple_of(self.cfg.every_cycles)
     }
 
-    /// Encode `sim` as a new newest generation, mirror it to disk when
-    /// configured, and evict past the ring bound. Returns the generation
-    /// index.
+    /// Take a new newest generation of `sim`: encode its live frame, append
+    /// one log frame of the records finished since the previous generation,
+    /// mirror both to disk when configured, and evict past the ring bound.
+    /// Returns the generation index.
     pub fn checkpoint(&mut self, sim: &Simulator<'_>) -> HeliosResult<u64> {
         // guard: allow(determinism, reason = "checkpoint write-time telemetry for FleetHealth; never feeds kernel state")
         let t0 = std::time::Instant::now();
         let mut bytes = std::mem::take(&mut self.spare);
-        sim.snapshot_into(&mut bytes);
+        sim.live_frame_into(&mut bytes);
+        let log_start = self.log.bytes.len();
+        let records = sim.log_frame_into(self.log.records, &mut self.log.bytes);
         let clock = sim.now();
         let index = self.next_index;
         self.next_index += 1;
         if let Some(dir) = self.cfg.dir.clone() {
-            self.write_slot(&dir, index, clock, &bytes)?;
+            if let Err(e) = self.mirror(&dir, index, clock, log_start, &bytes) {
+                // No generation references the appended frame yet: drop
+                // it, so memory and disk keep the same log.
+                self.log.bytes.truncate(log_start);
+                self.spare = bytes;
+                return Err(e);
+            }
         }
+        self.log.records = records;
         self.ring.push_back(Generation {
             index,
             clock,
             bytes,
+            log_len: self.log.bytes.len(),
             journal: Vec::new(),
             drained: 0,
         });
@@ -297,19 +386,21 @@ impl CheckpointManager {
 
     /// Recover from the newest clean generation (see [`recover_from`]).
     pub fn recover(&self) -> HeliosResult<Recovery> {
-        recover_from(&self.ring, self.cluster.name())
+        recover_from(&self.ring, &self.log.bytes, self.cluster.name())
     }
 
-    /// Drop every generation newer than `index` (they failed recovery),
-    /// folding their journal segments into generation `index` so a later
-    /// fallback to it still replays every admitted job. The survivor's
-    /// delivered counter is zeroed: the caller re-baselines with a fresh
-    /// checkpoint and re-attributes the suppressed outcomes to it.
-    pub fn collapse_to(&mut self, index: u64) {
+    /// Settle on the generation `rec` restored: drop every newer one (they
+    /// failed recovery), folding their journal segments into it so a later
+    /// fallback to it still replays every admitted job, and cut the log
+    /// back to its prefix so the next generation appends what finished
+    /// after it. The survivor's delivered counter is zeroed: the caller
+    /// re-baselines with a fresh checkpoint and re-attributes the
+    /// suppressed outcomes to it.
+    pub fn collapse_to(&mut self, rec: &Recovery) {
         // The target came out of `recover()` on this very ring; an
         // unknown index (unreachable in practice) is ignored rather than
         // panicking on the supervised recovery path.
-        let Some(pos) = self.ring.iter().position(|g| g.index == index) else {
+        let Some(pos) = self.ring.iter().position(|g| g.index == rec.generation) else {
             return;
         };
         let dropped: Vec<Generation> = self.ring.drain(pos + 1..).collect();
@@ -320,6 +411,7 @@ impl CheckpointManager {
             survivor.journal.extend(d.journal);
         }
         survivor.drained = 0;
+        self.log = rec.log_prefix(std::mem::take(&mut self.log.bytes));
     }
 
     /// Index of the newest generation.
@@ -337,14 +429,14 @@ impl CheckpointManager {
         self.ring.back().map_or(0, |g| g.journal.len())
     }
 
-    /// Checkpoint write statistics: `(blobs written, total nanos)`.
+    /// Checkpoint write statistics: `(generations written, total nanos)`.
     pub fn write_stats(&self) -> (u64, u64) {
         (self.writes, self.write_nanos)
     }
 
-    /// Chaos hook: corrupt the newest generation's in-memory frame (its
-    /// checksum no longer matches, so recovery *detects* the damage and
-    /// falls back). Even seeds flip one bit; odd seeds truncate.
+    /// Chaos hook: corrupt the newest generation's in-memory live frame
+    /// (its checksum no longer matches, so recovery *detects* the damage
+    /// and falls back). Even seeds flip one bit; odd seeds truncate.
     pub fn corrupt_newest(&mut self, seed: u64) {
         let Some(g) = self.ring.back_mut() else {
             return;
@@ -362,11 +454,23 @@ impl CheckpointManager {
         }
     }
 
-    fn write_slot(&mut self, dir: &Path, index: u64, clock: i64, bytes: &[u8]) -> HeliosResult<()> {
+    /// Put generation `index` on disk: first the log frame it appended at
+    /// `log_start` (synced), then its slot, then a fresh slot journal.
+    fn mirror(
+        &self,
+        dir: &Path,
+        index: u64,
+        clock: i64,
+        log_start: usize,
+        live: &[u8],
+    ) -> HeliosResult<()> {
         std::fs::create_dir_all(dir)
             .map_err(|e| HeliosError::io(format!("creating {}", dir.display()), &e))?;
+        let appended = self.log.bytes.get(log_start..).unwrap_or_default();
+        write_synced_at(&log_path(dir, self.cluster), log_start as u64, appended)?;
         let slot = index % self.cfg.generations as u64;
-        let frame = encode_slot(self.cluster, index, clock, bytes);
+        let log_len = self.log.bytes.len() as u64;
+        let frame = encode_slot(self.cluster, index, clock, log_len, live);
         write_atomic(&ckpt_path(dir, self.cluster, slot), &frame)?;
         // A fresh generation starts with an empty journal: reset the
         // slot's journal file so stale records from the evicted
@@ -396,6 +500,63 @@ fn ckpt_path(dir: &Path, cluster: ClusterId, slot: u64) -> PathBuf {
 
 fn journal_path(dir: &Path, cluster: ClusterId, slot: u64) -> PathBuf {
     dir.join(format!("{}-slot{slot}.journal", cluster.name()))
+}
+
+fn log_path(dir: &Path, cluster: ClusterId) -> PathBuf {
+    dir.join(format!("{}.log", cluster.name()))
+}
+
+/// Refuse to start a fresh ring in `dir` when it already holds a ring
+/// file of `cluster` (a slot, a slot journal or the log): the loader
+/// would take the earlier fleet's newest generation for this one's. The
+/// typed error names the file and points at `Fleet::recover`.
+pub(crate) fn refuse_earlier_ring(dir: &Path, cluster: ClusterId) -> HeliosResult<()> {
+    let entries = match std::fs::read_dir(dir) {
+        Ok(entries) => entries,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
+        Err(e) => return Err(HeliosError::io(format!("listing {}", dir.display()), &e)),
+    };
+    let name = cluster.name();
+    let log = format!("{name}.log");
+    let slot = format!("{name}-slot");
+    for entry in entries {
+        let entry = entry.map_err(|e| HeliosError::io(format!("listing {}", dir.display()), &e))?;
+        let file = entry.file_name();
+        let file = file.to_string_lossy();
+        let ring_file = *file == *log
+            || (file.starts_with(&slot) && (file.ends_with(".ckpt") || file.ends_with(".journal")));
+        if ring_file {
+            return Err(HeliosError::invalid_config(
+                "checkpoint.dir",
+                format!(
+                    "{} is a checkpoint ring file of an earlier {name} fleet; resume that fleet \
+                     with Fleet::recover, or launch into a directory without one",
+                    entry.path().display()
+                ),
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Write `bytes` at offset `at` of `path` (created when missing), cutting
+/// off whatever followed `at` — a torn append, or frames of generations a
+/// recovery discarded — and sync it, so a slot written afterwards never
+/// references bytes that are not on disk.
+fn write_synced_at(path: &Path, at: u64, bytes: &[u8]) -> HeliosResult<()> {
+    let io =
+        |what: &str, e: std::io::Error| HeliosError::io(format!("{what} {}", path.display()), &e);
+    let mut f = std::fs::OpenOptions::new()
+        .write(true)
+        .create(true)
+        .truncate(false)
+        .open(path)
+        .map_err(|e| io("opening", e))?;
+    f.set_len(at).map_err(|e| io("truncating", e))?;
+    f.seek(SeekFrom::Start(at)).map_err(|e| io("seeking", e))?;
+    f.write_all(bytes).map_err(|e| io("appending", e))?;
+    f.sync_data().map_err(|e| io("flushing", e))?;
+    Ok(())
 }
 
 /// Write `bytes` to `path` crash-consistently: a sibling `.tmp` file is
@@ -431,24 +592,25 @@ fn read_if_present(path: &Path) -> HeliosResult<Option<Vec<u8>>> {
 }
 
 /// One slot file: a `HELCKPT1` frame holding the cluster, the generation
-/// index, its clock and the kernel frame.
-fn encode_slot(cluster: ClusterId, index: u64, clock: i64, blob: &[u8]) -> Vec<u8> {
+/// index, its clock, the log length at capture and the live frame.
+fn encode_slot(cluster: ClusterId, index: u64, clock: i64, log_len: u64, live: &[u8]) -> Vec<u8> {
     let mut w = ByteWriter::new();
-    // The header, the prefixed kernel frame and the closing checksum.
-    w.reserve(64 + blob.len());
+    // The header, the prefixed live frame and the closing checksum.
+    w.reserve(72 + live.len());
     w.frame(&CHECKPOINT_MAGIC, CHECKPOINT_VERSION, |w| {
         w.u8(crate::config::cluster_code(cluster));
         w.u64(index);
         w.i64(clock);
-        w.bytes(blob);
+        w.u64(log_len);
+        w.bytes(live);
     });
     w.into_bytes()
 }
 
-/// Decode one slot file into `(generation index, clock, kernel frame)`.
-/// A frame of another version is refused by number; a damaged frame or
+/// Decode one slot file into its generation (with an empty journal). A
+/// frame of another version is refused by number; a damaged frame or
 /// another cluster's slot is a typed [`HeliosError::Snapshot`] error.
-fn decode_slot(bytes: &[u8], cluster: ClusterId) -> HeliosResult<(u64, i64, Vec<u8>)> {
+fn decode_slot(bytes: &[u8], cluster: ClusterId) -> HeliosResult<Generation> {
     let mut input = ByteReader::new(bytes, "decoding checkpoint slot");
     let mut r = input.frame(&CHECKPOINT_MAGIC, CHECKPOINT_VERSION)?;
     input.finish()?;
@@ -461,9 +623,17 @@ fn decode_slot(bytes: &[u8], cluster: ClusterId) -> HeliosResult<(u64, i64, Vec<
     }
     let index = r.u64()?;
     let clock = r.i64()?;
-    let blob = r.bytes()?;
+    let log_len = r.u64()? as usize;
+    let bytes = r.bytes()?;
     r.finish()?;
-    Ok((index, clock, blob))
+    Ok(Generation {
+        index,
+        clock,
+        bytes,
+        log_len,
+        journal: Vec::new(),
+        drained: 0,
+    })
 }
 
 /// One journal record: a `HELJRNL2` frame holding the generation index
@@ -506,17 +676,18 @@ fn decode_journal(bytes: &[u8]) -> Vec<(u64, Vec<SimJob>)> {
 /// Load a cluster's retained generations from disk, oldest to newest,
 /// attaching each generation's journal segments (records tagged with a
 /// generation index that no retained slot explains extend the youngest
-/// older generation, preserving admission order). Returns the ring and
-/// the next free generation index. Slots that do not decode are skipped;
-/// when none decodes, the error carries the reason the first was skipped
-/// (an older-version directory is refused by its version, not as
-/// "missing"). A slot or journal file that exists but cannot be read is
-/// a typed I/O error, never an empty journal.
+/// older generation, preserving admission order), and the whole-frame
+/// prefix of its log (a torn tail is dropped). Returns the ring, the log
+/// and the next free generation index. Slots that do not decode are
+/// skipped; when none decodes, the error carries the reason the first was
+/// skipped (an older-version directory is refused by its version, not as
+/// "missing"). A slot, journal or log file that exists but cannot be read
+/// is a typed I/O error, never an empty one.
 pub(crate) fn load_ring(
     dir: &Path,
     cluster: ClusterId,
     cfg: &CheckpointConfig,
-) -> HeliosResult<(VecDeque<Generation>, u64)> {
+) -> HeliosResult<(VecDeque<Generation>, Vec<u8>, u64)> {
     cfg.validate()?;
     let mut gens: Vec<Generation> = Vec::new();
     let mut records: Vec<(u64, Vec<SimJob>)> = Vec::new();
@@ -528,13 +699,7 @@ pub(crate) fn load_ring(
         // so decode failures are skipped here.
         if let Some(bytes) = read_if_present(&cpath)? {
             match decode_slot(&bytes, cluster) {
-                Ok((index, clock, blob)) => gens.push(Generation {
-                    index,
-                    clock,
-                    bytes: blob,
-                    journal: Vec::new(),
-                    drained: 0,
-                }),
+                Ok(generation) => gens.push(generation),
                 Err(e) => {
                     first_skip.get_or_insert((cpath, e));
                 }
@@ -558,6 +723,8 @@ pub(crate) fn load_ring(
             },
         ));
     }
+    let mut log = read_if_present(&log_path(dir, cluster))?.unwrap_or_default();
+    log.truncate(whole_log_prefix(&log));
     gens.sort_by_key(|g| g.index);
     let next_index = gens.last().map_or(0, |g| g.index) + 1;
     // Journal records replay in generation-index order; each segment is
@@ -575,13 +742,14 @@ pub(crate) fn load_ring(
         };
         slot.journal.extend(jobs);
     }
-    Ok((gens.into(), next_index))
+    Ok((gens.into(), log, next_index))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use helios_sim::{xxh64, FaultConfig, Policy};
+    use helios_sim::{jobs_from_trace, simulate_with, xxh64, FaultConfig, KernelConfig, Policy};
+    use helios_trace::{generate, preset, profile_for, ClusterSpec, GeneratorConfig};
 
     fn job(id: u64) -> SimJob {
         SimJob {
@@ -595,11 +763,11 @@ mod tests {
     }
 
     fn kernel(cluster: ClusterId) -> Simulator<'static> {
-        Simulator::new(&helios_trace::preset(cluster), Policy::Fifo.build())
+        Simulator::new(&preset(cluster), Policy::Fifo.build())
     }
 
-    /// A Venus kernel halfway through `n` one-GPU jobs: its blob holds
-    /// finished, running and pending work.
+    /// A Venus kernel halfway through `n` one-GPU jobs: finished, running
+    /// and pending work.
     fn loaded_venus(n: u64, faults: bool) -> Simulator<'static> {
         let mut sim = kernel(ClusterId::Venus);
         if faults {
@@ -612,45 +780,172 @@ mod tests {
         sim
     }
 
+    fn manager(
+        cluster: ClusterId,
+        cfg: CheckpointConfig,
+        sim: &Simulator<'_>,
+    ) -> CheckpointManager {
+        CheckpointManager::new(cluster, cfg, 0, FinishedLog::default(), sim).expect("seeded")
+    }
+
     fn newest_bytes(m: &CheckpointManager) -> &[u8] {
         m.ring.back().map_or(&[], |g| &g.bytes)
+    }
+
+    fn live_frame(sim: &Simulator<'_>) -> Vec<u8> {
+        let mut out = Vec::new();
+        sim.live_frame_into(&mut out);
+        out
+    }
+
+    /// Venus's September stream at scale 0.05, in submission order.
+    fn september() -> (ClusterSpec, Vec<SimJob>, i64, i64) {
+        let cfg = GeneratorConfig {
+            scale: 0.05,
+            seed: 2020,
+        };
+        let trace = generate(&profile_for(ClusterId::Venus), &cfg).expect("trace");
+        let (lo, hi) = trace.calendar.month_range(5);
+        let mut jobs = jobs_from_trace(&trace, lo, hi);
+        jobs.sort_by_key(|j| (j.submit, j.id));
+        (trace.spec, jobs, lo, hi)
     }
 
     #[test]
     fn generations_encode_into_recycled_buffers_byte_identically() {
         let cfg = CheckpointConfig::default().generations(1);
-        let big = loaded_venus(256, false);
-        let mut m = CheckpointManager::new(ClusterId::Venus, cfg, 0, &big).expect("seeded");
-        // Evicting generation 0 leaves its (longer) buffer as the spare.
-        m.checkpoint(&big).expect("gen 1");
-        for sim in [loaded_venus(16, false), loaded_venus(64, true)] {
+        for faults in [false, true] {
+            // Pending work makes the first frames long; once it has run,
+            // the frames shrink into the buffers the long ones left.
+            let mut sim = loaded_venus(256, faults);
+            let mut m = manager(ClusterId::Venus, cfg.clone(), &sim);
+            m.checkpoint(&sim).expect("gen 1");
+            sim.run_to_completion();
             let spare = m.spare.len();
             m.checkpoint(&sim).expect("recycled generation");
-            let want = sim.snapshot().to_bytes();
-            assert!(spare > want.len(), "the recycled buffer held a longer blob");
+            let want = live_frame(&sim);
+            assert!(
+                spare > want.len(),
+                "the recycled buffer held a longer frame"
+            );
             assert_eq!(newest_bytes(&m), want);
+            let recovered = m.recover().expect("clean generation");
+            assert_eq!(recovered.snapshot.fault.is_some(), faults);
+            assert_eq!(recovered.snapshot, sim.snapshot());
+            // New work grows the frame past the spare again.
+            let more: Vec<SimJob> = (1_000..1_600).map(job).collect();
+            sim.push_jobs(&more).expect("valid jobs");
+            m.checkpoint(&sim).expect("grows past the spare");
+            assert_eq!(newest_bytes(&m), live_frame(&sim));
+            let recovered = m.recover().expect("clean generation");
+            assert_eq!(recovered.snapshot, sim.snapshot());
         }
-        let recovered = m.recover().expect("clean generation");
-        assert!(recovered.snapshot.fault.is_some());
-        m.checkpoint(&big).expect("grows past the spare");
-        assert_eq!(newest_bytes(&m), big.snapshot().to_bytes());
-        let recovered = m.recover().expect("clean generation");
-        assert!(recovered.snapshot.fault.is_none());
+    }
+
+    #[test]
+    fn live_frames_track_unfinished_work_and_the_log_only_appends() {
+        // The fleet's cadence over Venus's September: a generation every 8
+        // admission cycles of 600 s.
+        let (spec, jobs, lo, hi) = september();
+        let mut sim = Simulator::new(&spec, Policy::Fifo.build());
+        let mut m = manager(ClusterId::Venus, CheckpointConfig::default(), &sim);
+        let (mut next, mut now, mut cycle) = (0, lo, 0);
+        let (mut finished_before, mut log_before, mut generations) = (0, m.log.bytes.len(), 0);
+        while now < hi {
+            let until = now + 600;
+            let due = jobs.get(next..).unwrap_or_default();
+            let due = &due[..due.partition_point(|j| j.submit < until)];
+            next += due.len();
+            m.note_admitted(due).expect("journaled");
+            sim.push_jobs(due).expect("valid jobs");
+            sim.run_until(until);
+            now = until;
+            cycle += 1;
+            if !m.due(cycle) {
+                continue;
+            }
+            m.checkpoint(&sim).expect("generation");
+            generations += 1;
+            // The live frame is a constant plus per-entry terms for the
+            // unfinished jobs, queue entries, allocation slices and finish
+            // entries: nothing in it grows with the finished count.
+            let snap = sim.snapshot();
+            let queued: usize = snap.vcs.iter().map(|vc| vc.queue.len()).sum();
+            let slices: usize = snap
+                .vcs
+                .iter()
+                .flat_map(|vc| &vc.running_allocs)
+                .map(|a| 8 + 8 * a.slices().len())
+                .sum();
+            let bound = 256
+                + 16 * snap.vcs.len()
+                + 92 * snap.live.len()
+                + 24 * queued
+                + slices
+                + 20 * snap.finishes.len();
+            let live = newest_bytes(&m).len();
+            assert!(live <= bound, "generation {generations}: {live} > {bound}");
+            // The log grew by one frame of exactly the records finished
+            // since the previous generation.
+            let finished = sim.total_jobs() - sim.unfinished_jobs();
+            assert_eq!(
+                m.log.bytes.len() - log_before,
+                28 + 92 * (finished - finished_before),
+                "generation {generations}"
+            );
+            assert_eq!(m.log.records, finished);
+            (finished_before, log_before) = (finished, m.log.bytes.len());
+        }
+        assert!(generations > 500 && finished_before > 1_000);
+        assert!(newest_bytes(&m).len() * 4 < m.log.bytes.len());
+        // After the whole replay the log holds exactly the full snapshot's
+        // finished records, in the same order: a record logged once never
+        // changed afterwards.
+        sim.run_to_completion();
+        m.checkpoint(&sim).expect("final generation");
+        let full = SimSnapshot::from_bytes(&sim.snapshot().to_bytes()).expect("full snapshot");
+        let logged = SimSnapshot::from_parts(newest_bytes(&m), &m.log.bytes).expect("logged");
+        assert_eq!(logged.finished.len(), jobs.len());
+        assert_eq!(logged.finished, full.finished);
+        assert_eq!(logged, full);
+    }
+
+    #[test]
+    fn a_restored_worker_continues_the_snapshots_log() {
+        let mut sim = loaded_venus(256, true);
+        let blob = sim.snapshot().to_bytes();
+        let snap = SimSnapshot::from_bytes(&blob).expect("full snapshot");
+        let log = FinishedLog::of_snapshot(blob.clone(), snap.finished.len()).expect("log");
+        let logged = log.bytes.len();
+        assert!(blob.ends_with(&log.bytes) && snap.finished.len() > 50);
+        let cfg = CheckpointConfig::default();
+        let mut m = CheckpointManager::new(ClusterId::Venus, cfg, 0, log, &sim).expect("seeded");
+        // Nothing finished since the snapshot: the launch generation
+        // appends an empty frame to the snapshot's log frame.
+        assert_eq!(m.log.bytes.len(), logged + 28);
+        assert_eq!(m.recover().expect("clean generation").snapshot, snap);
+        sim.run_to_completion();
+        m.checkpoint(&sim).expect("gen 1");
+        assert_eq!(m.log.records, sim.total_jobs());
+        assert_eq!(
+            m.recover().expect("clean generation").snapshot,
+            sim.snapshot()
+        );
     }
 
     #[test]
     fn ring_is_bounded_and_journals_fold_on_collapse() {
         let cfg = CheckpointConfig::default().generations(2).every_cycles(1);
         let sim = kernel(ClusterId::Venus);
-        let mut m = CheckpointManager::new(ClusterId::Venus, cfg, 0, &sim).expect("seeded");
+        let mut m = manager(ClusterId::Venus, cfg, &sim);
         m.note_admitted(&[job(0), job(1)]).expect("in-memory");
         m.checkpoint(&sim).expect("gen 1");
         m.note_admitted(&[job(2)]).expect("in-memory");
         m.note_drained(3);
         assert_eq!(m.newest_index(), 1);
         assert_eq!(m.journal_len(), 1);
-        // Corrupt newest: recovery must fall back to... nothing newer
-        // than generation 0, which was evicted? No: ring holds {0, 1}.
+        // Corrupt newest: the ring holds {0, 1}, so recovery falls back to
+        // generation 0.
         m.corrupt_newest(4); // even seed: bit flip
         let err_free = m.recover().expect("generation 0 still clean");
         assert_eq!(err_free.generation, 0);
@@ -659,9 +954,12 @@ mod tests {
         // Replay = journal(gen0) + journal(gen1), admission order.
         let ids: Vec<u64> = err_free.replay.iter().map(|j| j.id).collect();
         assert_eq!(ids, [0, 1, 2]);
-        m.collapse_to(0);
+        m.collapse_to(&err_free);
         assert_eq!(m.newest_index(), 0);
         assert_eq!(m.journal_len(), 3, "dropped journals folded in");
+        // The log is cut back to generation 0's one frame.
+        assert_eq!(m.log.bytes.len(), err_free.log_len);
+        assert_eq!(whole_log_prefix(&m.log.bytes), m.log.bytes.len());
         // Fresh re-baseline keeps monotone indices.
         assert_eq!(m.checkpoint(&sim).expect("gen 2"), 2);
     }
@@ -670,7 +968,8 @@ mod tests {
     fn truncation_is_detected_like_bit_flips() {
         let cfg = CheckpointConfig::default();
         let sim = kernel(ClusterId::Earth);
-        let mut m = CheckpointManager::new(ClusterId::Earth, cfg, 7, &sim).expect("seeded");
+        let mut m = CheckpointManager::new(ClusterId::Earth, cfg, 7, FinishedLog::default(), &sim)
+            .expect("seeded");
         assert_eq!(m.newest_index(), 7);
         m.corrupt_newest(9); // odd seed: truncate
         let err = m.recover().expect_err("sole generation is corrupt");
@@ -692,8 +991,7 @@ mod tests {
         let dir = temp_dir("test");
         let cfg = CheckpointConfig::default().generations(2).dir(&dir);
         let sim = kernel(ClusterId::Saturn);
-        let mut m =
-            CheckpointManager::new(ClusterId::Saturn, cfg.clone(), 0, &sim).expect("seeded");
+        let mut m = manager(ClusterId::Saturn, cfg.clone(), &sim);
         m.note_admitted(&[job(10), job(11)]).expect("journaled");
         m.checkpoint(&sim).expect("gen 1");
         m.note_admitted(&[job(12)]).expect("journaled");
@@ -706,9 +1004,10 @@ mod tests {
         torn.extend_from_within(..clean_len - 1);
         std::fs::write(&jpath, &torn).expect("tear applied");
 
-        let (ring, next) = load_ring(&dir, ClusterId::Saturn, &cfg).expect("ring loads");
+        let (ring, log, next) = load_ring(&dir, ClusterId::Saturn, &cfg).expect("ring loads");
         assert_eq!(next, 2);
         assert_eq!(ring.len(), 2);
+        assert_eq!(log, m.log.bytes, "the disk log is the in-memory one");
         assert_eq!(
             ring[0].journal.iter().map(|j| j.id).collect::<Vec<_>>(),
             [10, 11]
@@ -731,7 +1030,7 @@ mod tests {
         let mid = cbytes.len() / 2;
         cbytes[mid] ^= 0xFF;
         std::fs::write(&cpath, &cbytes).expect("corruption applied");
-        let (ring, _) = load_ring(&dir, ClusterId::Saturn, &cfg).expect("ring loads");
+        let (ring, _, _) = load_ring(&dir, ClusterId::Saturn, &cfg).expect("ring loads");
         assert_eq!(ring.len(), 1, "corrupt slot dropped");
         assert_eq!(ring[0].index, 0);
         // Its replay still carries every admitted job, in order.
@@ -743,32 +1042,99 @@ mod tests {
     }
 
     #[test]
-    fn version_two_directory_is_refused_by_name() {
-        // A version-2 slot: the same header layout, then an XXH64 trailer
-        // that is never read, because the version is checked first.
-        let dir = temp_dir("v2");
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let mut w = ByteWriter::new();
-        w.raw(&CHECKPOINT_MAGIC);
-        w.u32(2);
-        w.u8(crate::config::cluster_code(ClusterId::Venus));
-        w.u64(0);
-        w.i64(i64::MIN);
-        w.bytes(&kernel(ClusterId::Venus).snapshot().to_bytes());
-        w.u64(0);
-        std::fs::write(ckpt_path(&dir, ClusterId::Venus, 0), w.into_bytes()).expect("v2 slot");
-
-        let config = crate::FleetConfig::new()
-            .with_cluster(crate::ClusterConfig::new(ClusterId::Venus, Policy::Fifo))
-            .with_checkpoint(CheckpointConfig::default().dir(&dir));
-        let Err(err) = crate::Fleet::recover(&config) else {
-            panic!("a v2 directory must be refused");
-        };
-        assert!(matches!(err, HeliosError::Snapshot { .. }), "{err}");
-        let msg = err.to_string();
-        assert!(msg.contains("HELCKPT1 version 2 "), "{msg}");
-        assert!(msg.contains("slot0.ckpt"), "{msg}");
+    fn a_log_cut_anywhere_recovers_from_the_newest_whole_prefix() {
+        let dir = temp_dir("logcut");
+        let cfg = CheckpointConfig::default().generations(3).dir(&dir);
+        let spec = preset(ClusterId::Venus);
+        // Two one-GPU jobs a cycle of 200 s, each running 150 s: every
+        // generation logs the few that finished since the last one.
+        let jobs: Vec<SimJob> = (0..12)
+            .map(|id| SimJob {
+                submit: id as i64 * 100,
+                duration: 150,
+                ..job(id)
+            })
+            .collect();
+        let mut sim = kernel(ClusterId::Venus);
+        let mut m = manager(ClusterId::Venus, cfg.clone(), &sim);
+        for (cycle, batch) in jobs.chunks(2).enumerate() {
+            m.note_admitted(batch).expect("journaled");
+            sim.push_jobs(batch).expect("valid jobs");
+            sim.run_until((cycle as i64 + 1) * 200);
+            m.checkpoint(&sim).expect("generation");
+        }
+        let calm = simulate_with(&spec, &jobs, Policy::Fifo.build(), &KernelConfig::default())
+            .expect("calm twin")
+            .outcomes;
+        let path = log_path(&dir, ClusterId::Venus);
+        let log = std::fs::read(&path).expect("log on disk");
+        assert_eq!(log, m.log.bytes);
+        let oldest = m.ring.front().map_or(0, |g| g.log_len);
+        let mut recovered = 0;
+        for cut in 0..=log.len() {
+            std::fs::write(&path, &log[..cut]).expect("cut applied");
+            let (ring, loaded, _) = load_ring(&dir, ClusterId::Venus, &cfg).expect("slots load");
+            let whole = whole_log_prefix(&log[..cut]);
+            assert_eq!(
+                loaded.len(),
+                whole,
+                "cut at {cut}: the torn tail is dropped"
+            );
+            let want = m.ring.iter().rev().find(|g| g.log_len <= whole);
+            match (recover_from(&ring, &loaded, "Venus"), want) {
+                (Ok(rec), Some(g)) => {
+                    assert_eq!(rec.generation, g.index, "cut at {cut}");
+                    let mut back = Simulator::restore(&spec, Policy::Fifo.build(), &rec.snapshot)
+                        .expect("restores");
+                    back.push_jobs(&rec.replay).expect("replays");
+                    back.run_to_completion();
+                    assert_eq!(back.drain_outcomes(), calm, "cut at {cut}");
+                    recovered += 1;
+                }
+                (Err(e), None) => {
+                    assert!(cut < oldest, "cut at {cut}");
+                    assert!(matches!(e, HeliosError::Snapshot { .. }), "{e}");
+                }
+                (got, want) => panic!("cut at {cut}: recovered {got:?}, expected {want:?}"),
+            }
+        }
+        assert_eq!(recovered, log.len() + 1 - oldest);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn version_two_directory_is_refused_by_name() {
+        // Slots of versions 2 and 3: the same header layout without the
+        // log length, then a trailer that is never read, because the
+        // version is checked first.
+        for version in [2u32, 3] {
+            let dir = temp_dir(&format!("v{version}"));
+            std::fs::create_dir_all(&dir).expect("temp dir");
+            let mut w = ByteWriter::new();
+            w.raw(&CHECKPOINT_MAGIC);
+            w.u32(version);
+            w.u8(crate::config::cluster_code(ClusterId::Venus));
+            w.u64(0);
+            w.i64(i64::MIN);
+            w.bytes(&kernel(ClusterId::Venus).snapshot().to_bytes());
+            w.u64(0);
+            std::fs::write(ckpt_path(&dir, ClusterId::Venus, 0), w.into_bytes()).expect("slot");
+
+            let config = crate::FleetConfig::new()
+                .with_cluster(crate::ClusterConfig::new(ClusterId::Venus, Policy::Fifo))
+                .with_checkpoint(CheckpointConfig::default().dir(&dir));
+            let Err(err) = crate::Fleet::recover(&config) else {
+                panic!("a v{version} directory must be refused");
+            };
+            assert!(matches!(err, HeliosError::Snapshot { .. }), "{err}");
+            let msg = err.to_string();
+            assert!(
+                msg.contains(&format!("HELCKPT1 version {version} ")),
+                "{msg}"
+            );
+            assert!(msg.contains("slot0.ckpt"), "{msg}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
@@ -819,13 +1185,16 @@ mod tests {
     fn slot_and_record_encodings_are_pinned() {
         // The guard fingerprint counts codec calls, not their order, so
         // swapping two u64 fields would pass it; these pins would not.
-        let slot = encode_slot(ClusterId::Venus, 3, 1_200, b"kernel frame");
+        let slot = encode_slot(ClusterId::Venus, 3, 1_200, 4_096, b"live frame");
         let decoded = decode_slot(&slot, ClusterId::Venus).expect("slot");
-        assert_eq!(decoded, (3, 1_200, b"kernel frame".to_vec()));
-        assert_eq!(xxh64(&slot), 0x8f92_fac3_01d0_8ee6);
+        assert_eq!(
+            (decoded.index, decoded.clock, decoded.log_len, decoded.bytes),
+            (3, 1_200, 4_096, b"live frame".to_vec())
+        );
+        assert_eq!(xxh64(&slot), 0xb176_63fe_7505_8eea);
         assert_eq!(
             xxh64(&encode_record(3, &[job(7), job(8)])),
-            0x617f_7ac3_f6b6_ddbe
+            0xbdaf_141f_305a_6c52
         );
     }
 }

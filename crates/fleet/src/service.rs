@@ -1,7 +1,7 @@
 //! The [`Fleet`] service: concurrent hosted clusters, sharded ingestion,
 //! live queries, and whole-fleet snapshot/restore as one checksummed frame.
 
-use crate::checkpoint::{self, CheckpointConfig};
+use crate::checkpoint::{self, CheckpointConfig, FinishedLog};
 use crate::config::{
     cluster_code, cluster_from, policy_code, policy_from, ClusterConfig, FleetConfig, ShedConfig,
     WatchdogConfig, DEFAULT_MAX_RESTARTS, MAX_SHARD_CAPACITY,
@@ -19,8 +19,9 @@ use std::time::{Duration, Instant};
 /// Frame magic of a serialized fleet snapshot.
 pub const FLEET_SNAPSHOT_MAGIC: [u8; 8] = *b"HELFLEET";
 /// Fleet snapshot frame version (2: checksummed). The frame wraps one
-/// kernel frame per cluster, which carries its own version
-/// ([`helios_sim::SNAPSHOT_VERSION`]); both are checked on restore.
+/// full kernel snapshot per cluster (a live frame and a log frame), which
+/// carries its own version ([`helios_sim::SNAPSHOT_VERSION`]); both are
+/// checked on restore.
 pub const FLEET_SNAPSHOT_VERSION: u32 = 2;
 
 /// A running scheduler fleet: one worker thread (and one incremental
@@ -53,9 +54,19 @@ impl std::fmt::Debug for Fleet {
 impl Fleet {
     /// Launch a fleet: spawn one worker per configured cluster, each
     /// with a fresh kernel. Fails on an empty topology, a shard bound of 0
-    /// or above [`MAX_SHARD_CAPACITY`], or a duplicated cluster id.
+    /// or above [`MAX_SHARD_CAPACITY`], or a duplicated cluster id — and,
+    /// with a [`CheckpointConfig::dir`], on a directory that already holds
+    /// a checkpoint ring file of a hosted cluster (a typed
+    /// [`HeliosError::InvalidConfig`] naming the file): a fresh ring there
+    /// would be mixed with the earlier fleet's, which
+    /// [`Fleet::recover`] resumes instead.
     pub fn launch(config: &FleetConfig) -> HeliosResult<Fleet> {
         validate_topology(config)?;
+        if let Some(dir) = &config.checkpoint.dir {
+            for cfg in &config.clusters {
+                checkpoint::refuse_earlier_ring(dir, cfg.cluster)?;
+            }
+        }
         let workers = config
             .clusters
             .iter()
@@ -91,8 +102,10 @@ impl Fleet {
         })?;
         let mut workers = Vec::with_capacity(config.clusters.len());
         for &cfg in &config.clusters {
-            let (ring, resume_index) = checkpoint::load_ring(dir, cfg.cluster, &config.checkpoint)?;
-            let rec = checkpoint::recover_from(&ring, cfg.cluster.name())?;
+            let (ring, log, resume_index) =
+                checkpoint::load_ring(dir, cfg.cluster, &config.checkpoint)?;
+            let rec = checkpoint::recover_from(&ring, &log, cfg.cluster.name())?;
+            let log = rec.log_prefix(log);
             workers.push(spawn_worker(
                 cfg,
                 preset(cfg.cluster),
@@ -101,6 +114,7 @@ impl Fleet {
                     snapshot: Box::new(rec.snapshot),
                     replay: rec.replay,
                     resume_index,
+                    log,
                 },
             )?);
         }
@@ -576,6 +590,7 @@ impl Fleet {
                 )));
             }
             let snap = SimSnapshot::from_bytes(&blob)?;
+            let log = FinishedLog::of_snapshot(blob, snap.finished.len())?;
             let cfg = ClusterConfig {
                 cluster,
                 policy,
@@ -595,11 +610,13 @@ impl Fleet {
                 max_restarts: DEFAULT_MAX_RESTARTS,
                 watchdog: None,
             };
-            // A restore is a resume with nothing to replay.
+            // A restore is a resume with nothing to replay, continuing the
+            // blob's log frame.
             let boot = Boot::Resume {
                 snapshot: Box::new(snap),
                 replay: Vec::new(),
                 resume_index: 0,
+                log,
             };
             workers.push(spawn_worker(cfg, preset(cluster), runtime, boot)?);
         }

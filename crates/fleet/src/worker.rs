@@ -14,7 +14,7 @@
 //! command with [`HeliosError::WorkerCrashed`], and exit.
 
 use crate::chaos::{ChaosConfig, ChaosObserver, ChaosShared};
-use crate::checkpoint::{CheckpointConfig, CheckpointManager};
+use crate::checkpoint::{CheckpointConfig, CheckpointManager, FinishedLog};
 use crate::config::{ClusterConfig, WatchdogConfig};
 use crate::status::{ClusterStatus, FleetHealth, VcStatus, WorkerState};
 use helios_sim::{JobOutcome, SimJob, SimSnapshot, Simulator};
@@ -69,13 +69,16 @@ pub(crate) enum Boot {
     /// A fresh kernel from the cluster config.
     Fresh,
     /// Restore `snapshot`, replay `replay` on top, and continue
-    /// generation indices at `resume_index`. A disk recovery replays the
-    /// ring's journal; a [`Fleet::restore`](crate::Fleet::restore) has
-    /// nothing to replay and starts at index 0.
+    /// generation indices at `resume_index` over the finished-record
+    /// `log`. A disk recovery replays the ring's journal and continues the
+    /// recovered log prefix; a [`Fleet::restore`](crate::Fleet::restore)
+    /// has nothing to replay, starts at index 0 and continues the log
+    /// frame of the snapshot it restores.
     Resume {
         snapshot: Box<SimSnapshot>,
         replay: Vec<SimJob>,
         resume_index: u64,
+        log: FinishedLog,
     },
 }
 
@@ -462,7 +465,7 @@ pub(crate) fn spawn_worker(
         Boot::Fresh => 0,
         Boot::Resume {
             snapshot, replay, ..
-        } => (snapshot.jobs.len() + replay.len()) as u64,
+        } => (snapshot.job_count + replay.len()) as u64,
     }));
     let (ctrl_tx, ctrl_rx) = mpsc::channel();
     let status = Arc::new(Mutex::new(ClusterStatus::empty(&spec, cfg.cluster)));
@@ -485,20 +488,21 @@ pub(crate) fn spawn_worker(
                     return;
                 }
             };
-            let resume_index = match &boot {
-                Boot::Fresh => 0,
+            let (resume_index, log) = match boot {
+                Boot::Fresh => (0, FinishedLog::default()),
                 Boot::Resume {
                     replay,
                     resume_index,
+                    log,
                     ..
                 } => {
                     if !replay.is_empty() {
-                        if let Err(e) = sim.push_jobs(replay) {
+                        if let Err(e) = sim.push_jobs(&replay) {
                             let _ = ready_tx.send(Err(e));
                             return;
                         }
                     }
-                    *resume_index
+                    (resume_index, log)
                 }
             };
             let mut ctx = WorkerCtx {
@@ -527,6 +531,7 @@ pub(crate) fn spawn_worker(
                 ctx.cfg.cluster,
                 runtime.checkpoint.clone(),
                 resume_index,
+                log,
                 &sim,
             ) {
                 Ok(m) => m,
@@ -911,7 +916,7 @@ fn recover(
         return Err(crashed(ctx, restarts));
     }
     attach_observers(&mut rebuilt, ctx);
-    manager.collapse_to(rec.generation);
+    manager.collapse_to(&rec);
     if ctx.batch_pending && !ctx.batch.is_empty() {
         // The crash hit between shard drain and journal acknowledgment:
         // the restored journal does not know this batch, so the pending

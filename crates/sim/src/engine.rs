@@ -21,7 +21,9 @@ use crate::job::{JobOutcome, SimJob};
 use crate::observer::{ClusterView, SimEvent, SimObserver};
 use crate::policy::{FifoPolicy, JobView, PriorityPolicy, SchedulingPolicy, SjfPolicy, SrtfPolicy};
 use crate::pool::{Allocation, NodePool, Placement};
-use crate::snapshot::{spec_fingerprint, JobStateSnap, QueueKey, SimSnapshot, SnapView, VcView};
+use crate::snapshot::{
+    append_log_frame, spec_fingerprint, JobStateSnap, QueueKey, SimSnapshot, SnapView, VcView,
+};
 use helios_trace::{ClusterSpec, HeliosError, HeliosResult};
 use std::borrow::Cow;
 
@@ -230,9 +232,11 @@ pub struct Simulator<'a> {
     /// Simulated horizon: max of the last processed event time and every
     /// `run_until` target. Jobs must not arrive before it.
     horizon: i64,
-    /// Finished but not yet drained (state indices).
-    completed: Vec<usize>,
-    finished: usize,
+    /// Finished jobs as state indices, in finish order (append-only: the
+    /// order of the finished-record log), and how many of them were
+    /// drained; the rest are the next `drain_outcomes`.
+    finish_order: Vec<usize>,
+    drained: usize,
     /// Reusable scratch buffers for the preemption/backfill decision
     /// paths — no per-event allocations on the hot path.
     trial_log: Vec<(u32, i64)>,
@@ -305,8 +309,8 @@ impl<'a> Simulator<'a> {
             next_arrival: 0,
             finishes: MinHeap::new(),
             horizon: i64::MIN,
-            completed: Vec::new(),
-            finished: 0,
+            finish_order: Vec::new(),
+            drained: 0,
             trial_log: Vec::new(),
             scratch_victims: Vec::new(),
             scratch_ends: Vec::new(),
@@ -397,7 +401,7 @@ impl<'a> Simulator<'a> {
     /// Jobs accepted but not yet finished (queued, running, or not yet
     /// arrived).
     pub fn unfinished_jobs(&self) -> usize {
-        self.states.len() - self.finished
+        self.states.len() - self.finish_order.len()
     }
 
     /// Pending kernel events (arrivals + scheduled finishes, including
@@ -437,15 +441,48 @@ impl<'a> Simulator<'a> {
     /// not) included. Restoring via [`Simulator::restore`] and continuing
     /// reproduces the uninterrupted run's outcomes byte-identically.
     pub fn snapshot(&self) -> SimSnapshot {
-        self.view().into_snapshot()
+        let finished = self.finished_records(0).map(|(idx, s)| (idx, *s));
+        self.view().into_snapshot(finished.collect())
     }
 
     /// Serialize the complete kernel state into `out` (replacing its
     /// contents, reusing its allocation) — the bytes of
-    /// `self.snapshot().to_bytes()`, encoded straight from the kernel's
+    /// `self.snapshot().to_bytes()`: the live frame followed by one log
+    /// frame of every finished record, encoded straight from the kernel's
     /// own arrays without an intermediate [`SimSnapshot`].
     pub fn snapshot_into(&self, out: &mut Vec<u8>) {
+        self.live_frame_into(out);
+        self.log_frame_into(0, out);
+    }
+
+    /// Encode the live frame alone into `out`, replacing its contents and
+    /// reusing its allocation: the header, every unfinished job's record,
+    /// the queues, allocations, finish heap, policy payload and failure
+    /// state. Its size follows the unfinished work, not the jobs ever
+    /// admitted; [`SimSnapshot::from_parts`] decodes it over the log frames
+    /// [`log_frame_into`](Self::log_frame_into) wrote up to this state.
+    pub fn live_frame_into(&self, out: &mut Vec<u8>) {
         self.view().encode_into(out);
+    }
+
+    /// Append to `out` one log frame holding the records of the jobs that
+    /// finished since finish-order position `from` (0 for every finished
+    /// job; otherwise what the previous call returned), and return the
+    /// position reached. A finished record never changes, so the frames of
+    /// successive calls concatenate into the log every later live frame
+    /// decodes over.
+    pub fn log_frame_into(&self, from: usize, out: &mut Vec<u8>) -> usize {
+        append_log_frame(out, self.finished_records(from));
+        self.finish_order.len()
+    }
+
+    /// The finished records from finish-order position `from` on.
+    fn finished_records(&self, from: usize) -> impl Iterator<Item = (usize, &JobStateSnap)> {
+        self.finish_order
+            .get(from..)
+            .unwrap_or_default()
+            .iter()
+            .filter_map(|&idx| self.states.get(idx).map(|s| (idx, s)))
     }
 
     fn view(&self) -> SnapView<'_> {
@@ -455,13 +492,30 @@ impl<'a> Simulator<'a> {
         );
         let mut policy_state = Vec::new();
         self.policy.save_state(&mut policy_state);
+        // The unfinished jobs, from the structures that hold them: the
+        // arrival cursor, the queues and the running lists.
+        let mut live: Vec<usize> = self
+            .arrivals
+            .get(self.next_arrival..)
+            .unwrap_or_default()
+            .to_vec();
+        for vc in &self.vcs {
+            live.extend(vc.queue.as_slice().iter().map(|&(_, idx)| idx));
+            live.extend_from_slice(&vc.running);
+        }
+        live.sort_unstable();
         SnapView {
             placement: self.placement,
             backfill: self.backfill,
             policy_name: self.policy.name(),
             spec_fingerprint: spec_fingerprint(&self.spec),
             horizon: self.horizon,
-            jobs: &self.states,
+            job_count: self.states.len(),
+            drained: self.drained,
+            live: live
+                .into_iter()
+                .filter_map(|idx| self.states.get(idx).map(|s| (idx, *s)))
+                .collect(),
             vcs: self
                 .vcs
                 .iter()
@@ -471,7 +525,6 @@ impl<'a> Simulator<'a> {
                 })
                 .collect(),
             finishes: self.finishes.as_slice(),
-            completed: &self.completed,
             policy_state: Cow::Owned(policy_state),
             fault: self.fault.as_deref().map(|f| Cow::Owned(f.to_snap())),
         }
@@ -483,19 +536,21 @@ impl<'a> Simulator<'a> {
     /// rehydrated through [`SchedulingPolicy::load_state`].
     ///
     /// The snapshot stores each fact once; restore derives the rest in one
-    /// membership pass that puts every job in exactly one place:
-    /// *pending* (never started and not queued; in submit, then index,
-    /// order these are the arrival cursor), *queued* (once, in its own VC),
-    /// *running* (started, its `run_slot` naming one of its VC's
-    /// allocations, with exactly one live finish entry, at `started_at +
-    /// remaining`) or *finished* (an end and a first start; undrained
-    /// completions name only finished jobs, each once). Free GPUs come
-    /// from the allocations, the finished count from the end times, and
-    /// the cluster aggregates and pool indices from both. Scratch buffers
-    /// start empty and no observers are attached. Any other state — wrong
-    /// cluster or policy, job records `push_jobs` would refuse, an
-    /// allocation the pool could not release, a queue head that fits its
-    /// pool, a heap array out of order — is a typed
+    /// membership pass that fills the job table from the live and the
+    /// finished records, each state index exactly once, and puts every job
+    /// in exactly one place: a live record is *pending* (never started and
+    /// not queued; in submit, then index, order these are the arrival
+    /// cursor), *queued* (once, in its own VC) or *running* (started, its
+    /// `run_slot` naming one of its VC's allocations, with exactly one live
+    /// finish entry, at `started_at + remaining`); a finished record has an
+    /// end and a first start and is in no queue. Free GPUs (and, under
+    /// failure injection, each node's busy GPUs) come from the allocations,
+    /// the undrained completions are the finished records past the drained
+    /// count, and the cluster aggregates and pool indices come from both.
+    /// Scratch buffers start empty and no observers are attached. Any other
+    /// state — wrong cluster or policy, job records `push_jobs` would
+    /// refuse, an allocation the pool could not release, a queue head that
+    /// fits its pool, a heap array out of order — is a typed
     /// [`HeliosError::Snapshot`], never a panic.
     pub fn restore(
         spec: &ClusterSpec,
@@ -524,17 +579,56 @@ impl<'a> Simulator<'a> {
             )));
         }
         policy.load_state(&snap.policy_state)?;
-        let fault: Option<Box<FaultState>> = match &snap.fault {
+        let mut fault: Option<Box<FaultState>> = match &snap.fault {
             Some(fs) => Some(Box::new(FaultState::from_snap(fs, spec)?)),
             None => None,
         };
-        for s in &snap.jobs {
-            validate_job(spec, &s.job).map_err(|e| refuse(format!("job record refused: {e}")))?;
+        // The job table: `job_count` slots, each filled by exactly one
+        // live or finished record.
+        if snap.live.len() + snap.finished.len() != snap.job_count {
+            return Err(refuse(format!(
+                "{} jobs admitted but {} live and {} finished records",
+                snap.job_count,
+                snap.live.len(),
+                snap.finished.len()
+            )));
         }
-        let states = snap.jobs.clone();
-        // Queues, live finish entries and completions list disjoint sets of
-        // jobs (queued, running, finished), so one mark per job finds any
-        // job listed twice.
+        if snap.drained > snap.finished.len() {
+            return Err(refuse(format!(
+                "{} outcomes drained but only {} jobs finished",
+                snap.drained,
+                snap.finished.len()
+            )));
+        }
+        let unset = JobStateSnap::new(SimJob {
+            id: 0,
+            vc: 0,
+            gpus: 0,
+            submit: 0,
+            duration: 0,
+            priority: 0.0,
+        });
+        let mut states = vec![unset; snap.job_count];
+        let mut filled = vec![false; snap.job_count];
+        for &(idx, s) in snap.live.iter().chain(&snap.finished) {
+            validate_job(spec, &s.job).map_err(|e| refuse(format!("job record refused: {e}")))?;
+            match (states.get_mut(idx), filled.get_mut(idx)) {
+                (Some(slot), Some(mark)) if !*mark => {
+                    *slot = s;
+                    *mark = true;
+                }
+                _ => {
+                    return Err(refuse(format!(
+                        "job index {idx} is recorded twice or past the {} admitted jobs",
+                        snap.job_count
+                    )))
+                }
+            }
+        }
+        // As many records as slots and none twice, so every slot is filled.
+        // Queues, live finish entries and finished records list disjoint
+        // sets of jobs (queued, running, finished), so one mark per job
+        // finds any job listed twice.
         let mut listed = vec![false; states.len()];
         for (v, vc) in snap.vcs.iter().enumerate() {
             for &(_, idx) in &vc.queue {
@@ -555,15 +649,11 @@ impl<'a> Simulator<'a> {
             .map(|vc| vec![usize::MAX; vc.running_allocs.len()])
             .collect();
         let mut arrivals = Vec::new();
-        let mut finished = 0;
-        for (idx, (s, &queued)) in states.iter().zip(&listed).enumerate() {
+        for &(idx, s) in &snap.live {
+            let queued = listed.get(idx).copied().unwrap_or(false);
             let started = s.first_start != UNSET;
             let placed = match (queued, s.end != UNSET, s.started_at != UNSET) {
                 (true, false, false) => true,
-                (false, true, _) => {
-                    finished += 1;
-                    started
-                }
                 (false, false, true) => {
                     let slot = running
                         .get_mut(s.job.vc as usize)
@@ -584,14 +674,20 @@ impl<'a> Simulator<'a> {
             };
             if !placed {
                 return Err(refuse(format!(
-                    "job index {idx} is neither pending, queued once, running in a free slot \
-                     of its VC, nor finished"
+                    "live job index {idx} is neither pending, queued once, nor running in a \
+                     free slot of its VC"
                 )));
             }
         }
-        // Indices were pushed in ascending order, so a stable sort by
-        // submit time yields the kernel's (submit, index) arrival order.
-        arrivals.sort_by_key(|&idx| states.get(idx).map_or(0, |s| s.job.submit));
+        for &(idx, s) in &snap.finished {
+            let queued = listed.get(idx).copied().unwrap_or(false);
+            if queued || s.end == UNSET || s.first_start == UNSET {
+                return Err(refuse(format!(
+                    "finished record {idx} is not a finished job, or is also queued"
+                )));
+            }
+        }
+        arrivals.sort_unstable_by_key(|&idx| (states.get(idx).map_or(0, |s| s.job.submit), idx));
         let gpn = spec.gpus_per_node;
         let mut stats = ClusterStats::default();
         let mut vcs = Vec::with_capacity(snap.vcs.len());
@@ -625,6 +721,9 @@ impl<'a> Simulator<'a> {
                     }
                     *left -= gpus;
                     total += u64::from(gpus);
+                    if let Some(f) = fault.as_deref_mut() {
+                        f.restore_busy(v, node, gpus);
+                    }
                 }
                 let want = states.get(idx).map_or(0, |s| s.job.gpus);
                 if total != u64::from(want) {
@@ -715,16 +814,6 @@ impl<'a> Simulator<'a> {
                 "finish heap array violates the heap property".into(),
             ));
         }
-        for &idx in &snap.completed {
-            match (states.get(idx), listed.get_mut(idx)) {
-                (Some(s), Some(mark)) if s.end != UNSET && !*mark => *mark = true,
-                _ => {
-                    return Err(refuse(format!(
-                        "undrained completion {idx} is not a finished job listed once"
-                    )))
-                }
-            }
-        }
         Ok(Simulator {
             spec: spec.clone(),
             placement: snap.placement,
@@ -738,8 +827,8 @@ impl<'a> Simulator<'a> {
             next_arrival: 0,
             finishes: MinHeap::from_heap_vec(snap.finishes.clone()),
             horizon: snap.horizon,
-            completed: snap.completed.clone(),
-            finished,
+            finish_order: snap.finished.iter().map(|&(idx, _)| idx).collect(),
+            drained: snap.drained,
             trial_log: Vec::new(),
             scratch_victims: Vec::new(),
             scratch_ends: Vec::new(),
@@ -893,7 +982,7 @@ impl<'a> Simulator<'a> {
     /// completion between failures); without it the queue simply empties.
     pub fn run_to_completion(&mut self) {
         loop {
-            if self.fault.is_some() && self.finished == self.states.len() {
+            if self.fault.is_some() && self.finish_order.len() == self.states.len() {
                 break;
             }
             if self.process_one().is_none() {
@@ -905,7 +994,12 @@ impl<'a> Simulator<'a> {
     /// Take the outcomes of every job finished since the last drain, in
     /// job-admission order.
     pub fn drain_outcomes(&mut self) -> Vec<JobOutcome> {
-        let mut idxs = std::mem::take(&mut self.completed);
+        let mut idxs = self
+            .finish_order
+            .get(self.drained..)
+            .unwrap_or_default()
+            .to_vec();
+        self.drained = self.finish_order.len();
         idxs.sort_unstable();
         idxs.into_iter().map(|idx| self.outcome_of(idx)).collect()
     }
@@ -1025,8 +1119,7 @@ impl<'a> Simulator<'a> {
                 let vc = s.job.vc as usize;
                 let alloc = self.remove_running(vc, idx);
                 self.release_on(vc, &alloc, now);
-                self.finished += 1;
-                self.completed.push(idx);
+                self.finish_order.push(idx);
                 let job = self.states[idx].job;
                 let view = ClusterView::new(&self.vcs, &self.stats, self.fault.as_deref());
                 self.policy.on_finish(&job, now, &view);

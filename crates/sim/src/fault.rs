@@ -483,7 +483,6 @@ impl FaultState {
                     up_since: c.up_since,
                     fail_count: c.fail_count,
                     alloc_events: c.alloc_events,
-                    busy: c.busy,
                     busy_integral: c.busy_integral,
                     last_t: c.last_t,
                     drain_since: c.drain_since,
@@ -494,6 +493,18 @@ impl FaultState {
         }
     }
 
+    /// Restore's half of the busy telemetry: a running gang holds `gpus`
+    /// on local node `node` of VC `vc`. Every placement and release goes
+    /// through the kernel's `place_on` / `release_on`, so the sum over the
+    /// allocations is the count the source kernel kept.
+    pub(crate) fn restore_busy(&mut self, vc: usize, node: u32, gpus: u32) {
+        let g = self.vc_base[vc] + node;
+        self.cells[g as usize].busy += gpus;
+    }
+
+    /// The failure state a [`FaultSnap`] describes, with every node's busy
+    /// count at zero until [`FaultState::restore_busy`] adds the running
+    /// allocations back.
     pub(crate) fn from_snap(snap: &FaultSnap, spec: &ClusterSpec) -> HeliosResult<Self> {
         snap.cfg.validate()?;
         let mut state = FaultState::new(snap.cfg, spec);
@@ -516,7 +527,9 @@ impl FaultState {
                 up_since: n.up_since,
                 fail_count: n.fail_count,
                 alloc_events: n.alloc_events,
-                busy: n.busy,
+                // Not on the wire: `Simulator::restore` adds back what the
+                // running allocations hold (`restore_busy`).
+                busy: 0,
                 busy_integral: n.busy_integral,
                 last_t: n.last_t,
                 drain_since: n.drain_since,
@@ -590,10 +603,13 @@ fn ln_gamma(x: f64) -> f64 {
 }
 
 /// Version tag of the failure-state wire section inside `SimSnapshot`
-/// blobs (bumped independently of `SNAPSHOT_VERSION`).
-pub const FAULT_CODEC_VERSION: u32 = 1;
+/// blobs (bumped independently of `SNAPSHOT_VERSION`). Version 2 leaves
+/// out each node's busy GPUs, which restore derives from the running
+/// allocations; version 1 is refused by number.
+pub const FAULT_CODEC_VERSION: u32 = 2;
 
-/// Serializable twin of one per-node fault cell.
+/// Serializable twin of one per-node fault cell, without the busy GPUs
+/// the running allocations imply.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultNodeSnap {
     pub up: bool,
@@ -603,7 +619,6 @@ pub struct FaultNodeSnap {
     pub up_since: i64,
     pub fail_count: u32,
     pub alloc_events: u32,
-    pub busy: u32,
     pub busy_integral: f64,
     pub last_t: i64,
     pub drain_since: i64,
@@ -652,7 +667,6 @@ impl FaultSnap {
             w.i64(n.up_since);
             w.u32(n.fail_count);
             w.u32(n.alloc_events);
-            w.u32(n.busy);
             w.f64(n.busy_integral);
             w.i64(n.last_t);
             w.i64(n.drain_since);
@@ -704,7 +718,7 @@ impl FaultSnap {
         };
         let seeded = r.u8()? != 0;
         let t0 = r.i64()?;
-        let node_count = r.len(54)?;
+        let node_count = r.len(50)?;
         let mut nodes = Vec::with_capacity(node_count);
         for _ in 0..node_count {
             nodes.push(FaultNodeSnap {
@@ -715,7 +729,6 @@ impl FaultSnap {
                 up_since: r.i64()?,
                 fail_count: r.u32()?,
                 alloc_events: r.u32()?,
-                busy: r.u32()?,
                 busy_integral: r.f64()?,
                 last_t: r.i64()?,
                 drain_since: r.i64()?,
@@ -838,8 +851,15 @@ mod tests {
         let mut r = ByteReader::new(&bytes, "fault snap test");
         let back = FaultSnap::decode(&mut r).unwrap();
         assert_eq!(snap, back);
-        let restored = FaultState::from_snap(&back, &spec).unwrap();
+        let mut restored = FaultState::from_snap(&back, &spec).unwrap();
+        // Busy GPUs are not on the wire: the kernel's restore adds back
+        // what the running allocations hold.
+        assert_eq!(restored.cells[3].busy, 0);
+        let vc = restored.node_vc[3] as usize;
+        let local = 3 - restored.vc_base[vc];
+        restored.restore_busy(vc, local, 8);
         assert_eq!(restored.cells[3].busy, 8);
+        assert_eq!(restored.cells[3].alloc_events, 1);
         assert_eq!(restored.events.as_slice(), f.events.as_slice());
     }
 

@@ -73,6 +73,6 @@ pub use policy::{
 };
 pub use pool::{Allocation, NodePool, Placement};
 pub use snapshot::{
-    spec_fingerprint, xxh64, ByteReader, ByteWriter, JobStateSnap, QueueKey, SimSnapshot, VcSnap,
-    JOB_WIRE_BYTES, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+    spec_fingerprint, whole_log_prefix, xxh64, ByteReader, ByteWriter, JobStateSnap, QueueKey,
+    SimSnapshot, VcSnap, FINISHED_LOG_MAGIC, JOB_WIRE_BYTES, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };

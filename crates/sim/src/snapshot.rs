@@ -1,26 +1,46 @@
 //! Versioned binary snapshot/restore of full kernel state, and the one
 //! checksummed frame every persisted format is written in.
 //!
-//! [`SimSnapshot`] captures everything a [`Simulator`](crate::Simulator)
-//! needs to resume with **byte-identical downstream outcomes**, and each
-//! fact once: the job table, the policy-ordered queues and finish heap
-//! verbatim (backing arrays, so pop order is reproduced bit for bit, stale
-//! finish entries included), each VC's running allocations in slot order,
-//! the simulated horizon, undrained completions, opaque policy state
-//! ([`SchedulingPolicy::save_state`](crate::SchedulingPolicy::save_state)),
-//! and the failure state behind a presence byte.
+//! A [`SimSnapshot`] captures everything a [`Simulator`](crate::Simulator)
+//! needs to resume with **byte-identical downstream outcomes**, each fact
+//! once, in two kinds of frame:
+//!
+//! * the **live frame** (`HSIMSNAP`) holds what can still change: the
+//!   header, the job count, the drained count, the record of every
+//!   unfinished job (pending, queued or running) with its state index, the
+//!   policy-ordered queues and finish heap verbatim (backing arrays, so pop
+//!   order is reproduced bit for bit, stale finish entries included), each
+//!   VC's running allocations in slot order, the simulated horizon, opaque
+//!   policy state
+//!   ([`SchedulingPolicy::save_state`](crate::SchedulingPolicy::save_state))
+//!   and the failure state behind a presence byte;
+//! * **log frames** (`HSIMDONE`, under the same [`SNAPSHOT_VERSION`]) hold
+//!   finished jobs as `(state index, record)` pairs in finish order. A
+//!   record never changes once its job finished, so log frames written
+//!   once stay valid for every later state.
+//!
+//! A full snapshot ([`SimSnapshot::to_bytes`],
+//! [`Simulator::snapshot_into`](crate::Simulator::snapshot_into)) is the
+//! live frame followed by one log frame of every finished record. A
+//! checkpointing caller can instead keep one log that grows by a frame of
+//! the newly finished records per capture
+//! ([`Simulator::live_frame_into`](crate::Simulator::live_frame_into),
+//! [`Simulator::log_frame_into`](crate::Simulator::log_frame_into)) and
+//! decode a live frame over a prefix of it ([`SimSnapshot::from_parts`]):
+//! a capture then costs the unfinished work, not every job ever admitted.
 //!
 //! Deliberately *not* captured, because restore derives it: the arrival
-//! cursor (every job that never started and is not queued, sorted by
+//! cursor (every live job that never started and is not queued, sorted by
 //! submit time and index), each VC's running list (from the jobs'
 //! `run_slot`s), the per-node free counts (node size minus the GPUs the
-//! allocations hold), and the finished count (jobs with an end time).
-//! Nor the scratch buffers and registered observers (restore starts with
-//! none; re-attach as needed).
+//! allocations hold) and each node's busy GPUs under failure injection
+//! (the same sum), and which finished jobs are undrained (the log entries
+//! past the drained count). Nor the scratch buffers and registered
+//! observers (restore starts with none; re-attach as needed).
 //!
 //! ## The frame
 //!
-//! Every persisted format — this kernel snapshot, the fleet snapshot,
+//! Every persisted format — these kernel frames, the fleet snapshot,
 //! checkpoint slots and journal records — is one frame, written by
 //! [`ByteWriter::frame`] and read by [`ByteReader::frame`]:
 //!
@@ -34,9 +54,8 @@
 //! are hand-written little-endian streams; decoding never panics, and
 //! every malformed input is a [`HeliosError::Snapshot`].
 //!
-//! There is one kernel encoder, over a borrowed view of the state. A
-//! live kernel lends its own arrays to it
-//! ([`Simulator::snapshot_into`](crate::Simulator::snapshot_into)), so a
+//! There is one live-frame encoder and one log-frame encoder, over
+//! borrowed state. A live kernel lends its own arrays to them, so a
 //! checkpoint never copies the job table; [`SimSnapshot::to_bytes`] lends
 //! the snapshot's fields to the same code.
 
@@ -46,15 +65,23 @@ use crate::pool::{Allocation, Placement};
 use helios_trace::{ClusterSpec, HeliosError, HeliosResult};
 use std::borrow::Cow;
 
-/// Frame magic of a serialized [`SimSnapshot`].
+/// Frame magic of a kernel live frame (the first frame of a serialized
+/// [`SimSnapshot`]).
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"HSIMSNAP";
-/// Kernel snapshot frame version. Version 5 stores no state restore can
-/// derive (see the module docs); versions 1 to 4 are refused by number.
-pub const SNAPSHOT_VERSION: u32 = 5;
+/// Frame magic of a finished-record log frame.
+pub const FINISHED_LOG_MAGIC: [u8; 8] = *b"HSIMDONE";
+/// Version of the live frame and the log frames. Version 6 splits the
+/// finished records off into log frames (see the module docs); versions 1
+/// to 5 are refused by number.
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// Bytes a frame adds around its body: magic, version, body length and
 /// the closing checksum.
 const FRAME_OVERHEAD: usize = 8 + 4 + 8 + 8;
+
+/// Wire size of one `(state index, record)` pair: the index, the job, and
+/// the 44 bytes of execution state.
+const RECORD_WIRE_BYTES: usize = 8 + JOB_WIRE_BYTES + 44;
 
 /// Complete resumable state of one [`Simulator`](crate::Simulator); see
 /// the module docs for what is (and is not) captured. Produce with
@@ -74,16 +101,24 @@ pub struct SimSnapshot {
     pub spec_fingerprint: u64,
     /// Simulated horizon (`i64::MIN` before any activity).
     pub horizon: i64,
-    /// Every admitted job's execution state, in admission order (state
-    /// indices elsewhere in the snapshot point into this array).
-    pub jobs: Vec<JobStateSnap>,
+    /// Jobs admitted so far: each state index below it names exactly one
+    /// record of `live` or `finished` (state indices elsewhere in the
+    /// snapshot point into that table).
+    pub job_count: usize,
+    /// Every unfinished job (pending, queued or running) as `(state index,
+    /// record)`, in ascending index order: the live frame's records.
+    pub live: Vec<(usize, JobStateSnap)>,
     /// Per-VC queue and allocations, in VC order.
     pub vcs: Vec<VcSnap>,
     /// The finish heap's backing array verbatim: `(time, state index,
     /// epoch)`.
     pub finishes: Vec<(i64, usize, u32)>,
-    /// Finished but not yet drained (state indices).
-    pub completed: Vec<usize>,
+    /// Every finished job as `(state index, record)`, in finish order: the
+    /// log frames' records.
+    pub finished: Vec<(usize, JobStateSnap)>,
+    /// Leading entries of `finished` whose outcomes were drained; the rest
+    /// are the next [`drain_outcomes`](crate::Simulator::drain_outcomes).
+    pub drained: usize,
     /// Opaque policy payload from `SchedulingPolicy::save_state`.
     pub policy_state: Vec<u8>,
     /// Failure-injection state (`None` when injection is disabled),
@@ -159,20 +194,21 @@ impl VcSnap {
     }
 }
 
-/// Kernel state borrowed in wire order: what the one HSIMSNAP encoder
+/// Live-frame state borrowed in wire order: what the one HSIMSNAP encoder
 /// reads. A live kernel lends its own arrays; a [`SimSnapshot`] lends its
-/// fields. The policy payload and the failure state are built on demand
-/// by a live kernel, hence the `Cow`s.
+/// fields. The live records, the policy payload and the failure state are
+/// gathered on demand by a live kernel, hence the `Cow`s.
 pub(crate) struct SnapView<'a> {
     pub placement: Placement,
     pub backfill: bool,
     pub policy_name: &'a str,
     pub spec_fingerprint: u64,
     pub horizon: i64,
-    pub jobs: &'a [JobStateSnap],
+    pub job_count: usize,
+    pub drained: usize,
+    pub live: Cow<'a, [(usize, JobStateSnap)]>,
     pub vcs: Vec<VcView<'a>>,
     pub finishes: &'a [(i64, usize, u32)],
-    pub completed: &'a [usize],
     pub policy_state: Cow<'a, [u8]>,
     pub fault: Option<Cow<'a, FaultSnap>>,
 }
@@ -569,25 +605,23 @@ impl SnapView<'_> {
             + 8
             + self.policy_name.len()
             + 2 * 8
-            + 8
-            + self.jobs.len() * (JOB_WIRE_BYTES + 44)
+            + 3 * 8
+            + self.live.len() * RECORD_WIRE_BYTES
             + 8
             + vcs
             + 8
             + self.finishes.len() * 20
-            + 8
-            + self.completed.len() * 8
             + 8
             + self.policy_state.len()
             + 1
             + fault
     }
 
-    /// Encode into `out`, replacing its contents — the only HSIMSNAP
-    /// encoder. `out`'s allocation is reused when it is large enough. A
-    /// fresh buffer is sized exactly; an outgrown one is freed first and
-    /// replaced with an eighth of headroom, so a buffer recycled across a
-    /// growing kernel's checkpoints is not reallocated every time.
+    /// Encode the live frame into `out`, replacing its contents — the only
+    /// HSIMSNAP encoder. `out`'s allocation is reused when it is large
+    /// enough. A fresh buffer is sized exactly; an outgrown one is freed
+    /// first and replaced with an eighth of headroom, so a buffer recycled
+    /// across a growing kernel's checkpoints is not reallocated every time.
     pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         let need = self.wire_bound();
         out.clear();
@@ -610,16 +644,11 @@ impl SnapView<'_> {
         w.str(self.policy_name);
         w.u64(self.spec_fingerprint);
         w.i64(self.horizon);
-        w.u64(self.jobs.len() as u64);
-        for j in self.jobs {
-            w.job(&j.job);
-            w.i64(j.remaining);
-            w.i64(j.started_at);
-            w.i64(j.first_start);
-            w.i64(j.end);
-            w.u32(j.epoch);
-            w.u32(j.preemptions);
-            w.u32(j.run_slot);
+        w.u64(self.job_count as u64);
+        w.u64(self.drained as u64);
+        w.u64(self.live.len() as u64);
+        for (idx, s) in self.live.iter() {
+            write_record(w, *idx, s);
         }
         w.u64(self.vcs.len() as u64);
         for vc in &self.vcs {
@@ -644,10 +673,6 @@ impl SnapView<'_> {
             w.u64(idx as u64);
             w.u32(epoch);
         }
-        w.u64(self.completed.len() as u64);
-        for &idx in self.completed {
-            w.u64(idx as u64);
-        }
         w.bytes(&self.policy_state);
         w.u8(self.fault.is_some() as u8);
         if let Some(fault) = &self.fault {
@@ -655,15 +680,17 @@ impl SnapView<'_> {
         }
     }
 
-    /// An owned copy of the viewed state.
-    pub(crate) fn into_snapshot(self) -> SimSnapshot {
+    /// An owned copy of the viewed state over the finished records
+    /// `finished` (finish order).
+    pub(crate) fn into_snapshot(self, finished: Vec<(usize, JobStateSnap)>) -> SimSnapshot {
         SimSnapshot {
             placement: self.placement,
             backfill: self.backfill,
             policy_name: self.policy_name.to_string(),
             spec_fingerprint: self.spec_fingerprint,
             horizon: self.horizon,
-            jobs: self.jobs.to_vec(),
+            job_count: self.job_count,
+            live: self.live.into_owned(),
             vcs: self
                 .vcs
                 .iter()
@@ -673,11 +700,91 @@ impl SnapView<'_> {
                 })
                 .collect(),
             finishes: self.finishes.to_vec(),
-            completed: self.completed.to_vec(),
+            finished,
+            drained: self.drained,
             policy_state: self.policy_state.into_owned(),
             fault: self.fault.map(Cow::into_owned),
         }
     }
+}
+
+/// One `(state index, record)` pair, as the live frame and the log frames
+/// carry it.
+fn write_record(w: &mut ByteWriter, idx: usize, s: &JobStateSnap) {
+    w.u64(idx as u64);
+    w.job(&s.job);
+    w.i64(s.remaining);
+    w.i64(s.started_at);
+    w.i64(s.first_start);
+    w.i64(s.end);
+    w.u32(s.epoch);
+    w.u32(s.preemptions);
+    w.u32(s.run_slot);
+}
+
+/// The reading twin of [`write_record`].
+fn read_record(r: &mut ByteReader<'_>) -> HeliosResult<(usize, JobStateSnap)> {
+    let idx = r.u64()? as usize;
+    Ok((
+        idx,
+        JobStateSnap {
+            job: r.job()?,
+            remaining: r.i64()?,
+            started_at: r.i64()?,
+            first_start: r.i64()?,
+            end: r.i64()?,
+            epoch: r.u32()?,
+            preemptions: r.u32()?,
+            run_slot: r.u32()?,
+        },
+    ))
+}
+
+/// Append one log frame holding `records` — finished jobs as `(state
+/// index, record)` pairs, in finish order — to `out`. The body is the
+/// records back to back; their count is the body length over the record
+/// size. `out` grows amortized, so a log appended to once per checkpoint
+/// is not copied on every append.
+pub(crate) fn append_log_frame<'s>(
+    out: &mut Vec<u8>,
+    records: impl Iterator<Item = (usize, &'s JobStateSnap)>,
+) {
+    let most = records.size_hint().1.unwrap_or(0);
+    out.reserve(FRAME_OVERHEAD + most * RECORD_WIRE_BYTES);
+    let mut w = ByteWriter {
+        buf: std::mem::take(out),
+    };
+    w.frame(&FINISHED_LOG_MAGIC, SNAPSHOT_VERSION, |w| {
+        for (idx, s) in records {
+            write_record(w, idx, s);
+        }
+    });
+    *out = w.into_bytes();
+}
+
+/// Read the log frame at `input`'s position, appending its records to
+/// `into`.
+fn read_log_frame(
+    input: &mut ByteReader<'_>,
+    into: &mut Vec<(usize, JobStateSnap)>,
+) -> HeliosResult<()> {
+    let mut r = input.frame(&FINISHED_LOG_MAGIC, SNAPSHOT_VERSION)?;
+    into.reserve(r.remaining() / RECORD_WIRE_BYTES);
+    while r.remaining() > 0 {
+        into.push(read_record(&mut r)?);
+    }
+    Ok(())
+}
+
+/// Bytes of the longest prefix of `log` that is whole log frames, each
+/// with a matching checksum: where a torn or damaged tail begins.
+pub fn whole_log_prefix(log: &[u8]) -> usize {
+    let mut r = ByteReader::new(log, "scanning finished-record log");
+    let mut whole = 0;
+    while r.frame(&FINISHED_LOG_MAGIC, SNAPSHOT_VERSION).is_ok() {
+        whole = log.len() - r.remaining();
+    }
+    whole
 }
 
 impl SimSnapshot {
@@ -688,102 +795,130 @@ impl SimSnapshot {
             policy_name: &self.policy_name,
             spec_fingerprint: self.spec_fingerprint,
             horizon: self.horizon,
-            jobs: &self.jobs,
+            job_count: self.job_count,
+            drained: self.drained,
+            live: Cow::Borrowed(&self.live),
             vcs: self.vcs.iter().map(VcSnap::view).collect(),
             finishes: &self.finishes,
-            completed: &self.completed,
             policy_state: Cow::Borrowed(&self.policy_state),
             fault: self.fault.as_ref().map(Cow::Borrowed),
         }
     }
 
-    /// Serialize to one `HSIMSNAP` frame.
+    /// Serialize to the live frame followed by one log frame of every
+    /// finished record.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         self.view().encode_into(&mut out);
+        append_log_frame(&mut out, self.finished.iter().map(|(idx, s)| (*idx, s)));
         out
     }
 
-    /// Decode the frame [`SimSnapshot::to_bytes`] writes. A refused
-    /// frame, trailing bytes, or a malformed body are typed errors.
+    /// Decode the bytes [`SimSnapshot::to_bytes`] writes: exactly one live
+    /// frame and one log frame. A refused frame, trailing bytes, or a
+    /// malformed body are typed errors.
     pub fn from_bytes(bytes: &[u8]) -> HeliosResult<SimSnapshot> {
         let mut input = ByteReader::new(bytes, "decoding kernel snapshot");
-        let mut r = input.frame(&SNAPSHOT_MAGIC, SNAPSHOT_VERSION)?;
+        let live = input.frame(&SNAPSHOT_MAGIC, SNAPSHOT_VERSION)?;
+        let mut finished = Vec::new();
+        read_log_frame(&mut input, &mut finished)?;
         input.finish()?;
-        let placement = placement_from(r.u8()?, &r)?;
-        let backfill = r.u8()? != 0;
-        let policy_name = r.str()?;
-        let spec_fingerprint = r.u64()?;
-        let horizon = r.i64()?;
-        let n_jobs = r.len(JOB_WIRE_BYTES + 44)?;
-        let mut jobs = Vec::with_capacity(n_jobs);
-        for _ in 0..n_jobs {
-            jobs.push(JobStateSnap {
-                job: r.job()?,
-                remaining: r.i64()?,
-                started_at: r.i64()?,
-                first_start: r.i64()?,
-                end: r.i64()?,
-                epoch: r.u32()?,
-                preemptions: r.u32()?,
-                run_slot: r.u32()?,
-            });
-        }
-        let n_vcs = r.len(16)?;
-        let mut vcs = Vec::with_capacity(n_vcs);
-        for _ in 0..n_vcs {
-            let n_queue = r.len(24)?;
-            let mut queue = Vec::with_capacity(n_queue);
-            for _ in 0..n_queue {
-                let key = QueueKey(r.f64()?, r.u64()?);
-                queue.push((key, r.u64()? as usize));
-            }
-            let n_allocs = r.len(8)?;
-            let mut running_allocs = Vec::with_capacity(n_allocs);
-            for _ in 0..n_allocs {
-                let n_slices = r.len(8)?;
-                let mut slices = Vec::with_capacity(n_slices);
-                for _ in 0..n_slices {
-                    slices.push((r.u32()?, r.u32()?));
-                }
-                running_allocs.push(slices.into_iter().collect());
-            }
-            vcs.push(VcSnap {
-                queue,
-                running_allocs,
-            });
-        }
-        let n_fin = r.len(20)?;
-        let mut finishes = Vec::with_capacity(n_fin);
-        for _ in 0..n_fin {
-            finishes.push((r.i64()?, r.u64()? as usize, r.u32()?));
-        }
-        let n_done = r.len(8)?;
-        let mut completed = Vec::with_capacity(n_done);
-        for _ in 0..n_done {
-            completed.push(r.u64()? as usize);
-        }
-        let policy_state = r.bytes()?;
-        let fault = match r.u8()? {
-            0 => None,
-            1 => Some(FaultSnap::decode(&mut r)?),
-            other => return Err(r.err(format!("unknown failure-state presence byte {other}"))),
-        };
-        r.finish()?;
-        Ok(SimSnapshot {
-            placement,
-            backfill,
-            policy_name,
-            spec_fingerprint,
-            horizon,
-            jobs,
-            vcs,
-            finishes,
-            completed,
-            policy_state,
-            fault,
-        })
+        decode_live(live, finished)
     }
+
+    /// Decode one live frame over `log`, the log frames (any number,
+    /// oldest first) that hold every job finished when the live frame was
+    /// taken. A log that holds more or fewer records than the live frame's
+    /// job count leaves over is refused like a damaged frame.
+    pub fn from_parts(live: &[u8], log: &[u8]) -> HeliosResult<SimSnapshot> {
+        let mut input = ByteReader::new(live, "decoding kernel snapshot");
+        let body = input.frame(&SNAPSHOT_MAGIC, SNAPSHOT_VERSION)?;
+        input.finish()?;
+        let mut log = ByteReader::new(log, "decoding finished-record log");
+        let mut finished = Vec::new();
+        while log.remaining() > 0 {
+            read_log_frame(&mut log, &mut finished)?;
+        }
+        decode_live(body, finished)
+    }
+}
+
+/// Decode a live frame's body over the finished records its log frames
+/// hold.
+fn decode_live(
+    mut r: ByteReader<'_>,
+    finished: Vec<(usize, JobStateSnap)>,
+) -> HeliosResult<SimSnapshot> {
+    let placement = placement_from(r.u8()?, &r)?;
+    let backfill = r.u8()? != 0;
+    let policy_name = r.str()?;
+    let spec_fingerprint = r.u64()?;
+    let horizon = r.i64()?;
+    let job_count = r.u64()?;
+    let drained = r.u64()? as usize;
+    let n_live = r.len(RECORD_WIRE_BYTES)?;
+    let mut live = Vec::with_capacity(n_live);
+    for _ in 0..n_live {
+        live.push(read_record(&mut r)?);
+    }
+    if job_count != (live.len() + finished.len()) as u64 {
+        return Err(r.err(format!(
+            "{job_count} jobs admitted but {} live and {} finished records",
+            live.len(),
+            finished.len()
+        )));
+    }
+    let n_vcs = r.len(16)?;
+    let mut vcs = Vec::with_capacity(n_vcs);
+    for _ in 0..n_vcs {
+        let n_queue = r.len(24)?;
+        let mut queue = Vec::with_capacity(n_queue);
+        for _ in 0..n_queue {
+            let key = QueueKey(r.f64()?, r.u64()?);
+            queue.push((key, r.u64()? as usize));
+        }
+        let n_allocs = r.len(8)?;
+        let mut running_allocs = Vec::with_capacity(n_allocs);
+        for _ in 0..n_allocs {
+            let n_slices = r.len(8)?;
+            let mut slices = Vec::with_capacity(n_slices);
+            for _ in 0..n_slices {
+                slices.push((r.u32()?, r.u32()?));
+            }
+            running_allocs.push(slices.into_iter().collect());
+        }
+        vcs.push(VcSnap {
+            queue,
+            running_allocs,
+        });
+    }
+    let n_fin = r.len(20)?;
+    let mut finishes = Vec::with_capacity(n_fin);
+    for _ in 0..n_fin {
+        finishes.push((r.i64()?, r.u64()? as usize, r.u32()?));
+    }
+    let policy_state = r.bytes()?;
+    let fault = match r.u8()? {
+        0 => None,
+        1 => Some(FaultSnap::decode(&mut r)?),
+        other => return Err(r.err(format!("unknown failure-state presence byte {other}"))),
+    };
+    r.finish()?;
+    Ok(SimSnapshot {
+        placement,
+        backfill,
+        policy_name,
+        spec_fingerprint,
+        horizon,
+        job_count: job_count as usize,
+        live,
+        vcs,
+        finishes,
+        finished,
+        drained,
+        policy_state,
+        fault,
+    })
 }
 
 #[cfg(test)]
@@ -791,39 +926,69 @@ mod tests {
     use super::*;
     use helios_trace::{philly, venus};
 
+    /// A finished job (index 0) and a running one (index 1), so both the
+    /// live frame and the log frame carry a record.
     fn sample() -> SimSnapshot {
+        let running = JobStateSnap {
+            job: SimJob {
+                id: 7,
+                vc: 3,
+                gpus: 8,
+                submit: 100,
+                duration: 600,
+                priority: 2.5,
+            },
+            remaining: 400,
+            started_at: 300,
+            first_start: 200,
+            end: i64::MIN,
+            epoch: 2,
+            preemptions: 1,
+            run_slot: 0,
+        };
+        let done = JobStateSnap {
+            job: SimJob {
+                id: 5,
+                vc: 3,
+                gpus: 1,
+                submit: 50,
+                duration: 60,
+                priority: 0.5,
+            },
+            remaining: 0,
+            started_at: 60,
+            first_start: 60,
+            end: 120,
+            epoch: 1,
+            preemptions: 0,
+            run_slot: 1,
+        };
         SimSnapshot {
             placement: Placement::Scatter,
             backfill: true,
             policy_name: "FIFO".into(),
             spec_fingerprint: spec_fingerprint(&venus()),
             horizon: 12_345,
-            jobs: vec![JobStateSnap {
-                job: SimJob {
-                    id: 7,
-                    vc: 3,
-                    gpus: 8,
-                    submit: 100,
-                    duration: 600,
-                    priority: 2.5,
-                },
-                remaining: 400,
-                started_at: 300,
-                first_start: 200,
-                end: i64::MIN,
-                epoch: 2,
-                preemptions: 1,
-                run_slot: 0,
-            }],
+            job_count: 2,
+            live: vec![(1, running)],
             vcs: vec![VcSnap {
-                queue: vec![(QueueKey(100.0, 7), 0), (QueueKey(101.5, 9), 0)],
+                queue: vec![(QueueKey(100.0, 7), 1), (QueueKey(101.5, 9), 1)],
                 running_allocs: vec![[(0, 8)].into_iter().collect()],
             }],
-            finishes: vec![(700, 0, 2)],
-            completed: vec![0],
+            finishes: vec![(700, 1, 2)],
+            finished: vec![(0, done)],
+            drained: 0,
             policy_state: vec![1, 2, 3],
             fault: None,
         }
+    }
+
+    /// The live frame and the log frame of `bytes`, split at the end of
+    /// the first frame (its header carries the body length).
+    fn split(bytes: &[u8]) -> (&[u8], &[u8]) {
+        let mut len = [0u8; 8];
+        len.copy_from_slice(&bytes[12..20]);
+        bytes.split_at(FRAME_OVERHEAD + u64::from_le_bytes(len) as usize)
     }
 
     #[test]
@@ -834,6 +999,44 @@ mod tests {
         assert_eq!(back, snap);
         // Re-encoding is byte-stable.
         assert_eq!(back.to_bytes(), bytes);
+        // The two frames decode as parts, too.
+        let (live, log) = split(&bytes);
+        assert_eq!(&log[..8], &FINISHED_LOG_MAGIC);
+        assert_eq!(SimSnapshot::from_parts(live, log).unwrap(), snap);
+    }
+
+    #[test]
+    fn a_log_of_many_frames_decodes_like_one() {
+        // Three finished jobs logged one frame at a time, as a checkpoint
+        // ring appends them, equal one log frame of all three.
+        let mut snap = sample();
+        let (_, done) = snap.finished[0];
+        snap.finished = (0..3).map(|idx| (idx, done)).collect();
+        snap.live[0].0 = 3;
+        snap.job_count = 4;
+        let bytes = snap.to_bytes();
+        let (live, _) = split(&bytes);
+        let mut log = Vec::new();
+        for pair in snap.finished.chunks(1) {
+            append_log_frame(&mut log, pair.iter().map(|(idx, s)| (*idx, s)));
+        }
+        append_log_frame(&mut log, std::iter::empty());
+        assert_eq!(SimSnapshot::from_parts(live, &log).unwrap(), snap);
+        assert_eq!(whole_log_prefix(&log), log.len());
+        // A log cut short is refused — a torn frame by its checksum, a
+        // missing record by the job count — unless it only drops the
+        // trailing empty frame.
+        let records_end = log.len() - FRAME_OVERHEAD;
+        for cut in 0..log.len() {
+            match SimSnapshot::from_parts(live, &log[..cut]) {
+                Ok(back) => assert!(cut == records_end && back == snap, "cut at {cut}"),
+                Err(err) => {
+                    assert!(cut != records_end, "cut at {cut}: {err}");
+                    assert!(matches!(err, HeliosError::Snapshot { .. }), "cut at {cut}");
+                }
+            }
+            assert!(whole_log_prefix(&log[..cut]) <= cut);
+        }
     }
 
     fn sample_fault() -> FaultSnap {
@@ -850,7 +1053,6 @@ mod tests {
                 up_since: 50,
                 fail_count: 1,
                 alloc_events: 7,
-                busy: 0,
                 busy_integral: 123.5,
                 last_t: 80,
                 drain_since: 60,
@@ -887,9 +1089,9 @@ mod tests {
         // a type, so swapping two u64 fields would pass it; these pins
         // would not.
         let mut snap = sample();
-        assert_eq!(xxh64(&snap.to_bytes()), 0xf67d_60c5_b50f_a3ca);
+        assert_eq!(xxh64(&snap.to_bytes()), 0xe19b_d8a3_3fad_273c);
         snap.fault = Some(sample_fault());
-        assert_eq!(xxh64(&snap.to_bytes()), 0x41cc_9254_27b7_5f14);
+        assert_eq!(xxh64(&snap.to_bytes()), 0xe0fc_957d_2519_db77);
     }
 
     #[test]
@@ -907,24 +1109,52 @@ mod tests {
 
     #[test]
     fn every_truncation_and_bit_flip_of_a_frame_is_refused() {
+        // Both frames: the live frame (with a failure section) and the
+        // log frame after it.
         let mut snap = sample();
         snap.fault = Some(sample_fault());
-        let mut frame = snap.to_bytes();
+        let mut bytes = snap.to_bytes();
         let refused = |bytes: &[u8]| {
             matches!(
                 SimSnapshot::from_bytes(bytes),
                 Err(HeliosError::Snapshot { .. })
             )
         };
-        for cut in 0..frame.len() {
-            assert!(refused(&frame[..cut]), "cut at {cut}");
+        for cut in 0..bytes.len() {
+            assert!(refused(&bytes[..cut]), "cut at {cut}");
         }
-        for bit in 0..frame.len() * 8 {
-            frame[bit / 8] ^= 1 << (bit % 8);
-            assert!(refused(&frame), "bit {bit} flipped");
-            frame[bit / 8] ^= 1 << (bit % 8);
+        for bit in 0..bytes.len() * 8 {
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            assert!(refused(&bytes), "bit {bit} flipped");
+            bytes[bit / 8] ^= 1 << (bit % 8);
         }
-        assert_eq!(SimSnapshot::from_bytes(&frame).unwrap(), snap);
+        assert_eq!(SimSnapshot::from_bytes(&bytes).unwrap(), snap);
+        // Each frame on its own, as a checkpoint ring keeps them.
+        let (live, log) = split(&bytes);
+        let (mut live, mut log) = (live.to_vec(), log.to_vec());
+        for cut in 0..live.len() {
+            assert!(
+                SimSnapshot::from_parts(&live[..cut], &log).is_err(),
+                "live cut {cut}"
+            );
+        }
+        for bit in 0..live.len() * 8 {
+            live[bit / 8] ^= 1 << (bit % 8);
+            assert!(
+                SimSnapshot::from_parts(&live, &log).is_err(),
+                "live bit {bit}"
+            );
+            live[bit / 8] ^= 1 << (bit % 8);
+        }
+        for bit in 0..log.len() * 8 {
+            log[bit / 8] ^= 1 << (bit % 8);
+            assert!(
+                SimSnapshot::from_parts(&live, &log).is_err(),
+                "log bit {bit}"
+            );
+            log[bit / 8] ^= 1 << (bit % 8);
+        }
+        assert_eq!(SimSnapshot::from_parts(&live, &log).unwrap(), snap);
     }
 
     #[test]
@@ -953,12 +1183,17 @@ mod tests {
         let mut wrong_magic = bytes.clone();
         wrong_magic[0] ^= 0xFF;
         assert!(SimSnapshot::from_bytes(&wrong_magic).is_err());
-        // Version 4 frames (which also stored the derivable state) are
-        // refused by number.
-        let mut version_four = bytes.clone();
-        version_four[8..12].copy_from_slice(&4u32.to_le_bytes());
-        let err = SimSnapshot::from_bytes(&version_four).unwrap_err();
-        assert!(err.to_string().contains("HSIMSNAP version 4 "), "{err}");
+        // Version 5 frames (which held every job's record in one frame)
+        // are refused by number, and so is a log frame of another version.
+        let mut version_five = bytes.clone();
+        version_five[8..12].copy_from_slice(&5u32.to_le_bytes());
+        let err = SimSnapshot::from_bytes(&version_five).unwrap_err();
+        assert!(err.to_string().contains("HSIMSNAP version 5 "), "{err}");
+        let log_at = split(&bytes).0.len();
+        let mut old_log = bytes.clone();
+        old_log[log_at + 8..log_at + 12].copy_from_slice(&5u32.to_le_bytes());
+        let err = SimSnapshot::from_bytes(&old_log).unwrap_err();
+        assert!(err.to_string().contains("HSIMDONE version 5 "), "{err}");
         let mut wrong_version = bytes;
         wrong_version[8] = 0xEE;
         let err = SimSnapshot::from_bytes(&wrong_version).unwrap_err();

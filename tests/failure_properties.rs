@@ -216,10 +216,17 @@ fn unknown_failure_codec_version_is_a_snapshot_error() {
     sim.push_jobs(&jobs).unwrap();
     sim.run_until(lo + (hi - lo) / 2);
 
-    // The failure section is the body's final section: stripping the
-    // fault payload from a second copy of the same snapshot tells us
+    // The failure section is the live frame's final section: stripping
+    // the fault payload from a second copy of the same snapshot tells us
     // exactly where the section (and its leading codec-version u32)
-    // begins — just before the stripped frame's 8-byte checksum.
+    // begins — just before the stripped live frame's 8-byte checksum. A
+    // frame is its 20-byte header, the body its header counts, and the
+    // checksum.
+    let frame_len = |bytes: &[u8]| {
+        let mut len = [0u8; 8];
+        len.copy_from_slice(&bytes[12..20]);
+        28 + u64::from_le_bytes(len) as usize
+    };
     let snap = sim.snapshot();
     let mut bytes = snap.to_bytes();
     let mut stripped = sim.snapshot();
@@ -228,14 +235,15 @@ fn unknown_failure_codec_version_is_a_snapshot_error() {
         "fault-enabled kernel must snapshot its failure state"
     );
     stripped.fault = None;
-    let section_start = stripped.to_bytes().len() - 8;
-    assert!(section_start + 4 <= bytes.len());
+    let section_start = frame_len(&stripped.to_bytes()) - 8;
+    let live_len = frame_len(&bytes);
+    assert!(section_start + 4 <= live_len);
     bytes[section_start..section_start + 4].copy_from_slice(&0xEEu32.to_le_bytes());
-    // Re-seal the patched frame, or its checksum refuses it before the
-    // nested version is read.
-    let sealed_len = bytes.len() - 8;
+    // Re-seal the patched live frame, or its checksum refuses it before
+    // the nested version is read.
+    let sealed_len = live_len - 8;
     let checksum = xxh64(&bytes[..sealed_len]);
-    bytes[sealed_len..].copy_from_slice(&checksum.to_le_bytes());
+    bytes[sealed_len..live_len].copy_from_slice(&checksum.to_le_bytes());
 
     let err = SimSnapshot::from_bytes(&bytes).expect_err("corrupt codec version must fail");
     assert!(matches!(err, HeliosError::Snapshot { .. }), "{err}");

@@ -251,7 +251,14 @@ fn kernel_snapshot_fuzz_truncation_and_header_bitflips_stay_typed() {
     sim.push_jobs(&jobs).unwrap();
     sim.run_until(300);
     let blob = sim.snapshot().to_bytes();
-    assert!(SimSnapshot::from_bytes(&blob).is_ok());
+    let snap = SimSnapshot::from_bytes(&blob).unwrap();
+    // Both frames carry records: the live frame the unfinished jobs, the
+    // log frame after it the finished ones.
+    assert!(!snap.live.is_empty() && !snap.finished.is_empty());
+    let mut body = [0u8; 8];
+    body.copy_from_slice(&blob[12..20]);
+    let log_at = 28 + u64::from_le_bytes(body) as usize;
+    assert_eq!(&blob[log_at..log_at + 8], b"HSIMDONE");
 
     for cut in truncation_offsets(blob.len()) {
         let err = SimSnapshot::from_bytes(&blob[..cut]).unwrap_err();
@@ -260,7 +267,7 @@ fn kernel_snapshot_fuzz_truncation_and_header_bitflips_stay_typed() {
             "cut at {cut}: expected a typed snapshot error, got {err}"
         );
     }
-    for byte in 0..12 {
+    for byte in (0..12).chain(log_at..log_at + 12) {
         for bit in 0..8 {
             let mut bent = blob.clone();
             bent[byte] ^= 1 << bit;
@@ -450,5 +457,68 @@ fn recover_needs_a_checkpoint_dir_and_a_populated_ring() {
         Fleet::recover(&config),
         Err(HeliosError::Snapshot { .. })
     ));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_fresh_launch_refuses_an_earlier_fleets_ring() {
+    let dir = std::env::temp_dir().join(format!(
+        "helios-fleet-fresh-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cluster = ClusterId::Venus;
+    let config = FleetConfig::new()
+        .with_cluster(ClusterConfig::new(cluster, Policy::Fifo))
+        .with_checkpoint(
+            CheckpointConfig::default()
+                .every_cycles(1)
+                .generations(3)
+                .dir(&dir),
+        );
+    let job = |id: u64, submit: i64| SimJob {
+        id,
+        vc: 0,
+        gpus: 1,
+        submit,
+        duration: 60,
+        priority: 0.0,
+    };
+
+    // An earlier fleet runs five cycles and dies without shutdown.
+    let old = Fleet::launch(&config).unwrap();
+    for (k, id) in (1000..1005).enumerate() {
+        let now = k as i64 * 600;
+        old.submit(cluster, job(id, now)).unwrap();
+        old.advance(now + 600).unwrap();
+    }
+    drop(old);
+
+    // A fresh launch into its directory would restart the generation
+    // indices under the old ring, so recovery would later pick the old
+    // fleet's newest slot: it is refused, naming a ring file.
+    let err = Fleet::launch(&config).unwrap_err();
+    assert!(matches!(err, HeliosError::InvalidConfig { .. }), "{err}");
+    let msg = err.to_string();
+    assert!(msg.contains("Fleet::recover"), "{msg}");
+    assert!(
+        msg.contains("Venus.log") || msg.contains("Venus-slot"),
+        "{msg}"
+    );
+
+    // The refusal touched nothing: the old ring still recovers its jobs.
+    let recovered = Fleet::recover(&config).unwrap();
+    let mut ids: Vec<u64> = recovered
+        .shutdown()
+        .unwrap()
+        .pop()
+        .unwrap()
+        .1
+        .iter()
+        .map(|o| o.id)
+        .collect();
+    ids.sort_unstable();
+    assert_eq!(ids, (1000..1005).collect::<Vec<_>>());
     let _ = std::fs::remove_dir_all(&dir);
 }

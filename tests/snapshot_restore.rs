@@ -3,7 +3,8 @@
 //! uninterrupted run's outcomes **byte-identically** — same digest over
 //! `(id, start, end, preemptions)` as the committed result pins. The state
 //! restore derives rather than reads (arrival cursor, running lists, free
-//! GPUs, finished count) must equal the source kernel's at the cut.
+//! GPUs, each node's busy GPUs, undrained completions) must equal the
+//! source kernel's at the cut.
 
 use helios_energy::EnergyAwarePolicy;
 use helios_sim::{
@@ -179,7 +180,7 @@ fn restore_refuses_unrunnable_allocations_and_queue_heads() {
     };
     let moved = |vc: u16| {
         let mut bad = snap.clone();
-        bad.jobs[0].job.vc = vc;
+        bad.live[0].1.job.vc = vc;
         bad
     };
     let cases: [(&str, SimSnapshot); 6] = [
@@ -222,20 +223,27 @@ fn restore_refuses_unrunnable_allocations_and_queue_heads() {
     assert_eq!(snap.vcs[0].queue.len(), 1);
     assert!(Simulator::restore(&spec, Policy::Fifo.build(), &snap).is_ok());
     let mut fits = snap.clone();
-    fits.jobs[1].job.gpus = gpn;
+    fits.live[1].1.job.gpus = gpn;
     let mut elsewhere = snap.clone();
-    elsewhere.jobs[1].job.vc = 1;
+    elsewhere.live[1].1.job.vc = 1;
     // A live finish event (current epoch, no end) for the queued job: it
     // would fire first and remove a job that holds no running slot.
     let mut finishes_queued = snap.clone();
     finishes_queued
         .finishes
-        .insert(0, (100, 1, snap.jobs[1].epoch));
-    // Each job is in exactly one place: an undrained completion that names
-    // the queued job, the running gang also queued, and the queued job
-    // queued twice are each refused.
+        .insert(0, (100, 1, snap.live[1].1.epoch));
+    // Each job is in exactly one place: the queued job's record in the
+    // finished log, a record both live and finished, outcomes drained
+    // past the finished records, the running gang also queued, and the
+    // queued job queued twice are each refused.
     let mut completes_queued = snap.clone();
-    completes_queued.completed.push(1);
+    let queued = completes_queued.live.remove(1);
+    completes_queued.finished.push(queued);
+    let mut recorded_twice = snap.clone();
+    recorded_twice.finished.push(recorded_twice.live[1]);
+    recorded_twice.job_count += 1;
+    let mut drained_past = snap.clone();
+    drained_past.drained = 1;
     let mut queues_running = snap.clone();
     queues_running.vcs[0]
         .queue
@@ -246,18 +254,20 @@ fn restore_refuses_unrunnable_allocations_and_queue_heads() {
     // The gang's one live finish entry fires when it will end, and no
     // entry carries an epoch its job has not reached: one would come alive
     // when the queued job starts, at 600, and end it at 900.
-    assert_eq!(snap.finishes, [(600, 0, snap.jobs[0].epoch)]);
+    assert_eq!(snap.finishes, [(600, 0, snap.live[0].1.epoch)]);
     let mut finishes_early = snap.clone();
     finishes_early.finishes[0].0 = 599;
     let mut finishes_later_epoch = snap.clone();
     finishes_later_epoch
         .finishes
-        .push((900, 1, snap.jobs[1].epoch + 1));
+        .push((900, 1, snap.live[1].1.epoch + 1));
     for bad in [
         fits,
         elsewhere,
         finishes_queued,
         completes_queued,
+        recorded_twice,
+        drained_past,
         queues_running,
         queued_twice,
         finishes_early,
@@ -315,5 +325,38 @@ fn snapshot_into_a_recycled_longer_buffer_equals_to_bytes() {
         assert_eq!(buf[8..12], SNAPSHOT_VERSION.to_le_bytes());
         let snap = SimSnapshot::from_bytes(&buf).unwrap();
         assert_eq!(snap.fault.is_some(), faults);
+    }
+}
+
+#[test]
+fn restore_derives_busy_gpus_from_the_running_allocations() {
+    // Failure injection on, one 8-GPU gang on node 0: FAULTSNAP carries no
+    // busy counts, and the restored kernel's per-node telemetry (the
+    // predictor and drain-policy features) equals the source's anyway.
+    let spec = preset(ClusterId::Venus);
+    let mut sim = Simulator::new(&spec, Policy::Fifo.build());
+    sim.enable_faults(&FaultConfig::with_mtbf_hours(2000.0))
+        .unwrap();
+    let gang = SimJob {
+        id: 1,
+        vc: 0,
+        gpus: 8,
+        submit: 0,
+        duration: 600,
+        priority: 0.0,
+    };
+    sim.push_jobs(&[gang]).unwrap();
+    sim.run_until(100);
+    let snap = SimSnapshot::from_bytes(&sim.snapshot().to_bytes()).unwrap();
+    assert_eq!(snap.vcs[0].running_allocs, [[(0, 8)].into_iter().collect()]);
+    let twin = Simulator::restore(&spec, Policy::Fifo.build(), &snap).unwrap();
+    let (now, source, restored) = (sim.now(), sim.cluster_view(), twin.cluster_view());
+    assert_eq!(source.node_features(0, now).map(|f| f[4]), Some(1.0));
+    for node in 0..source.total_nodes() {
+        assert_eq!(
+            restored.node_features(node, now),
+            source.node_features(node, now),
+            "node {node}"
+        );
     }
 }
