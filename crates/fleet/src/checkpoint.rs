@@ -47,8 +47,12 @@
 //! Slots and journal records are frames at on-disk format version 4
 //! ([`CHECKPOINT_VERSION`]); a directory of an older version is refused by
 //! its version rather than read. Monotonically increasing generation
-//! indices make slot reuse unambiguous: the loader orders slots by the
-//! index each one carries. A fresh [`Fleet::launch`](crate::Fleet::launch)
+//! indices make slot reuse unambiguous: the loader reads every slot file
+//! of the cluster, whatever ring depth the recovering config has, and
+//! orders them by the index each one carries, so a recovery with fewer
+//! generations than the dead fleet still finds its newest one and
+//! continues past every index on disk. A fresh
+//! [`Fleet::launch`](crate::Fleet::launch)
 //! refuses a directory that already holds a ring file of a hosted
 //! cluster, so it can never mix its generations with an earlier fleet's.
 //!
@@ -506,37 +510,71 @@ fn log_path(dir: &Path, cluster: ClusterId) -> PathBuf {
     dir.join(format!("{}.log", cluster.name()))
 }
 
+/// One checkpoint ring file of a cluster, by kind.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum RingFile {
+    /// `<cluster>-slot<N>.ckpt`.
+    Slot(u64),
+    /// `<cluster>-slot<N>.journal`.
+    Journal(u64),
+    /// `<cluster>.log`.
+    Log,
+}
+
+/// Every ring file of `cluster` in `dir`, whatever slot number it has,
+/// sorted by kind and slot. A missing directory holds none.
+fn ring_files(dir: &Path, cluster: ClusterId) -> HeliosResult<Vec<(RingFile, PathBuf)>> {
+    let listing = |e: std::io::Error| HeliosError::io(format!("listing {}", dir.display()), &e);
+    let entries = match std::fs::read_dir(dir) {
+        Ok(entries) => entries,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) => return Err(listing(e)),
+    };
+    let name = cluster.name();
+    let slot_prefix = format!("{name}-slot");
+    let mut files = Vec::new();
+    for entry in entries {
+        let entry = entry.map_err(listing)?;
+        let file = entry.file_name();
+        let file = file.to_string_lossy();
+        let slot = |suffix: &str| {
+            file.strip_prefix(slot_prefix.as_str())?
+                .strip_suffix(suffix)?
+                .parse::<u64>()
+                .ok()
+        };
+        let kind = if file.strip_suffix(".log") == Some(name) {
+            RingFile::Log
+        } else if let Some(n) = slot(".ckpt") {
+            RingFile::Slot(n)
+        } else if let Some(n) = slot(".journal") {
+            RingFile::Journal(n)
+        } else {
+            continue;
+        };
+        files.push((kind, entry.path()));
+    }
+    files.sort();
+    Ok(files)
+}
+
 /// Refuse to start a fresh ring in `dir` when it already holds a ring
 /// file of `cluster` (a slot, a slot journal or the log): the loader
 /// would take the earlier fleet's newest generation for this one's. The
 /// typed error names the file and points at `Fleet::recover`.
 pub(crate) fn refuse_earlier_ring(dir: &Path, cluster: ClusterId) -> HeliosResult<()> {
-    let entries = match std::fs::read_dir(dir) {
-        Ok(entries) => entries,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
-        Err(e) => return Err(HeliosError::io(format!("listing {}", dir.display()), &e)),
-    };
-    let name = cluster.name();
-    let log = format!("{name}.log");
-    let slot = format!("{name}-slot");
-    for entry in entries {
-        let entry = entry.map_err(|e| HeliosError::io(format!("listing {}", dir.display()), &e))?;
-        let file = entry.file_name();
-        let file = file.to_string_lossy();
-        let ring_file = *file == *log
-            || (file.starts_with(&slot) && (file.ends_with(".ckpt") || file.ends_with(".journal")));
-        if ring_file {
-            return Err(HeliosError::invalid_config(
-                "checkpoint.dir",
-                format!(
-                    "{} is a checkpoint ring file of an earlier {name} fleet; resume that fleet \
-                     with Fleet::recover, or launch into a directory without one",
-                    entry.path().display()
-                ),
-            ));
-        }
+    match ring_files(dir, cluster)?.first() {
+        None => Ok(()),
+        Some((_, path)) => Err(HeliosError::invalid_config(
+            "checkpoint.dir",
+            format!(
+                "{} is a checkpoint ring file of an earlier {} fleet; resume that fleet \
+                 with Fleet::recover, or launch into a directory without one",
+                path.display(),
+                cluster.name()
+            ),
+        )),
     }
-    Ok(())
 }
 
 /// Write `bytes` at offset `at` of `path` (created when missing), cutting
@@ -678,35 +716,42 @@ fn decode_journal(bytes: &[u8]) -> Vec<(u64, Vec<SimJob>)> {
 /// generation index that no retained slot explains extend the youngest
 /// older generation, preserving admission order), and the whole-frame
 /// prefix of its log (a torn tail is dropped). Returns the ring, the log
-/// and the next free generation index. Slots that do not decode are
-/// skipped; when none decodes, the error carries the reason the first was
-/// skipped (an older-version directory is refused by its version, not as
-/// "missing"). A slot, journal or log file that exists but cannot be read
-/// is a typed I/O error, never an empty one.
+/// and the next free generation index, which is past every generation on
+/// disk.
+///
+/// Every slot and journal file of the cluster is read, whatever its slot
+/// number: a dead fleet with a deeper ring than the recovering config
+/// left its newest generations in slots the recovering ring never
+/// writes. Slots that do not decode are skipped; when none decodes, the
+/// error carries the reason the first was skipped (an older-version
+/// directory is refused by its version, not as "missing"). A slot,
+/// journal or log file that exists but cannot be read is a typed I/O
+/// error, never an empty one.
 pub(crate) fn load_ring(
     dir: &Path,
     cluster: ClusterId,
-    cfg: &CheckpointConfig,
 ) -> HeliosResult<(VecDeque<Generation>, Vec<u8>, u64)> {
-    cfg.validate()?;
     let mut gens: Vec<Generation> = Vec::new();
     let mut records: Vec<(u64, Vec<SimJob>)> = Vec::new();
     let mut first_skip: Option<(PathBuf, HeliosError)> = None;
-    for slot in 0..cfg.generations as u64 {
-        let cpath = ckpt_path(dir, cluster, slot);
-        // A corrupt slot could only occupy the ring if we could say where
-        // it belongs — without a trusted decoded index we must drop it,
-        // so decode failures are skipped here.
-        if let Some(bytes) = read_if_present(&cpath)? {
-            match decode_slot(&bytes, cluster) {
+    let mut log = Vec::new();
+    for (kind, path) in ring_files(dir, cluster)? {
+        // A file deleted since the listing counts as absent.
+        let Some(bytes) = read_if_present(&path)? else {
+            continue;
+        };
+        match kind {
+            // A corrupt slot could only occupy the ring if we could say
+            // where it belongs — without a trusted decoded index we must
+            // drop it, so decode failures are skipped here.
+            RingFile::Slot(_) => match decode_slot(&bytes, cluster) {
                 Ok(generation) => gens.push(generation),
                 Err(e) => {
-                    first_skip.get_or_insert((cpath, e));
+                    first_skip.get_or_insert((path, e));
                 }
-            }
-        }
-        if let Some(bytes) = read_if_present(&journal_path(dir, cluster, slot))? {
-            records.extend(decode_journal(&bytes));
+            },
+            RingFile::Journal(_) => records.extend(decode_journal(&bytes)),
+            RingFile::Log => log = bytes,
         }
     }
     if gens.is_empty() {
@@ -723,7 +768,6 @@ pub(crate) fn load_ring(
             },
         ));
     }
-    let mut log = read_if_present(&log_path(dir, cluster))?.unwrap_or_default();
     log.truncate(whole_log_prefix(&log));
     gens.sort_by_key(|g| g.index);
     let next_index = gens.last().map_or(0, |g| g.index) + 1;
@@ -1004,7 +1048,7 @@ mod tests {
         torn.extend_from_within(..clean_len - 1);
         std::fs::write(&jpath, &torn).expect("tear applied");
 
-        let (ring, log, next) = load_ring(&dir, ClusterId::Saturn, &cfg).expect("ring loads");
+        let (ring, log, next) = load_ring(&dir, ClusterId::Saturn).expect("ring loads");
         assert_eq!(next, 2);
         assert_eq!(ring.len(), 2);
         assert_eq!(log, m.log.bytes, "the disk log is the in-memory one");
@@ -1030,7 +1074,7 @@ mod tests {
         let mid = cbytes.len() / 2;
         cbytes[mid] ^= 0xFF;
         std::fs::write(&cpath, &cbytes).expect("corruption applied");
-        let (ring, _, _) = load_ring(&dir, ClusterId::Saturn, &cfg).expect("ring loads");
+        let (ring, _, _) = load_ring(&dir, ClusterId::Saturn).expect("ring loads");
         assert_eq!(ring.len(), 1, "corrupt slot dropped");
         assert_eq!(ring[0].index, 0);
         // Its replay still carries every admitted job, in order.
@@ -1073,7 +1117,7 @@ mod tests {
         let mut recovered = 0;
         for cut in 0..=log.len() {
             std::fs::write(&path, &log[..cut]).expect("cut applied");
-            let (ring, loaded, _) = load_ring(&dir, ClusterId::Venus, &cfg).expect("slots load");
+            let (ring, loaded, _) = load_ring(&dir, ClusterId::Venus).expect("slots load");
             let whole = whole_log_prefix(&log[..cut]);
             assert_eq!(
                 loaded.len(),
@@ -1099,6 +1143,90 @@ mod tests {
             }
         }
         assert_eq!(recovered, log.len() + 1 - oldest);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn recovery_reads_every_slot_whatever_the_ring_depth() {
+        let dir = temp_dir("depth");
+        let cluster = ClusterId::Venus;
+        let config = |generations: usize, dir: Option<&Path>| {
+            let ckpt = CheckpointConfig::default()
+                .every_cycles(1)
+                .generations(generations);
+            crate::FleetConfig::new()
+                .with_cluster(crate::ClusterConfig::new(cluster, Policy::Fifo))
+                .with_checkpoint(match dir {
+                    Some(dir) => ckpt.dir(dir),
+                    None => ckpt,
+                })
+        };
+        // Jobs 1000–1004 over five cycles (generations 1–5 after the
+        // launch generation 0), then job 1005, which `Fleet::snapshot`
+        // admits and journals against generation 5.
+        let drive = |fleet: &crate::Fleet| {
+            for (k, id) in (1000..1005).enumerate() {
+                let now = k as i64 * 600;
+                fleet.submit(cluster, job(id)).expect("accepted");
+                fleet.advance(now + 600).expect("advance");
+            }
+            fleet.submit(cluster, job(1005)).expect("accepted");
+            fleet.snapshot().expect("snapshot");
+        };
+        let outcomes = |fleet: crate::Fleet| {
+            let mut out = fleet.shutdown().expect("shutdown").pop().expect("Venus").1;
+            out.sort_by_key(|o| o.id);
+            out
+        };
+        let calm = crate::Fleet::launch(&config(3, None)).expect("calm twin");
+        drive(&calm);
+        let calm = outcomes(calm);
+        assert_eq!(
+            calm.iter().map(|o| o.id).collect::<Vec<_>>(),
+            [1000, 1001, 1002, 1003, 1004, 1005]
+        );
+
+        // The old fleet keeps three generations: 3, 4 and 5 in slots 0, 1
+        // and 2, job 1005 in slot 2's journal. It dies without shutdown.
+        let old = crate::Fleet::launch(&config(3, Some(&dir))).expect("old fleet");
+        drive(&old);
+        drop(old);
+        assert!(
+            std::fs::metadata(journal_path(&dir, cluster, 2))
+                .expect("journal")
+                .len()
+                > 0
+        );
+
+        // A shallower ring still restores generation 5 from slot 2 and
+        // replays job 1005; its own generations continue at index 6.
+        let shallow = crate::Fleet::recover(&config(2, Some(&dir))).expect("recovers at depth 2");
+        assert_eq!(
+            shallow
+                .status(cluster)
+                .expect("status")
+                .health
+                .checkpoint_generation,
+            6
+        );
+        assert_eq!(outcomes(shallow), calm);
+
+        // A second recovery, at depth 3, sees slot 2's old generation 5
+        // next to the shallow fleet's generation 6: every index on disk
+        // is unique, and the newest wins.
+        let (ring, _, next) = load_ring(&dir, cluster).expect("ring loads");
+        let indices: Vec<u64> = ring.iter().map(|g| g.index).collect();
+        assert_eq!(indices, [4, 5, 6]);
+        assert_eq!(next, 7);
+        let deep = crate::Fleet::recover(&config(3, Some(&dir))).expect("recovers at depth 3");
+        assert_eq!(
+            deep.status(cluster)
+                .expect("status")
+                .health
+                .checkpoint_generation,
+            7
+        );
+        assert_eq!(outcomes(deep), calm);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

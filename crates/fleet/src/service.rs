@@ -102,8 +102,7 @@ impl Fleet {
         })?;
         let mut workers = Vec::with_capacity(config.clusters.len());
         for &cfg in &config.clusters {
-            let (ring, log, resume_index) =
-                checkpoint::load_ring(dir, cfg.cluster, &config.checkpoint)?;
+            let (ring, log, resume_index) = checkpoint::load_ring(dir, cfg.cluster)?;
             let rec = checkpoint::recover_from(&ring, &log, cfg.cluster.name())?;
             let log = rec.log_prefix(log);
             workers.push(spawn_worker(

@@ -3,15 +3,19 @@
 //! paper's published numbers (see `workload.rs` for the target inventory).
 //!
 //! Pipeline: build users → distribute per-user job counts (Zipf activity) →
-//! calibrate per-VC offered load by rescaling template duration medians →
-//! sample submission sessions (bursty, feedback-driven exploration) →
-//! sample per-job GPU demand / duration / final status → FIFO-replay start
-//! times (`replay.rs`).
+//! sample submission sessions (bursty, feedback-driven exploration) and
+//! per-job GPU demand / duration / final status into one vector sized
+//! for the exact job count → calibrate per-VC offered load by rescaling
+//! the load-bearing durations → sort by the unique submission key and
+//! number the jobs → FIFO-replay start times (`replay.rs`).
+//!
+//! One trace is one sequential ChaCha12 stream, so [`generate`] runs on
+//! one thread; [`generate_helios`] generates its four independent
+//! clusters side by side.
 
 use crate::cluster::{preset, ClusterSpec};
 use crate::dist::{uniform, Discrete, LogNormal};
 use crate::error::{HeliosError, HeliosResult};
-use crate::heap::MinHeap;
 use crate::profiles::{fluctuating_monthly, stable_monthly, SubmissionProfile};
 use crate::replay::assign_start_times;
 use crate::time::Calendar;
@@ -23,8 +27,8 @@ use crate::workload::{
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
-use rayon::prelude::*;
 use std::borrow::Cow;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Hard cap on any job duration: 50 days (Table 2 "Maximum Duration").
 pub const MAX_DURATION_SECS: i64 = 50 * 86_400;
@@ -206,16 +210,15 @@ fn cancel_probability(base: f64, gpus: u32) -> f64 {
     (base * (1.0 + 0.38 * g.log2())).min(0.85)
 }
 
-/// Per-user bookkeeping while emitting jobs. Jobs are emitted into
-/// per-stream buffers (one stream per user, plus one for the mega
-/// submissions) that the finalization step sorts independently and k-way
-/// merges — the multi-million-entry global sort is gone, and the
-/// per-stream sorts fan out over rayon on multi-core hosts.
+/// Per-user bookkeeping while emitting jobs. Every job goes into one
+/// vector, allocated once for the trace's exact job count, in emission
+/// order (user by user, then the mega submissions); the load calibration
+/// sums over that order and the finalization sorts it in place.
 struct Emitter<'a> {
     rng: ChaCha12Rng,
     profile: &'a WorkloadProfile,
     calendar: &'a Calendar,
-    streams: Vec<Vec<JobRecord>>,
+    jobs: Vec<JobRecord>,
     /// Per-template run counters (indexed by NameId).
     runs: Vec<u32>,
 }
@@ -225,31 +228,16 @@ impl<'a> Emitter<'a> {
         profile: &'a WorkloadProfile,
         calendar: &'a Calendar,
         names_len: usize,
+        jobs: usize,
         rng: ChaCha12Rng,
     ) -> Self {
         Emitter {
             rng,
             profile,
             calendar,
-            streams: Vec::new(),
+            jobs: Vec::with_capacity(jobs),
             runs: vec![0; names_len],
         }
-    }
-
-    /// Open a fresh emission stream; subsequent [`Emitter::emit`] calls
-    /// append to it.
-    fn begin_stream(&mut self) {
-        self.streams.push(Vec::new());
-    }
-
-    /// Iterate every emitted job (emission order within a stream).
-    fn jobs(&self) -> impl Iterator<Item = &JobRecord> {
-        self.streams.iter().flatten()
-    }
-
-    /// Iterate every emitted job mutably.
-    fn jobs_mut(&mut self) -> impl Iterator<Item = &mut JobRecord> {
-        self.streams.iter_mut().flatten()
     }
 
     /// Geometric-ish burst size: users submit several variations of the same
@@ -337,22 +325,19 @@ impl<'a> Emitter<'a> {
                     _ => 6 * gpus,
                 };
                 let run = &mut self.runs[t.name as usize];
-                self.streams
-                    .last_mut()
-                    .expect("begin_stream called before emit")
-                    .push(JobRecord {
-                        id: 0, // assigned after the global sort
-                        user: user.id,
-                        vc: t.vc,
-                        gpus,
-                        cpus,
-                        submit,
-                        start: submit, // refined by replay
-                        duration,
-                        status,
-                        name: t.name,
-                        run: *run,
-                    });
+                self.jobs.push(JobRecord {
+                    id: 0, // assigned after the sort
+                    user: user.id,
+                    vc: t.vc,
+                    gpus,
+                    cpus,
+                    submit,
+                    start: submit, // refined by replay
+                    duration,
+                    status,
+                    name: t.name,
+                    run: *run,
+                });
                 *run += 1;
             }
             remaining -= burst;
@@ -492,16 +477,16 @@ pub fn generate(profile: &WorkloadProfile, cfg: &GeneratorConfig) -> HeliosResul
     let multi_profile = SubmissionProfile::new(&calendar, &stable_monthly(m, profile.seed));
     let cpu_profile = SubmissionProfile::new(&calendar, &stable_monthly(m, profile.seed ^ 0xC0));
 
-    // --- Emit jobs: one stream per user (plus one for the mega
-    // submissions), merged below. ---
+    // --- Emit jobs, user by user, then the mega submissions. Each `emit`
+    // call writes exactly its count, so the total is known up front. ---
     let emitter_rng = ChaCha12Rng::seed_from_u64(rng.gen());
-    let mut emitter = Emitter::new(profile, &calendar, names.len(), emitter_rng);
+    let total = gpu_target + preprocess_target + query_target + mega_count;
+    let mut emitter = Emitter::new(profile, &calendar, names.len(), total as usize, emitter_rng);
     for ((u, &gc), (&pc, &qc)) in users
         .iter()
         .zip(&gpu_counts)
         .zip(prep_counts.iter().zip(&query_counts))
     {
-        emitter.begin_stream();
         let gpu_prof = if u.multi_gpu_user {
             &multi_profile
         } else {
@@ -523,21 +508,16 @@ pub fn generate(profile: &WorkloadProfile, cfg: &GeneratorConfig) -> HeliosResul
     if let Some((owner, template)) = mega_template {
         let owner_profile = users.iter().find(|u| u.id == owner).unwrap();
         mega_name = Some(template.name);
-        emitter.begin_stream();
+        let first_mega = emitter.jobs.len();
         emitter.emit(owner_profile, &[template], mega_count, &multi_profile, 2);
         // Guarantee the headline 2 048-GPU request (Table 2) exists at any
         // scale/seed: pin the first mega submission to the cluster maximum.
-        // The mega stream was just opened, so its first entry is the first
-        // emitted mega job.
-        if let Some(first) = emitter
-            .streams
-            .last_mut()
-            .and_then(|stream| stream.first_mut())
-        {
+        if let Some(first) = emitter.jobs.get_mut(first_mega) {
             debug_assert_eq!(Some(first.name), mega_name);
             first.gpus = profile.gpu_cap;
         }
     }
+    debug_assert_eq!(emitter.jobs.len() as u64, total);
 
     // --- Exact load calibration: rescale the sampled durations of the
     // load-bearing kinds (Eval/Train/DistTrain) so each VC's realised
@@ -563,7 +543,7 @@ pub fn generate(profile: &WorkloadProfile, cfg: &GeneratorConfig) -> HeliosResul
     };
     let mut fixed_load = vec![0.0f64; num_vcs];
     let mut scalable_load = vec![0.0f64; num_vcs];
-    for j in emitter.jobs() {
+    for j in &emitter.jobs {
         if !j.is_gpu() {
             continue;
         }
@@ -584,7 +564,7 @@ pub fn generate(profile: &WorkloadProfile, cfg: &GeneratorConfig) -> HeliosResul
             }
         })
         .collect();
-    for j in emitter.jobs_mut() {
+    for j in &mut emitter.jobs {
         if j.is_gpu() && scalable(kind_by_name[j.name as usize]) {
             let d = j.duration as f64 * kappa[j.vc as usize];
             j.duration = (d.round() as i64).clamp(1, MAX_DURATION_SECS);
@@ -593,11 +573,10 @@ pub fn generate(profile: &WorkloadProfile, cfg: &GeneratorConfig) -> HeliosResul
 
     // Submission-ordered ids; ties broken deterministically by (user, name).
     // Every job key (submit, user, name, run) is unique — the run counter
-    // separates same-template resubmissions — so sorting each stream and
-    // k-way merging reproduces the historical global sort byte for byte
-    // (see `merge_streams`), at a fraction of its comparisons and with the
-    // per-stream sorts fanned out over rayon.
-    let mut jobs = merge_streams(emitter.streams);
+    // separates same-template resubmissions — so the unstable sort is
+    // deterministic and equals a stable sort of the emission order.
+    let mut jobs = emitter.jobs;
+    jobs.sort_unstable_by_key(sort_key);
     for (i, j) in jobs.iter_mut().enumerate() {
         j.id = i as u64;
     }
@@ -612,124 +591,51 @@ pub fn generate(profile: &WorkloadProfile, cfg: &GeneratorConfig) -> HeliosResul
 }
 
 /// Submission-order sort key `(submit, user, name, run)`, packed into one
-/// `u128` so heap sift-downs and sort comparisons are single integer
-/// compares instead of 4-field lexicographic ones. Unique per job (the run
-/// counter separates same-template resubmissions), so it defines one total
-/// order. Layout: submit 40 bits (non-negative, < ~34 years), user 24,
-/// name 32, run 32.
-type SortKey = u128;
-
-fn sort_key(j: &JobRecord) -> SortKey {
+/// `u128` so sort comparisons are single integer compares instead of
+/// 4-field lexicographic ones. Unique per job (the run counter separates
+/// same-template resubmissions), so it defines one total order. Layout:
+/// submit 40 bits (non-negative, < ~34 years), user 24, name 32, run 32.
+fn sort_key(j: &JobRecord) -> u128 {
     debug_assert!((0..1 << 40).contains(&j.submit));
     debug_assert!(j.user < 1 << 24);
     ((j.submit as u128) << 88) | ((j.user as u128) << 64) | ((j.name as u128) << 32) | j.run as u128
 }
 
-/// Streams remaining after pairwise consolidation go through the final
-/// heap-driven k-way merge. Small enough that a sift touches ≤ 2 levels.
-const HEAP_FANIN: usize = 8;
-
-/// Sort each emission stream independently (rayon fan-out; keys are unique
-/// so `sort_unstable` is deterministic), consolidate them with rounds of
-/// linear two-way merges (pairs fan out over rayon), and finish with a
-/// k-way merge through the simulator's 4-ary [`MinHeap`]. Because the key
-/// order is total, the output is byte-identical to globally sorting the
-/// concatenated streams.
-fn merge_streams(streams: Vec<Vec<JobRecord>>) -> Vec<JobRecord> {
-    let threads = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    merge_streams_with(streams, threads)
-}
-
-/// [`merge_streams`] with an explicit thread budget (tested directly so
-/// both strategies are exercised regardless of the host's core count).
-fn merge_streams_with(mut streams: Vec<Vec<JobRecord>>, threads: usize) -> Vec<JobRecord> {
-    streams.retain(|s| !s.is_empty());
-    // Sequential hosts: one flat pdqsort over the packed keys beats any
-    // merge tree (no parallelism to exploit, fewer memory round-trips).
-    // The key order is total, so both strategies emit the identical
-    // sequence.
-    if threads < 2 {
-        let mut all: Vec<JobRecord> = streams.into_iter().flatten().collect();
-        all.sort_unstable_by_key(sort_key);
-        return all;
-    }
-    streams
-        .par_iter_mut()
-        .with_min_len(1)
-        .for_each(|s| s.sort_unstable_by_key(sort_key));
-    // Pairwise consolidation: cheap streaming merges (one compare, one
-    // copy per element), pairs fanned out over rayon, until the stream
-    // count fits the heap fan-in.
-    while streams.len() > HEAP_FANIN {
-        let mut it = streams.into_iter();
-        let mut pairs: Vec<(Vec<JobRecord>, Option<Vec<JobRecord>>)> = Vec::new();
-        while let Some(a) = it.next() {
-            pairs.push((a, it.next()));
-        }
-        streams = pairs
-            .into_par_iter()
-            .with_min_len(1)
-            .map(|(a, b)| match b {
-                Some(b) => merge_two(a, b),
-                None => a,
+/// Generate all four Helios cluster traces (Table 1 order).
+///
+/// The clusters are independent, so up to `available_parallelism()`
+/// scoped workers generate them side by side, each taking the next
+/// cluster, largest first by the profile's job count, when it finishes
+/// one. Each trace is exactly what [`generate`] returns for its profile.
+pub fn generate_helios(cfg: &GeneratorConfig) -> HeliosResult<Vec<Trace>> {
+    let profiles = helios_profiles();
+    let mut order: Vec<usize> = (0..profiles.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(profiles[i].gpu_jobs + profiles[i].cpu_jobs));
+    let workers = std::thread::available_parallelism()
+        .map_or(1, |n| n.get())
+        .min(profiles.len());
+    let next = AtomicUsize::new(0);
+    let mut done: Vec<(usize, HeliosResult<Trace>)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    // sync: a claim counter only; each claimed index is read by
+                    // one worker, and the results travel back through `join`
+                    while let Some(&i) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        done.push((i, generate(&profiles[i], cfg)));
+                    }
+                    done
+                })
             })
             .collect();
-    }
-    let total: usize = streams.iter().map(Vec::len).sum();
-    match streams.len() {
-        0 => return Vec::new(),
-        1 => return streams.pop().expect("one stream"),
-        _ => {}
-    }
-    let mut cursor: Vec<usize> = vec![0; streams.len()];
-    let mut heap: MinHeap<(SortKey, usize)> = MinHeap::new();
-    for (si, stream) in streams.iter().enumerate() {
-        heap.push((sort_key(&stream[0]), si));
-    }
-    let mut out = Vec::with_capacity(total);
-    while let Some((_, si)) = heap.pop() {
-        let stream = &streams[si];
-        out.push(stream[cursor[si]]);
-        cursor[si] += 1;
-        if let Some(next) = stream.get(cursor[si]) {
-            heap.push((sort_key(next), si));
-        }
-    }
-    debug_assert_eq!(out.len(), total);
-    out
-}
-
-/// Linear merge of two key-sorted runs.
-fn merge_two(a: Vec<JobRecord>, b: Vec<JobRecord>) -> Vec<JobRecord> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut ia, mut ib) = (a.into_iter().peekable(), b.into_iter().peekable());
-    loop {
-        match (ia.peek(), ib.peek()) {
-            (Some(x), Some(y)) => {
-                if sort_key(x) <= sort_key(y) {
-                    out.push(ia.next().expect("peeked"));
-                } else {
-                    out.push(ib.next().expect("peeked"));
-                }
-            }
-            (Some(_), None) => {
-                out.extend(ia);
-                break;
-            }
-            (None, _) => {
-                out.extend(ib);
-                break;
-            }
-        }
-    }
-    out
-}
-
-/// Generate all four Helios cluster traces (Table 1 order).
-pub fn generate_helios(cfg: &GeneratorConfig) -> HeliosResult<Vec<Trace>> {
-    helios_profiles().iter().map(|p| generate(p, cfg)).collect()
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, trace)| trace).collect()
 }
 
 /// Generate the Philly comparison trace.
@@ -862,45 +768,6 @@ mod tests {
         assert_eq!(a.jobs.len(), b.jobs.len());
         assert_eq!(a.jobs[100], b.jobs[100]);
         assert_eq!(a.jobs.last(), b.jobs.last());
-    }
-
-    #[test]
-    fn merge_strategies_agree_byte_for_byte() {
-        // Synthetic streams with colliding submits (unique (name, run)
-        // keys) exercise both the flat-sort and the pairwise+heap merge
-        // paths, which must emit the identical sequence.
-        let mk = |user: u32, name: u32, run: u32, submit: i64| JobRecord {
-            id: 0,
-            user,
-            vc: 0,
-            gpus: 1,
-            cpus: 0,
-            submit,
-            start: submit,
-            duration: 10,
-            status: JobStatus::Completed,
-            name,
-            run,
-        };
-        let mut x: u64 = 0x9E3779B97F4A7C15;
-        let mut streams = Vec::new();
-        for user in 0..23u32 {
-            let mut s = Vec::new();
-            for run in 0..257u32 {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                s.push(mk(user, user * 31, run, (x % 1000) as i64));
-            }
-            streams.push(s);
-        }
-        let flat = merge_streams_with(streams.clone(), 1);
-        let merged = merge_streams_with(streams, 4);
-        assert_eq!(flat.len(), 23 * 257);
-        assert_eq!(flat, merged);
-        for w in flat.windows(2) {
-            assert!(sort_key(&w[0]) < sort_key(&w[1]));
-        }
     }
 
     #[test]

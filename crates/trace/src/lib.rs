@@ -26,7 +26,6 @@ pub mod cluster;
 pub mod dist;
 pub mod error;
 pub mod generator;
-pub mod heap;
 pub mod io;
 pub mod profiles;
 pub mod replay;
