@@ -28,6 +28,12 @@
 //! bit (batched admission == one-shot is pinned by the kernel equivalence
 //! suite).
 //!
+//! Every resume reads a ring the same way: the supervisor's restart its
+//! worker's own, [`Fleet::recover`](crate::Fleet::recover) one loaded from
+//! disk, [`Fleet::restore`](crate::Fleet::restore) a one-generation ring.
+//! A [`Fleet::snapshot`](crate::Fleet::snapshot) ships each worker's slot
+//! frame of one more generation, followed by its log.
+//!
 //! The live frame is encoded straight from the kernel's arrays into the
 //! buffer of the generation the ring last evicted, and the log grows in
 //! place; each costs one checksum pass at memory speed.
@@ -63,7 +69,6 @@
 
 use helios_sim::{
     whole_log_prefix, ByteReader, ByteWriter, SimJob, SimSnapshot, Simulator, JOB_WIRE_BYTES,
-    SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 use helios_trace::{ClusterId, HeliosError, HeliosResult};
 use std::collections::VecDeque;
@@ -176,21 +181,6 @@ pub(crate) struct FinishedLog {
     pub records: usize,
 }
 
-impl FinishedLog {
-    /// The log of a worker restored from the full snapshot `blob`, which
-    /// finished `records` jobs: the blob's own log frame, so the first
-    /// generation after the restore appends only what finishes later.
-    pub fn of_snapshot(mut blob: Vec<u8>, records: usize) -> HeliosResult<Self> {
-        let mut r = ByteReader::new(&blob, "decoding kernel snapshot");
-        r.frame(&SNAPSHOT_MAGIC, SNAPSHOT_VERSION)?;
-        let live_len = blob.len() - r.remaining();
-        Ok(FinishedLog {
-            bytes: blob.split_off(live_len),
-            records,
-        })
-    }
-}
-
 /// Everything a supervisor needs to rebuild a worker after a crash.
 #[derive(Debug)]
 pub(crate) struct Recovery {
@@ -223,18 +213,24 @@ impl Recovery {
 
 /// Walk `ring` newest-to-oldest, returning the first generation whose
 /// live frame decodes over its prefix of `log` (checksums included), plus
-/// the journal/suppress suffix.
+/// the journal/suppress suffix; when none does, the error says why the
+/// newest one with its whole log prefix at hand was refused.
 pub(crate) fn recover_from(
     ring: &VecDeque<Generation>,
     log: &[u8],
     cluster: &str,
 ) -> HeliosResult<Recovery> {
+    let mut newest_refusal = None;
     for (i, g) in ring.iter().enumerate().rev() {
         let Some(prefix) = log.get(..g.log_len) else {
             continue;
         };
-        let Ok(snapshot) = SimSnapshot::from_parts(&g.bytes, prefix) else {
-            continue;
+        let snapshot = match SimSnapshot::from_parts(&g.bytes, prefix) {
+            Ok(snapshot) => snapshot,
+            Err(e) => {
+                newest_refusal.get_or_insert(e);
+                continue;
+            }
         };
         let mut replay = Vec::new();
         let mut suppress = 0;
@@ -251,9 +247,10 @@ pub(crate) fn recover_from(
             fallbacks: (ring.len() - 1 - i) as u32,
         });
     }
+    let why = newest_refusal.map_or(String::new(), |e| format!(" (newest refusal: {e})"));
     Err(HeliosError::snapshot(
         "recovering fleet worker",
-        format!("{cluster}: no retained checkpoint generation decodes cleanly"),
+        format!("{cluster}: no retained checkpoint generation decodes cleanly{why}"),
     ))
 }
 
@@ -278,9 +275,9 @@ pub(crate) struct CheckpointManager {
 
 impl CheckpointManager {
     /// Seed the ring with one launch generation over `log` (empty at a
-    /// fresh launch, the snapshot's log frame after a restore, the
-    /// recovered prefix after a disk recovery, whose `resume_index`
-    /// continues the index sequence), mirroring it to disk when
+    /// fresh launch; after a restore or a disk recovery, the recovered
+    /// generation's log prefix, with `resume_index` continuing the index
+    /// sequence past the ring it came from), mirroring it to disk when
     /// configured.
     pub fn new(
         cluster: ClusterId,
@@ -416,6 +413,17 @@ impl CheckpointManager {
         }
         survivor.drained = 0;
         self.log = rec.log_prefix(std::mem::take(&mut self.log.bytes));
+    }
+
+    /// The newest generation as a [`Fleet::snapshot`](crate::Fleet::snapshot)
+    /// bundles it: its slot frame and the log prefix it restores over.
+    pub fn newest_slot(&self) -> HeliosResult<(Vec<u8>, Vec<u8>)> {
+        let g = self.ring.back().ok_or_else(|| {
+            HeliosError::snapshot("bundling the newest generation", "checkpoint ring is empty")
+        })?;
+        let slot = encode_slot(self.cluster, g.index, g.clock, g.log_len as u64, &g.bytes);
+        let log = self.log.bytes.get(..g.log_len).unwrap_or_default();
+        Ok((slot, log.to_vec()))
     }
 
     /// Index of the newest generation.
@@ -645,10 +653,10 @@ fn encode_slot(cluster: ClusterId, index: u64, clock: i64, log_len: u64, live: &
     w.into_bytes()
 }
 
-/// Decode one slot file into its generation (with an empty journal). A
+/// Decode one slot frame into its generation (with an empty journal). A
 /// frame of another version is refused by number; a damaged frame or
 /// another cluster's slot is a typed [`HeliosError::Snapshot`] error.
-fn decode_slot(bytes: &[u8], cluster: ClusterId) -> HeliosResult<Generation> {
+pub(crate) fn decode_slot(bytes: &[u8], cluster: ClusterId) -> HeliosResult<Generation> {
     let mut input = ByteReader::new(bytes, "decoding checkpoint slot");
     let mut r = input.frame(&CHECKPOINT_MAGIC, CHECKPOINT_VERSION)?;
     input.finish()?;
@@ -716,8 +724,9 @@ fn decode_journal(bytes: &[u8]) -> Vec<(u64, Vec<SimJob>)> {
 /// generation index that no retained slot explains extend the youngest
 /// older generation, preserving admission order), and the whole-frame
 /// prefix of its log (a torn tail is dropped). Returns the ring, the log
-/// and the next free generation index, which is past every generation on
-/// disk.
+/// and the next free generation index, past every slot index and journal
+/// record tag on disk: a reused index would attach a record of a slot that
+/// no longer decodes to the new generation, which already holds its jobs.
 ///
 /// Every slot and journal file of the cluster is read, whatever its slot
 /// number: a dead fleet with a deeper ring than the recovering config
@@ -770,12 +779,18 @@ pub(crate) fn load_ring(
     }
     log.truncate(whole_log_prefix(&log));
     gens.sort_by_key(|g| g.index);
-    let next_index = gens.last().map_or(0, |g| g.index) + 1;
     // Journal records replay in generation-index order; each segment is
     // attached to the newest retained generation whose index is <= the
     // record's tag (records tagged past the newest retained generation
     // belong to an evicted-then-corrupted slot's successor and still
     // extend the newest survivor).
+    let tags = records.iter().map(|(index, _)| *index);
+    let next_index = gens
+        .iter()
+        .map(|g| g.index)
+        .chain(tags)
+        .max()
+        .map_or(0, |i| i + 1);
     records.sort_by_key(|(index, _)| *index);
     for (index, jobs) in records {
         let slot = match gens.iter_mut().rev().find(|g| g.index <= index) {
@@ -957,19 +972,27 @@ mod tests {
     #[test]
     fn a_restored_worker_continues_the_snapshots_log() {
         let mut sim = loaded_venus(256, true);
-        let blob = sim.snapshot().to_bytes();
-        let snap = SimSnapshot::from_bytes(&blob).expect("full snapshot");
-        let log = FinishedLog::of_snapshot(blob.clone(), snap.finished.len()).expect("log");
+        let mut m = manager(ClusterId::Venus, CheckpointConfig::default(), &sim);
+        m.checkpoint(&sim).expect("gen 1");
+        // A fleet snapshot entry: the newest slot frame and the whole log,
+        // read back as a one-generation ring.
+        let (slot, log) = m.newest_slot().expect("bundled");
+        assert_eq!(log, m.log.bytes);
+        let ring = VecDeque::from([decode_slot(&slot, ClusterId::Venus).expect("slot")]);
+        let rec = recover_from(&ring, &log, "Venus").expect("clean generation");
+        let snap = sim.snapshot();
+        assert!(rec.snapshot == snap && snap.finished.len() > 50);
+        let log = rec.log_prefix(log);
         let logged = log.bytes.len();
-        assert!(blob.ends_with(&log.bytes) && snap.finished.len() > 50);
         let cfg = CheckpointConfig::default();
-        let mut m = CheckpointManager::new(ClusterId::Venus, cfg, 0, log, &sim).expect("seeded");
+        let mut m = CheckpointManager::new(ClusterId::Venus, cfg, 2, log, &sim).expect("seeded");
+        assert_eq!(m.newest_index(), 2);
         // Nothing finished since the snapshot: the launch generation
-        // appends an empty frame to the snapshot's log frame.
+        // appends an empty frame to the bundled log.
         assert_eq!(m.log.bytes.len(), logged + 28);
         assert_eq!(m.recover().expect("clean generation").snapshot, snap);
         sim.run_to_completion();
-        m.checkpoint(&sim).expect("gen 1");
+        m.checkpoint(&sim).expect("gen 3");
         assert_eq!(m.log.records, sim.total_jobs());
         assert_eq!(
             m.recover().expect("clean generation").snapshot,
@@ -1018,6 +1041,8 @@ mod tests {
         m.corrupt_newest(9); // odd seed: truncate
         let err = m.recover().expect_err("sole generation is corrupt");
         assert!(matches!(err, HeliosError::Snapshot { .. }), "{err}");
+        // The refusal names why the generation did not decode.
+        assert!(err.to_string().contains("truncated payload"), "{err}");
     }
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -1150,9 +1175,10 @@ mod tests {
     fn recovery_reads_every_slot_whatever_the_ring_depth() {
         let dir = temp_dir("depth");
         let cluster = ClusterId::Venus;
+        // No periodic generations: each `Fleet::snapshot` forces one.
         let config = |generations: usize, dir: Option<&Path>| {
             let ckpt = CheckpointConfig::default()
-                .every_cycles(1)
+                .every_cycles(0)
                 .generations(generations);
             crate::FleetConfig::new()
                 .with_cluster(crate::ClusterConfig::new(cluster, Policy::Fifo))
@@ -1161,17 +1187,18 @@ mod tests {
                     None => ckpt,
                 })
         };
-        // Jobs 1000–1004 over five cycles (generations 1–5 after the
-        // launch generation 0), then job 1005, which `Fleet::snapshot`
-        // admits and journals against generation 5.
+        // Jobs 1000–1004 over five cycles, each ended by a snapshot
+        // (generations 1–5 after the launch generation 0), then job 1005,
+        // which one more cycle admits and journals against generation 5.
         let drive = |fleet: &crate::Fleet| {
             for (k, id) in (1000..1005).enumerate() {
                 let now = k as i64 * 600;
                 fleet.submit(cluster, job(id)).expect("accepted");
                 fleet.advance(now + 600).expect("advance");
+                fleet.snapshot().expect("snapshot");
             }
             fleet.submit(cluster, job(1005)).expect("accepted");
-            fleet.snapshot().expect("snapshot");
+            fleet.advance(3_600).expect("advance");
         };
         let outcomes = |fleet: crate::Fleet| {
             let mut out = fleet.shutdown().expect("shutdown").pop().expect("Venus").1;
@@ -1227,6 +1254,50 @@ mod tests {
             7
         );
         assert_eq!(outcomes(deep), calm);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_skipped_slots_index_is_never_reused() {
+        let dir = temp_dir("reuse");
+        let cluster = ClusterId::Venus;
+        let config = |generations: usize| {
+            crate::FleetConfig::new()
+                .with_cluster(crate::ClusterConfig::new(cluster, Policy::Fifo))
+                .with_checkpoint(
+                    CheckpointConfig::default()
+                        .every_cycles(2)
+                        .generations(generations)
+                        .dir(&dir),
+                )
+        };
+        // A job a cycle, a generation every second cycle: generation 2 in
+        // slot 2, and job 1004 in slot 2's journal, tagged 2.
+        let old = crate::Fleet::launch(&config(3)).expect("old fleet");
+        for (k, id) in (1000..1005).enumerate() {
+            old.submit(cluster, job(id)).expect("accepted");
+            old.advance(k as i64 * 600 + 600).expect("advance");
+        }
+        drop(old);
+        let slot = ckpt_path(&dir, cluster, 2);
+        let mut bytes = std::fs::read(&slot).expect("slot 2");
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x40;
+        std::fs::write(&slot, &bytes).expect("corruption applied");
+        // The first recovery restores generation 1 and replays 1002–1004;
+        // its own generation passes the damaged slot's index 2.
+        let first = crate::Fleet::recover(&config(2)).expect("first recovery");
+        let health = first.status(cluster).expect("status").health;
+        assert_eq!(health.checkpoint_generation, 3);
+        drop(first);
+        // So the second does not replay job 1004 on top of a generation
+        // that already holds it.
+        let second = crate::Fleet::recover(&config(2)).expect("second recovery");
+        assert_eq!(second.status(cluster).expect("status").submitted, 5);
+        let outcomes = second.shutdown().expect("shutdown").pop().expect("Venus").1;
+        let mut ids: Vec<u64> = outcomes.iter().map(|o| o.id).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, (1000..1005).collect::<Vec<_>>());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

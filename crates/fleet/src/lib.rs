@@ -36,12 +36,12 @@
 //!   and QSSF-style ETA estimates summed over each VC's queue at publish
 //!   time — plus live ingestion counters from atomics. No worker
 //!   round-trip.
-//! * **Snapshot/restore**: [`Fleet::snapshot`] checkpoints every hosted
-//!   scheduler (engine cursors, finish heap, pool occupancy, policy
-//!   state, pending queues) into one checksummed `HELFLEET` frame;
+//! * **Snapshot/restore**: [`Fleet::snapshot`] has every worker take one
+//!   checkpoint generation and bundles them, with each worker's
+//!   finished-record log, into one checksummed `HELFLEET` frame;
 //!   [`Fleet::restore`] refuses a damaged or other-version frame and
-//!   rebuilds the fleet so the resumed run produces **byte-identical**
-//!   downstream outcomes.
+//!   resumes each generation as [`Fleet::recover`] does one from disk, so
+//!   the resumed run produces **byte-identical** downstream outcomes.
 //! * **Self-healing** (PR 8): every worker command runs under panic
 //!   isolation. An auto-[`CheckpointConfig`] ring plus an admission
 //!   journal lets the supervisor restore the last good generation and

@@ -1,7 +1,7 @@
 //! The [`Fleet`] service: concurrent hosted clusters, sharded ingestion,
 //! live queries, and whole-fleet snapshot/restore as one checksummed frame.
 
-use crate::checkpoint::{self, CheckpointConfig, FinishedLog};
+use crate::checkpoint::{self, CheckpointConfig, Generation};
 use crate::config::{
     cluster_code, cluster_from, policy_code, policy_from, ClusterConfig, FleetConfig, ShedConfig,
     WatchdogConfig, DEFAULT_MAX_RESTARTS, MAX_SHARD_CAPACITY,
@@ -9,8 +9,9 @@ use crate::config::{
 use crate::retry::RetryConfig;
 use crate::status::{ClusterStatus, StatusKind, StatusReport, WorkerState};
 use crate::worker::{lock, spawn_worker, Boot, Ctrl, RuntimeOpts, Worker};
-use helios_sim::{validate_job, ByteReader, ByteWriter, JobOutcome, SimJob, SimSnapshot};
+use helios_sim::{validate_job, ByteReader, ByteWriter, JobOutcome, Policy, SimJob};
 use helios_trace::{preset, ClusterId, HeliosError, HeliosResult};
+use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, TrySendError};
 use std::sync::TryLockError;
@@ -18,11 +19,11 @@ use std::time::{Duration, Instant};
 
 /// Frame magic of a serialized fleet snapshot.
 pub const FLEET_SNAPSHOT_MAGIC: [u8; 8] = *b"HELFLEET";
-/// Fleet snapshot frame version (2: checksummed). The frame wraps one
-/// full kernel snapshot per cluster (a live frame and a log frame), which
-/// carries its own version ([`helios_sim::SNAPSHOT_VERSION`]); both are
-/// checked on restore.
-pub const FLEET_SNAPSHOT_VERSION: u32 = 2;
+/// Fleet snapshot frame version (3: each cluster's entry holds one
+/// checkpoint generation's `HELCKPT1` slot frame and the log it restores
+/// over; version 2 is refused by number). The frames inside carry their
+/// own versions, all checked on restore.
+pub const FLEET_SNAPSHOT_VERSION: u32 = 3;
 
 /// A running scheduler fleet: one worker thread (and one incremental
 /// [`Simulator`](helios_sim::Simulator)) per hosted cluster. See the
@@ -72,12 +73,7 @@ impl Fleet {
             .iter()
             .map(|&cfg| spawn_worker(cfg, preset(cfg.cluster), runtime_opts(config), Boot::Fresh))
             .collect::<HeliosResult<Vec<_>>>()?;
-        Ok(Fleet {
-            workers,
-            shard_capacity: config.shard_capacity,
-            watchdog: config.watchdog,
-            shed: config.shed,
-        })
+        Ok(Fleet::serving(workers, config))
     }
 
     /// Rebuild a fleet from the on-disk checkpoint rings a previous
@@ -100,29 +96,32 @@ impl Fleet {
                  (set CheckpointConfig::dir)",
             )
         })?;
-        let mut workers = Vec::with_capacity(config.clusters.len());
-        for &cfg in &config.clusters {
-            let (ring, log, resume_index) = checkpoint::load_ring(dir, cfg.cluster)?;
-            let rec = checkpoint::recover_from(&ring, &log, cfg.cluster.name())?;
-            let log = rec.log_prefix(log);
-            workers.push(spawn_worker(
-                cfg,
-                preset(cfg.cluster),
-                runtime_opts(config),
-                Boot::Resume {
-                    snapshot: Box::new(rec.snapshot),
-                    replay: rec.replay,
-                    resume_index,
+        let workers = config
+            .clusters
+            .iter()
+            .map(|cfg| {
+                let (ring, log, next) = checkpoint::load_ring(dir, cfg.cluster)?;
+                resume_worker(
+                    cfg.cluster,
+                    cfg.policy,
+                    runtime_opts(config),
+                    &ring,
                     log,
-                },
-            )?);
-        }
-        Ok(Fleet {
+                    next,
+                )
+            })
+            .collect::<HeliosResult<Vec<_>>>()?;
+        Ok(Fleet::serving(workers, config))
+    }
+
+    /// The handle over `workers`, with `config`'s fleet-wide knobs.
+    fn serving(workers: Vec<Worker>, config: &FleetConfig) -> Fleet {
+        Fleet {
             workers,
             shard_capacity: config.shard_capacity,
             watchdog: config.watchdog,
             shed: config.shed,
-        })
+        }
     }
 
     /// The hosted clusters, in configuration order.
@@ -374,8 +373,9 @@ impl Fleet {
                 }
                 _ => return Err(err),
             };
-            let delay = retry.backoff(attempt, job.id) * stretch;
-            if started.elapsed() + delay > retry.deadline {
+            // Saturating: an absurd schedule returns the refusal, not a panic.
+            let delay = retry.backoff(attempt, job.id).saturating_mul(stretch);
+            if started.elapsed().saturating_add(delay) > retry.deadline {
                 return Err(err);
             }
             std::thread::sleep(delay);
@@ -527,10 +527,11 @@ impl Fleet {
 
     /// Checkpoint the whole fleet into one `HELFLEET` frame.
     ///
-    /// Each worker first admits its pending ingest (so every accepted
-    /// submission is inside its kernel snapshot — shards are empty in the
-    /// frame), then serializes full scheduler state. Virtual clocks are
-    /// per-cluster and are not advanced. The frame restores via
+    /// Each worker first admits its pending ingest (shards are empty in
+    /// the frame), then takes one checkpoint generation as its cadence
+    /// would ([`FleetHealth`](crate::FleetHealth) counts the write and
+    /// names the generation) and ships its slot frame with its log.
+    /// Virtual clocks are not advanced. The frame restores via
     /// [`Fleet::restore`] with byte-identical downstream outcomes.
     pub fn snapshot(&self) -> HeliosResult<Vec<u8>> {
         let mut waits = Vec::with_capacity(self.workers.len());
@@ -544,13 +545,14 @@ impl Fleet {
             writer.u64(self.shard_capacity as u64);
             writer.u64(waits.len() as u64);
             for (w, rx) in &waits {
-                let blob = self.await_reply(w, rx)??;
+                let (slot, log) = self.await_reply(w, rx)??;
                 // Room for the entry and the closing checksum, so the last
                 // entry never leaves a full buffer to double.
-                writer.reserve(2 + 8 + blob.len() + 8);
+                writer.reserve(ENTRY_MIN_BYTES + slot.len() + log.len() + 8);
                 writer.u8(cluster_code(w.cfg.cluster));
                 writer.u8(policy_code(w.cfg.policy));
-                writer.bytes(&blob);
+                writer.bytes(&slot);
+                writer.bytes(&log);
             }
             HeliosResult::Ok(())
         })?;
@@ -558,9 +560,10 @@ impl Fleet {
     }
 
     /// Rebuild a fleet from a [`Fleet::snapshot`] frame. Every hosted
-    /// cluster resumes at its checkpointed virtual clock with empty
-    /// ingestion shards; the resumed fleet produces byte-identical
-    /// outcomes to one that was never interrupted.
+    /// cluster resumes its bundled generation as [`Fleet::recover`]
+    /// resumes one from disk, with empty ingestion shards and generation
+    /// indices past the bundled one; the resumed fleet produces
+    /// byte-identical outcomes to one that was never interrupted.
     pub fn restore(bytes: &[u8]) -> HeliosResult<Fleet> {
         let mut input = ByteReader::new(bytes, "decoding fleet snapshot");
         let mut r = input.frame(&FLEET_SNAPSHOT_MAGIC, FLEET_SNAPSHOT_VERSION)?;
@@ -572,8 +575,7 @@ impl Fleet {
             )));
         }
         let shard_capacity = shard_capacity as usize;
-        // An entry is at least two codes and a blob length prefix.
-        let count = r.len(10)?;
+        let count = r.len(ENTRY_MIN_BYTES)?;
         if count == 0 {
             return Err(r.err("frame hosts no clusters"));
         }
@@ -581,24 +583,17 @@ impl Fleet {
         for _ in 0..count {
             let cluster = cluster_from(r.u8()?, &r)?;
             let policy = policy_from(r.u8()?, &r)?;
-            let blob = r.bytes()?;
+            let slot = r.bytes()?;
+            let log = r.bytes()?;
             if workers.iter().any(|w: &Worker| w.cfg.cluster == cluster) {
                 return Err(r.err(format!(
                     "cluster {} appears twice in the frame",
                     cluster.name()
                 )));
             }
-            let snap = SimSnapshot::from_bytes(&blob)?;
-            let log = FinishedLog::of_snapshot(blob, snap.finished.len())?;
-            let cfg = ClusterConfig {
-                cluster,
-                policy,
-                placement: snap.placement,
-                backfill: snap.backfill,
-                // The kernel blob self-describes its failure state; the
-                // restored worker must not re-enable injection on top.
-                faults: snap.fault.as_ref().map(|f| f.cfg),
-            };
+            let generation = checkpoint::decode_slot(&slot, cluster)?;
+            let next = generation.index + 1;
+            let ring = VecDeque::from([generation]);
             // The frame carries topology only, no runtime knobs: a
             // restored fleet runs with default supervision and in-memory
             // checkpointing, no chaos.
@@ -609,15 +604,7 @@ impl Fleet {
                 max_restarts: DEFAULT_MAX_RESTARTS,
                 watchdog: None,
             };
-            // A restore is a resume with nothing to replay, continuing the
-            // blob's log frame.
-            let boot = Boot::Resume {
-                snapshot: Box::new(snap),
-                replay: Vec::new(),
-                resume_index: 0,
-                log,
-            };
-            workers.push(spawn_worker(cfg, preset(cluster), runtime, boot)?);
+            workers.push(resume_worker(cluster, policy, runtime, &ring, log, next)?);
         }
         r.finish()?;
         Ok(Fleet {
@@ -649,6 +636,40 @@ impl Fleet {
         }
         Ok(out)
     }
+}
+
+/// Bytes of the smallest `HELFLEET` entry: two codes, two length prefixes.
+const ENTRY_MIN_BYTES: usize = 2 + 8 + 8;
+
+/// The one resume path of [`Fleet::restore`] and [`Fleet::recover`]:
+/// recover the newest clean generation of `ring` over `log` and boot a
+/// worker from it that numbers its generations from `next_index`. Kernel
+/// knobs and failure state come from the recovered snapshot.
+fn resume_worker(
+    cluster: ClusterId,
+    policy: Policy,
+    runtime: RuntimeOpts,
+    ring: &VecDeque<Generation>,
+    log: Vec<u8>,
+    next_index: u64,
+) -> HeliosResult<Worker> {
+    let recovery = checkpoint::recover_from(ring, &log, cluster.name())?;
+    let snap = &recovery.snapshot;
+    let cfg = ClusterConfig {
+        cluster,
+        policy,
+        placement: snap.placement,
+        backfill: snap.backfill,
+        // The restored worker must not re-enable injection on top of the
+        // failure state the snapshot carries.
+        faults: snap.fault.as_ref().map(|f| f.cfg),
+    };
+    let boot = Boot::Resume {
+        resume_index: next_index,
+        log: recovery.log_prefix(log),
+        recovery: Box::new(recovery),
+    };
+    spawn_worker(cfg, preset(cluster), runtime, boot)
 }
 
 /// Stop one worker: release any chaos spin (abandon), close the control

@@ -50,7 +50,8 @@ pub struct FleetHealth {
     /// Wall-clock time spent in recovery since launch, seconds.
     pub recovery_secs_total: f64,
     /// Checkpoint generations written since launch (including the launch
-    /// generation and post-recovery re-baselines).
+    /// generation, post-recovery re-baselines and the one each
+    /// [`Fleet::snapshot`](crate::Fleet::snapshot) takes).
     pub checkpoint_writes: u64,
     /// Wall-clock time spent writing checkpoints (serialization +
     /// checksum + disk mirror), seconds; divide by

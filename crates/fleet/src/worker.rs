@@ -11,13 +11,14 @@
 //! stream is byte-identical to an uninterrupted one. Only when the
 //! restart budget is exhausted (or no retained generation decodes) does
 //! the worker enter the terminal `Crashed` state, answer the pending
-//! command with [`HeliosError::WorkerCrashed`], and exit.
+//! command with [`HeliosError::WorkerCrashed`], and exit. Booting
+//! workers resume through the same code ([`resume`]).
 
 use crate::chaos::{ChaosConfig, ChaosObserver, ChaosShared};
-use crate::checkpoint::{CheckpointConfig, CheckpointManager, FinishedLog};
+use crate::checkpoint::{CheckpointConfig, CheckpointManager, FinishedLog, Recovery};
 use crate::config::{ClusterConfig, WatchdogConfig};
 use crate::status::{ClusterStatus, FleetHealth, VcStatus, WorkerState};
-use helios_sim::{JobOutcome, SimJob, SimSnapshot, Simulator};
+use helios_sim::{JobOutcome, SimJob, Simulator};
 use helios_trace::{ClusterId, ClusterSpec, HeliosError, HeliosResult};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{
@@ -42,10 +43,10 @@ pub(crate) enum Ctrl {
     Drain {
         done: SyncSender<HeliosResult<Vec<JobOutcome>>>,
     },
-    /// Admit pending ingest (so the blob captures every accepted
-    /// submission), then serialize full kernel state.
+    /// Admit pending ingest, take one checkpoint generation and reply
+    /// with its slot frame and the log it restores over.
     Snapshot {
-        done: SyncSender<HeliosResult<Vec<u8>>>,
+        done: SyncSender<HeliosResult<(Vec<u8>, Vec<u8>)>>,
     },
     /// Admit, run to completion, reply with all remaining outcomes, and
     /// exit the worker loop.
@@ -68,15 +69,13 @@ pub(crate) struct RuntimeOpts {
 pub(crate) enum Boot {
     /// A fresh kernel from the cluster config.
     Fresh,
-    /// Restore `snapshot`, replay `replay` on top, and continue
-    /// generation indices at `resume_index` over the finished-record
-    /// `log`. A disk recovery replays the ring's journal and continues the
-    /// recovered log prefix; a [`Fleet::restore`](crate::Fleet::restore)
-    /// has nothing to replay, starts at index 0 and continues the log
-    /// frame of the snapshot it restores.
+    /// Resume `recovery` ([`resume`]) and number generations from
+    /// `resume_index` over `log`, the recovered generation's log prefix.
+    /// The recovery comes from a ring read from disk
+    /// ([`Fleet::recover`](crate::Fleet::recover)) or from a snapshot
+    /// entry ([`Fleet::restore`](crate::Fleet::restore)).
     Resume {
-        snapshot: Box<SimSnapshot>,
-        replay: Vec<SimJob>,
+        recovery: Box<Recovery>,
         resume_index: u64,
         log: FinishedLog,
     },
@@ -236,13 +235,17 @@ impl HealthCell {
         self.fallbacks.fetch_add(n, Ordering::AcqRel);
     }
 
-    fn set_checkpoint(&self, generation: u64, clock: i64, journal_len: usize) {
-        // Readers may observe the three fields torn across checkpoints,
-        // which health reporting tolerates.
+    /// Publish the ring's newest generation and the write totals.
+    fn set_ring(&self, m: &CheckpointManager) {
+        // Readers may observe the fields torn across checkpoints, which
+        // health reporting tolerates.
+        let (generation, (writes, nanos)) = (m.newest_index(), m.write_stats());
         // sync: publishes the generation to the Acquire load in `snapshot()`
         self.ckpt_generation.store(generation, Ordering::Release);
-        self.ckpt_clock.store(clock, Ordering::Release); // sync: read by `snapshot()` Acquire
-        self.journal_len.store(journal_len, Ordering::Release); // sync: read by `snapshot()` Acquire
+        self.ckpt_clock.store(m.newest_clock(), Ordering::Release); // sync: read by `snapshot()` Acquire
+        self.journal_len.store(m.journal_len(), Ordering::Release); // sync: read by `snapshot()` Acquire
+        self.ckpt_writes.store(writes, Ordering::Release); // sync: read by `snapshot()` Acquire
+        self.ckpt_write_nanos.store(nanos, Ordering::Release); // sync: read by `snapshot()` Acquire
     }
 
     fn add_recovery_nanos(&self, nanos: u64) {
@@ -250,18 +253,12 @@ impl HealthCell {
         self.recovery_nanos.fetch_add(nanos, Ordering::AcqRel);
     }
 
-    fn set_write_stats(&self, writes: u64, nanos: u64) {
-        // sync: publishes write totals to the Acquire loads in `snapshot()`
-        self.ckpt_writes.store(writes, Ordering::Release);
-        self.ckpt_write_nanos.store(nanos, Ordering::Release); // sync: read by `snapshot()` Acquire
-    }
-
     /// Assemble the query-time [`FleetHealth`] against the cluster's
     /// published virtual clock.
     pub fn snapshot(&self, now: i64) -> FleetHealth {
         // Every Acquire load below pairs with the Release/AcqRel writer
         // named on its line; the snapshot as a whole is *not* atomic.
-        let clock = self.ckpt_clock.load(Ordering::Acquire); // sync: `set_checkpoint` Release
+        let clock = self.ckpt_clock.load(Ordering::Acquire); // sync: `set_ring` Release
         let checkpoint_age_secs = if clock == i64::MIN || now == i64::MIN {
             0
         } else {
@@ -276,13 +273,13 @@ impl HealthCell {
         FleetHealth {
             state: self.state(),
             restarts: self.restarts(),
-            checkpoint_generation: self.ckpt_generation.load(Ordering::Acquire), // sync: `set_checkpoint` Release
+            checkpoint_generation: self.ckpt_generation.load(Ordering::Acquire), // sync: `set_ring` Release
             checkpoint_age_secs,
-            journal_len: self.journal_len.load(Ordering::Acquire), // sync: `set_checkpoint` Release
+            journal_len: self.journal_len.load(Ordering::Acquire), // sync: `set_ring` Release
             fallbacks: self.fallbacks.load(Ordering::Acquire),     // sync: `add_fallbacks` AcqRel
             recovery_secs_total: self.recovery_nanos.load(Ordering::Acquire) as f64 / 1e9, // sync: `add_recovery_nanos` AcqRel
-            checkpoint_writes: self.ckpt_writes.load(Ordering::Acquire), // sync: `set_write_stats` Release
-            checkpoint_write_secs_total: self.ckpt_write_nanos.load(Ordering::Acquire) as f64 / 1e9, // sync: `set_write_stats` Release
+            checkpoint_writes: self.ckpt_writes.load(Ordering::Acquire), // sync: `set_ring` Release
+            checkpoint_write_secs_total: self.ckpt_write_nanos.load(Ordering::Acquire) as f64 / 1e9, // sync: `set_ring` Release
             heartbeat_events: self.hb_events(),
             heartbeat_age_secs,
             shed_jobs: self.shed_jobs.load(Ordering::Acquire), // sync: `add_shed` AcqRel
@@ -388,30 +385,31 @@ struct WorkerCtx {
     batch_pending: bool,
 }
 
-/// Build (or rebuild) this worker's kernel for a boot mode.
-fn build_sim(
-    cfg: &ClusterConfig,
-    spec: &ClusterSpec,
-    boot: &Boot,
-) -> HeliosResult<Simulator<'static>> {
-    match boot {
-        Boot::Fresh => {
-            let mut sim = Simulator::with_config(spec, cfg.policy.build(), &cfg.kernel());
-            if let Some(faults) = cfg.faults {
-                sim.enable_faults(&faults)?;
-            }
-            Ok(sim)
-        }
-        // The snapshot carries kernel knobs and failure-model state, so
-        // a restored kernel replays the identical sequence without
-        // consulting `cfg` again.
-        Boot::Resume { snapshot, .. } => Simulator::restore(spec, cfg.policy.build(), snapshot),
+/// A fresh kernel from the cluster config, observers attached.
+fn fresh(ctx: &WorkerCtx) -> HeliosResult<Simulator<'static>> {
+    let mut sim = Simulator::with_config(&ctx.spec, ctx.cfg.policy.build(), &ctx.cfg.kernel());
+    if let Some(faults) = ctx.cfg.faults {
+        sim.enable_faults(&faults)?;
     }
+    attach_observers(&mut sim, ctx);
+    Ok(sim)
 }
 
-/// Re-attach observers and the liveness pulse. Snapshots don't carry
+/// Rebuild a kernel from a recovery: restore its generation (which carries
+/// the kernel knobs and failure state), replay its journal and re-attach
+/// the observers. Booting workers and the supervisor restart both use it.
+fn resume(rec: &Recovery, ctx: &WorkerCtx) -> HeliosResult<Simulator<'static>> {
+    let mut sim = Simulator::restore(&ctx.spec, ctx.cfg.policy.build(), &rec.snapshot)?;
+    if !rec.replay.is_empty() {
+        sim.push_jobs(&rec.replay)?;
+    }
+    attach_observers(&mut sim, ctx);
+    Ok(sim)
+}
+
+/// Attach observers and the liveness pulse. Snapshots don't carry
 /// observer state: the chaos observer re-joins its *shared* counter so
-/// trip-once semantics survive the restart.
+/// trip-once semantics survive a restart.
 fn attach_observers(sim: &mut Simulator<'static>, ctx: &WorkerCtx) {
     if let Some((chaos_cfg, shared)) = &ctx.chaos {
         sim.observe(Box::new(ChaosObserver::new(
@@ -463,9 +461,9 @@ pub(crate) fn spawn_worker(
     let depths: Vec<Arc<AtomicUsize>> = (0..nvcs).map(|_| Arc::new(AtomicUsize::new(0))).collect();
     let submitted = Arc::new(AtomicU64::new(match &boot {
         Boot::Fresh => 0,
-        Boot::Resume {
-            snapshot, replay, ..
-        } => (snapshot.job_count + replay.len()) as u64,
+        Boot::Resume { recovery, .. } => {
+            (recovery.snapshot.job_count + recovery.replay.len()) as u64
+        }
     }));
     let (ctrl_tx, ctrl_rx) = mpsc::channel();
     let status = Arc::new(Mutex::new(ClusterStatus::empty(&spec, cfg.cluster)));
@@ -479,34 +477,8 @@ pub(crate) fn spawn_worker(
     let handle = thread::Builder::new()
         .name(format!("helios-fleet-{}", spec.id.name()))
         .spawn(move || {
-            // The Simulator is built (or restored) here, on its worker
-            // thread, and never crosses a thread boundary afterwards.
-            let mut sim = match build_sim(&cfg, &thread_spec, &boot) {
-                Ok(sim) => sim,
-                Err(e) => {
-                    let _ = ready_tx.send(Err(e));
-                    return;
-                }
-            };
-            let (resume_index, log) = match boot {
-                Boot::Fresh => (0, FinishedLog::default()),
-                Boot::Resume {
-                    replay,
-                    resume_index,
-                    log,
-                    ..
-                } => {
-                    if !replay.is_empty() {
-                        if let Err(e) = sim.push_jobs(&replay) {
-                            let _ = ready_tx.send(Err(e));
-                            return;
-                        }
-                    }
-                    (resume_index, log)
-                }
-            };
             let mut ctx = WorkerCtx {
-                spec: thread_spec.clone(),
+                spec: thread_spec,
                 shards: shard_rxs,
                 depths: thread_depths,
                 status: thread_status,
@@ -523,27 +495,14 @@ pub(crate) fn spawn_worker(
                 batch_pending: false,
                 cfg,
             };
-            attach_observers(&mut sim, &ctx);
-            // The launch generation guarantees the supervisor always has
-            // at least one checkpoint to restore — a panic on the very
-            // first cycle recovers to the just-booted state.
-            let mut manager = match CheckpointManager::new(
-                ctx.cfg.cluster,
-                runtime.checkpoint.clone(),
-                resume_index,
-                log,
-                &sim,
-            ) {
-                Ok(m) => m,
+            let (sim, mut manager) = match boot_kernel(boot, &ctx, runtime.checkpoint) {
+                Ok(booted) => booted,
                 Err(e) => {
                     let _ = ready_tx.send(Err(e));
                     return;
                 }
             };
-            ctx.health
-                .set_checkpoint(manager.newest_index(), manager.newest_clock(), 0);
-            let (writes, nanos) = manager.write_stats();
-            ctx.health.set_write_stats(writes, nanos);
+            ctx.health.set_ring(&manager);
             publish(&ctx.status, ctx.cfg.cluster, &sim, 0);
             // Ready only after the first status publish, so a query
             // issued the moment launch/restore returns already sees the
@@ -576,6 +535,28 @@ pub(crate) fn spawn_worker(
         cycles_issued: AtomicU64::new(0),
         handle: Some(handle),
     })
+}
+
+/// Build (or restore) a worker's kernel and seed its checkpoint ring, on
+/// the worker thread: the Simulator never crosses a thread boundary.
+fn boot_kernel(
+    boot: Boot,
+    ctx: &WorkerCtx,
+    checkpoint: CheckpointConfig,
+) -> HeliosResult<(Simulator<'static>, CheckpointManager)> {
+    let (sim, resume_index, log) = match boot {
+        Boot::Fresh => (fresh(ctx)?, 0, FinishedLog::default()),
+        Boot::Resume {
+            recovery,
+            resume_index,
+            log,
+        } => (resume(&recovery, ctx)?, resume_index, log),
+    };
+    // The launch generation guarantees the supervisor always has at least
+    // one checkpoint to restore — a panic on the very first cycle recovers
+    // to the just-booted state.
+    let manager = CheckpointManager::new(ctx.cfg.cluster, checkpoint, resume_index, log, &sim)?;
+    Ok((sim, manager))
 }
 
 /// Run one command handler under panic isolation. The reply channel
@@ -712,48 +693,35 @@ fn pump(
         return Ok(Step::Cancelled);
     }
     if manager.due(ctx.cycle) {
-        checkpoint_now(sim, manager, ctx)?;
-    }
-    publish(&ctx.status, ctx.cfg.cluster, sim, ctx.cycle);
-    ctx.health.set_checkpoint(
-        manager.newest_index(),
-        manager.newest_clock(),
-        manager.journal_len(),
-    );
-    Ok(Step::Done(admitted))
-}
-
-/// Write a checkpoint generation now, applying any scheduled chaos
-/// corruption to the freshly written blob.
-fn checkpoint_now(
-    sim: &Simulator<'static>,
-    manager: &mut CheckpointManager,
-    ctx: &mut WorkerCtx,
-) -> HeliosResult<()> {
-    let index = manager.checkpoint(sim)?;
-    let (writes, nanos) = manager.write_stats();
-    ctx.health.set_write_stats(writes, nanos);
-    if let Some((chaos_cfg, _)) = &ctx.chaos {
-        if let Some(seed) = chaos_cfg.corruption_seed(index) {
+        let index = manager.checkpoint(sim)?;
+        // Chaos damages the freshly written periodic generation it names.
+        if let Some(seed) = ctx
+            .chaos
+            .as_ref()
+            .and_then(|(c, _)| c.corruption_seed(index))
+        {
             manager.corrupt_newest(seed);
         }
     }
-    Ok(())
+    publish(&ctx.status, ctx.cfg.cluster, sim, ctx.cycle);
+    ctx.health.set_ring(manager);
+    Ok(Step::Done(admitted))
 }
 
-/// `Snapshot` command: admit pending ingest (never stalled — the frame
-/// invariant is "shards are empty in the blob"), then serialize.
+/// `Snapshot` command: admit pending ingest (never stalled — shards are
+/// empty in the frame), then take one generation. Chaos never corrupts
+/// it: the generation a snapshot ships must restore.
 fn snapshot_cmd(
     sim: &mut Simulator<'static>,
     manager: &mut CheckpointManager,
     ctx: &mut WorkerCtx,
-) -> HeliosResult<Vec<u8>> {
+) -> HeliosResult<(Vec<u8>, Vec<u8>)> {
     ctx.cycle += 1;
     admit(sim, manager, ctx, false)?;
-    let mut bytes = Vec::new();
-    sim.snapshot_into(&mut bytes);
+    manager.checkpoint(sim)?;
     publish(&ctx.status, ctx.cfg.cluster, sim, ctx.cycle);
-    Ok(bytes)
+    ctx.health.set_ring(manager);
+    manager.newest_slot()
 }
 
 /// `Complete` command: admit everything (never stalled — shutdown must
@@ -838,11 +806,7 @@ fn admit(
             // guard: allow(panic, reason = "deliberate supervisor escalation: continuing would diverge from the journal recovery will replay")
             panic!("admitted batch rejected by the kernel after journaling: {e}");
         }
-        ctx.health.set_checkpoint(
-            manager.newest_index(),
-            manager.newest_clock(),
-            manager.journal_len(),
-        );
+        ctx.health.set_ring(manager);
     }
     Ok(ctx.batch.len() as u64)
 }
@@ -874,12 +838,12 @@ fn crashed(ctx: &WorkerCtx, restarts: u32) -> HeliosError {
     }
 }
 
-/// Supervisor recovery after a caught panic: restore the newest clean
-/// generation, replay its journal suffix, re-baseline with a fresh
-/// checkpoint of the recovered state, and re-attribute the
-/// already-delivered outcome count to that new generation (so a *second*
-/// crash still suppresses exactly the right prefix). Returns the typed
-/// terminal error when the restart budget is spent or nothing decodes.
+/// Supervisor recovery after a caught panic: [`resume`] from the newest
+/// clean generation, re-baseline with a fresh checkpoint of the
+/// recovered state, and re-attribute the already-delivered outcome count
+/// to that new generation (so a *second* crash still suppresses exactly
+/// the right prefix). Returns the typed terminal error when the restart
+/// budget is spent or nothing decodes.
 fn recover(
     sim: &mut Simulator<'static>,
     manager: &mut CheckpointManager,
@@ -904,18 +868,12 @@ fn recover(
         return Err(crashed(ctx, attempted));
     }
     let restarts = ctx.health.bump_restarts();
-    let rec = match manager.recover() {
-        Ok(r) => r,
-        Err(_) => return Err(crashed(ctx, restarts)),
-    };
-    let mut rebuilt = match Simulator::restore(&ctx.spec, ctx.cfg.policy.build(), &rec.snapshot) {
-        Ok(s) => s,
-        Err(_) => return Err(crashed(ctx, restarts)),
-    };
-    if !rec.replay.is_empty() && rebuilt.push_jobs(&rec.replay).is_err() {
+    let resumed = manager
+        .recover()
+        .and_then(|rec| Ok((resume(&rec, ctx)?, rec)));
+    let Ok((mut rebuilt, rec)) = resumed else {
         return Err(crashed(ctx, restarts));
-    }
-    attach_observers(&mut rebuilt, ctx);
+    };
     manager.collapse_to(&rec);
     if ctx.batch_pending && !ctx.batch.is_empty() {
         // The crash hit between shard drain and journal acknowledgment:
@@ -937,13 +895,7 @@ fn recover(
     ctx.suppress = rec.suppress;
     *sim = rebuilt;
     ctx.health.add_fallbacks(rec.fallbacks);
-    ctx.health.set_checkpoint(
-        manager.newest_index(),
-        manager.newest_clock(),
-        manager.journal_len(),
-    );
-    let (writes, nanos) = manager.write_stats();
-    ctx.health.set_write_stats(writes, nanos);
+    ctx.health.set_ring(manager);
     ctx.health
         .add_recovery_nanos(t0.elapsed().as_nanos() as u64);
     publish(&ctx.status, ctx.cfg.cluster, sim, ctx.cycle);

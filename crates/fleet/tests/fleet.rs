@@ -7,7 +7,7 @@ use helios_fleet::{
     MAX_SHARD_CAPACITY,
 };
 use helios_sim::{
-    jobs_from_trace, outcome_digest, ByteWriter, JobOutcome, Policy, SimJob, Simulator,
+    jobs_from_trace, outcome_digest, xxh64, ByteWriter, JobOutcome, Policy, SimJob, Simulator,
 };
 use helios_trace::{generate, preset, ClusterId, GeneratorConfig, HeliosError};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -311,6 +311,28 @@ fn fleet_frame_rejects_garbage() {
     let mut trailing = frame;
     trailing.push(0);
     assert!(Fleet::restore(&trailing).is_err());
+}
+
+#[test]
+fn fleet_frame_encoding_is_pinned() {
+    // The guard fingerprint counts codec calls, not their order, so
+    // swapping two fields would pass it; this pin would not. An idle Earth
+    // fleet ships its second generation (launch, then the snapshot's).
+    let fleet = Fleet::launch(
+        &FleetConfig::new().with_cluster(ClusterConfig::new(ClusterId::Earth, Policy::Fifo)),
+    )
+    .unwrap();
+    let frame = fleet.snapshot().unwrap();
+    assert_eq!(
+        fleet
+            .status(ClusterId::Earth)
+            .unwrap()
+            .health
+            .checkpoint_generation,
+        1
+    );
+    assert_eq!(frame[8..12], FLEET_SNAPSHOT_VERSION.to_le_bytes());
+    assert_eq!(xxh64(&frame), 0xf399_270f_5947_34e6);
 }
 
 #[test]

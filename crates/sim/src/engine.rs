@@ -445,17 +445,7 @@ impl<'a> Simulator<'a> {
         self.view().into_snapshot(finished.collect())
     }
 
-    /// Serialize the complete kernel state into `out` (replacing its
-    /// contents, reusing its allocation) — the bytes of
-    /// `self.snapshot().to_bytes()`: the live frame followed by one log
-    /// frame of every finished record, encoded straight from the kernel's
-    /// own arrays without an intermediate [`SimSnapshot`].
-    pub fn snapshot_into(&self, out: &mut Vec<u8>) {
-        self.live_frame_into(out);
-        self.log_frame_into(0, out);
-    }
-
-    /// Encode the live frame alone into `out`, replacing its contents and
+    /// Encode the live frame into `out`, replacing its contents and
     /// reusing its allocation: the header, every unfinished job's record,
     /// the queues, allocations, finish heap, policy payload and failure
     /// state. Its size follows the unfinished work, not the jobs ever

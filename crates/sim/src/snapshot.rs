@@ -19,15 +19,15 @@
 //!   record never changes once its job finished, so log frames written
 //!   once stay valid for every later state.
 //!
-//! A full snapshot ([`SimSnapshot::to_bytes`],
-//! [`Simulator::snapshot_into`](crate::Simulator::snapshot_into)) is the
-//! live frame followed by one log frame of every finished record. A
-//! checkpointing caller can instead keep one log that grows by a frame of
-//! the newly finished records per capture
+//! A live kernel is captured as a live frame over one log that grows by
+//! a frame of the newly finished records per capture
 //! ([`Simulator::live_frame_into`](crate::Simulator::live_frame_into),
-//! [`Simulator::log_frame_into`](crate::Simulator::log_frame_into)) and
-//! decode a live frame over a prefix of it ([`SimSnapshot::from_parts`]):
-//! a capture then costs the unfinished work, not every job ever admitted.
+//! [`Simulator::log_frame_into`](crate::Simulator::log_frame_into)); a
+//! live frame decodes over a prefix of it ([`SimSnapshot::from_parts`]),
+//! so a capture costs the unfinished work, not every job ever admitted.
+//! [`SimSnapshot::to_bytes`] writes the live frame and one log frame of
+//! every finished record, the reference codec tests compare against
+//! ([`SimSnapshot::from_bytes`]).
 //!
 //! Deliberately *not* captured, because restore derives it: the arrival
 //! cursor (every live job that never started and is not queued, sorted by

@@ -2,11 +2,14 @@
 //! jobs into sharded per-VC ingestion queues with retry/backoff, answer
 //! live status and supervision-health queries (queue depth, utilization,
 //! queued-work ETA, checkpoint age) while the simulations run, then
-//! checkpoint the whole fleet and resume it from bytes.
+//! checkpoint the whole fleet, resume it from bytes, and check that the
+//! resumed copy schedules every cluster byte-identically to the original
+//! (exiting non-zero if it does not).
 //!
 //! Run with: `cargo run --release --example fleet_service`
 
 use helios::prelude::*;
+use helios::sim::outcome_digest;
 use std::time::Duration;
 
 /// A small synthetic wave: `n` mixed-size jobs spread across `vcs`.
@@ -77,22 +80,35 @@ fn main() -> helios::error::Result<()> {
         }
     }
 
-    // Checkpoint the entire fleet (versioned binary frame wrapping one
-    // kernel snapshot per cluster) and resume it from the bytes. The
-    // restored fleet schedules byte-identically to the original.
+    // Checkpoint the entire fleet (one versioned frame bundling a
+    // checkpoint generation per cluster) and resume it from the bytes.
     let frame = fleet.snapshot()?;
     println!("fleet snapshot: {} bytes", frame.len());
     let resumed = Fleet::restore(&frame)?;
 
-    let a = fleet.shutdown()?;
-    let b = resumed.shutdown()?;
-    let done = |outs: &[(ClusterId, Vec<JobOutcome>)]| -> usize {
-        outs.iter().map(|(_, o)| o.len()).sum()
+    // Both run to completion; each cluster's sorted outcome digest must
+    // match between the original and the resumed copy.
+    let digests = |fleet: Fleet| -> helios::error::Result<Vec<(ClusterId, usize, String)>> {
+        let mut out = Vec::new();
+        for (cluster, mut outcomes) in fleet.shutdown()? {
+            outcomes.sort_by_key(|o| o.id);
+            out.push((cluster, outcomes.len(), outcome_digest(&outcomes)));
+        }
+        Ok(out)
     };
-    println!(
-        "original fleet finished {} jobs; resumed copy finished {}",
-        done(&a),
-        done(&b)
-    );
+    let (original, copy) = (digests(fleet)?, digests(resumed)?);
+    if original != copy {
+        return Err(HeliosError::snapshot(
+            "checking the resumed fleet",
+            format!("original {original:?} != resumed {copy:?}"),
+        ));
+    }
+    for (cluster, jobs, digest) in &original {
+        println!(
+            "  {:<8} {jobs} jobs, digest {digest}",
+            format!("{cluster:?}")
+        );
+    }
+    println!("the resumed copy scheduled every cluster byte-identically");
     Ok(())
 }

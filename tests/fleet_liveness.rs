@@ -293,6 +293,42 @@ fn shedding_sheds_heavy_vcs_first_with_hysteresis() {
 }
 
 #[test]
+fn an_overflowing_retry_schedule_returns_the_last_refusal() {
+    // A schedule `validate()` accepts whose first stretched sleep does not
+    // fit a `Duration`: a jittered 2^60 s base times a 27-cycle shedding
+    // hint. The deadline check must return the shedding refusal instead
+    // of panicking on the producer thread.
+    let cluster = ClusterId::Venus;
+    let config = FleetConfig::new()
+        .with_cluster(ClusterConfig::new(cluster, Policy::Fifo))
+        .with_shard_capacity(8)
+        .with_shedding(ShedConfig::new().high_water(0.01).low_water(0.0));
+    let fleet = Fleet::launch(&config).unwrap();
+    for id in 0..3 {
+        fleet.submit(cluster, probe(id, 0)).unwrap();
+    }
+    match fleet.submit(cluster, probe(3, 0)) {
+        Err(HeliosError::FleetShedding {
+            vc: 0,
+            retry_after_cycles: 27,
+            ..
+        }) => {}
+        other => panic!("expected VC 0 shed with a 27-cycle hint, got {other:?}"),
+    }
+    let retry = RetryConfig::seeded(1)
+        .base_backoff(Duration::from_secs(1 << 60))
+        .max_backoff(Duration::MAX);
+    retry.validate().expect("a valid schedule");
+    let err = fleet
+        .submit_with_retry(cluster, probe(3, 0), &retry)
+        .expect_err("the first sleep overshoots the deadline");
+    assert!(
+        matches!(err, HeliosError::FleetShedding { vc: 0, .. }),
+        "{err}"
+    );
+}
+
+#[test]
 fn admission_panic_between_drain_and_journal_readmits_exactly_once() {
     // Satellite regression (PR-8 race): a batch drained from the shards
     // but not yet journaled when the worker dies must be re-admitted

@@ -2,13 +2,14 @@
 //! harness: supervised workers recover from injected panics with
 //! byte-identical outcome streams, a corrupt newest checkpoint
 //! generation falls back to the previous one, decoder fuzzing never
-//! panics, `submit_with_retry` rides out stalled admission cycles, and
+//! panics, `submit_with_retry` rides out stalled admission cycles,
 //! `Fleet::recover` rebuilds a fleet from the on-disk checkpoint ring
-//! after whole-process death.
+//! after whole-process death, and a `Fleet::snapshot` is a checkpoint
+//! generation that both `Fleet::restore` and `Fleet::recover` resume.
 
 use helios_fleet::{
-    ChaosConfig, CheckpointConfig, ClusterConfig, Fleet, FleetConfig, RetryConfig, WorkerState,
-    FLEET_SNAPSHOT_MAGIC, FLEET_SNAPSHOT_VERSION,
+    ChaosConfig, CheckpointConfig, ClusterConfig, Fleet, FleetConfig, FleetHealth, RetryConfig,
+    WorkerState, FLEET_SNAPSHOT_MAGIC, FLEET_SNAPSHOT_VERSION,
 };
 use helios_sim::{outcome_digest, ByteWriter, JobOutcome, Policy, SimJob, SimSnapshot, Simulator};
 use helios_trace::{preset, ClusterId, HeliosError};
@@ -283,17 +284,18 @@ fn kernel_snapshot_fuzz_truncation_and_header_bitflips_stay_typed() {
 #[test]
 fn absurd_length_prefix_is_rejected_without_allocating() {
     // Sealed fleet frames (valid checksum) claiming u64::MAX clusters, or
-    // a per-cluster blob of u64::MAX bytes: the reader's length guard
-    // must reject them as typed errors instead of attempting the
+    // a per-cluster slot frame of u64::MAX bytes: the reader's length
+    // guard must reject them as typed errors instead of attempting the
     // allocation.
-    let sealed = |clusters: u64, blob_len: u64| {
+    let sealed = |clusters: u64, slot_len: u64| {
         let mut w = ByteWriter::new();
         w.frame(&FLEET_SNAPSHOT_MAGIC, FLEET_SNAPSHOT_VERSION, |w| {
             w.u64(64); // shard capacity
             w.u64(clusters);
             w.u8(0); // cluster code: Venus
             w.u8(0); // policy code: Fifo
-            w.u64(blob_len); // blob length prefix with no body
+            w.u64(slot_len); // slot length prefix with no body
+            w.u64(0); // log length prefix
         });
         w.into_bytes()
     };
@@ -521,4 +523,124 @@ fn a_fresh_launch_refuses_an_earlier_fleets_ring() {
     ids.sort_unstable();
     assert_eq!(ids, (1000..1005).collect::<Vec<_>>());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every hosted cluster's health, in configuration order.
+fn healths(fleet: &Fleet) -> Vec<FleetHealth> {
+    fleet.statuses().iter().map(|s| s.health).collect()
+}
+
+/// Every hosted cluster's sorted outcome count and digest at shutdown.
+fn shutdown_digests(fleet: Fleet) -> Vec<(ClusterId, (usize, String))> {
+    let outcomes = fleet.shutdown().unwrap().into_iter();
+    outcomes.map(|(c, o)| (c, sorted_digest(o))).collect()
+}
+
+#[test]
+fn a_snapshot_is_a_generation_that_recover_reads() {
+    const PER_WAVE: u64 = 30;
+    let dir = std::env::temp_dir().join(format!(
+        "helios-fleet-snapshot-ring-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let hosted = [
+        (ClusterId::Venus, Policy::Fifo),
+        (ClusterId::Saturn, Policy::Srtf),
+    ];
+    let config = |checkpoint: CheckpointConfig| {
+        let config = FleetConfig::new().with_checkpoint(checkpoint);
+        hosted.iter().fold(config, |config, &(cluster, policy)| {
+            config.with_cluster(ClusterConfig::new(cluster, policy))
+        })
+    };
+    let checkpoint = CheckpointConfig::default().every_cycles(2).generations(3);
+    // Three advanced waves, then a fourth left in the shards.
+    let submit_wave = |fleet: &Fleet, w: u64| {
+        for (c, &(cluster, _)) in hosted.iter().enumerate() {
+            let nvcs = fleet.statuses()[c].vcs.len();
+            for k in 0..PER_WAVE {
+                let id = (w * hosted.len() as u64 + c as u64) * PER_WAVE + k;
+                fleet.submit(cluster, wave_job(id, w, k, nvcs)).unwrap();
+            }
+        }
+    };
+    let drive = |fleet: &Fleet| {
+        for w in 0..3 {
+            submit_wave(fleet, w);
+            fleet.advance((w as i64 + 1) * 600).unwrap();
+        }
+    };
+
+    let calm = Fleet::launch(&config(checkpoint.clone())).unwrap();
+    drive(&calm);
+    submit_wave(&calm, 3);
+    let calm = shutdown_digests(calm);
+    assert!(calm.iter().all(|(_, (n, _))| *n == 4 * PER_WAVE as usize));
+
+    let disk = config(checkpoint.dir(&dir));
+    let fleet = Fleet::launch(&disk).unwrap();
+    drive(&fleet);
+    // Each snapshot takes exactly one generation per worker, and health
+    // then names it.
+    let snapshot = |fleet: &Fleet| {
+        let before = healths(fleet);
+        let frame = fleet.snapshot().unwrap();
+        for (b, a) in before.iter().zip(healths(fleet)) {
+            assert_eq!(a.checkpoint_writes, b.checkpoint_writes + 1);
+            assert_eq!(a.checkpoint_generation, b.checkpoint_generation + 1);
+            assert_eq!(a.journal_len, 0);
+        }
+        frame
+    };
+    snapshot(&fleet);
+    // The second one also admits the wave left in the shards.
+    submit_wave(&fleet, 3);
+    let frame = snapshot(&fleet);
+    let forced: Vec<u64> = healths(&fleet)
+        .iter()
+        .map(|h| h.checkpoint_generation)
+        .collect();
+    drop(fleet);
+
+    // The frame and the directory resume the same generation, and both
+    // continue its index.
+    let restored = Fleet::restore(&frame).unwrap();
+    let recovered = Fleet::recover(&disk).unwrap();
+    for resumed in [restored, recovered] {
+        let next: Vec<u64> = healths(&resumed)
+            .iter()
+            .map(|h| h.checkpoint_generation - 1)
+            .collect();
+        assert_eq!(next, forced);
+        assert_eq!(shutdown_digests(resumed), calm);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn chaos_corruption_never_reaches_a_snapshot_frame() {
+    // The launch generation is 0 and every cycle takes one more, so the
+    // snapshot after three cycles takes generation 4: the index chaos is
+    // told to corrupt. Chaos damages the periodic generation it names;
+    // the one a snapshot ships must restore.
+    const WAVES: u64 = 3;
+    const PER_WAVE: u64 = 30;
+    let cluster = ClusterId::Venus;
+    let calm = Fleet::launch(&single_cluster_config(cluster, Policy::Fifo)).unwrap();
+    let mut baseline = run_streamed(&calm, cluster, 0..WAVES, PER_WAVE);
+    baseline.extend(calm.shutdown().unwrap().pop().unwrap().1);
+
+    let chaos = ChaosConfig::seeded(5).corrupt_generation(WAVES + 1);
+    let stormy =
+        Fleet::launch(&single_cluster_config(cluster, Policy::Fifo).with_chaos(chaos)).unwrap();
+    let mut resumed = run_streamed(&stormy, cluster, 0..WAVES, PER_WAVE);
+    let frame = stormy.snapshot().unwrap();
+    assert_eq!(healths(&stormy)[0].checkpoint_generation, WAVES + 1);
+    drop(stormy);
+
+    let restored = Fleet::restore(&frame).expect("the snapshot's generation is intact");
+    resumed.extend(restored.shutdown().unwrap().pop().unwrap().1);
+    assert_eq!(sorted_digest(resumed), sorted_digest(baseline));
 }

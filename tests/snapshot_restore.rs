@@ -32,6 +32,14 @@ fn derived_state(sim: &Simulator<'_>) -> (Vec<usize>, Vec<(u32, usize)>) {
     (totals, per_vc)
 }
 
+/// The kernel's own encoding of its full state into `out`, reusing its
+/// allocation: the live frame, then one log frame of every finished
+/// record — the bytes [`SimSnapshot::to_bytes`] writes.
+fn encode_full(sim: &Simulator<'_>, out: &mut Vec<u8>) {
+    sim.live_frame_into(out);
+    sim.log_frame_into(0, out);
+}
+
 /// Uninterrupted baseline vs. checkpoint-at-`cut`, serialize, restore
 /// from the bytes (checking the restored kernel against the source),
 /// drop the source, resume. Returns (baseline digest, resumed digest).
@@ -59,13 +67,13 @@ fn run_both(
     // must not reappear after restore, and vice versa.
     let mut resumed_outcomes = first.drain_outcomes();
     let mut bytes = Vec::new();
-    first.snapshot_into(&mut bytes);
+    encode_full(&first, &mut bytes);
 
     let snap = SimSnapshot::from_bytes(&bytes).unwrap();
     let mut second = Simulator::restore(&trace.spec, make_policy(), &snap).unwrap();
     assert_eq!(second.now(), cut);
     let mut again = Vec::new();
-    second.snapshot_into(&mut again);
+    encode_full(&second, &mut again);
     assert!(again == bytes, "the restored kernel re-encodes differently");
     assert_eq!(derived_state(&second), derived_state(&first));
     drop(first);
@@ -314,11 +322,11 @@ fn snapshot_into_a_recycled_longer_buffer_equals_to_bytes() {
     let full = kernel(&jobs, false);
     let mut buf = Vec::new();
     for faults in [false, true] {
-        full.snapshot_into(&mut buf);
+        encode_full(&full, &mut buf);
         assert_eq!(buf, full.snapshot().to_bytes());
         let longer = buf.len();
         let shorter = kernel(&jobs[..jobs.len() / 2], faults);
-        shorter.snapshot_into(&mut buf);
+        encode_full(&shorter, &mut buf);
         let want = shorter.snapshot().to_bytes();
         assert!(want.len() < longer, "the buffer held a longer blob");
         assert_eq!(buf, want, "faults: {faults}");
