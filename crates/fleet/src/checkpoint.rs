@@ -723,10 +723,11 @@ fn decode_journal(bytes: &[u8]) -> Vec<(u64, Vec<SimJob>)> {
 /// attaching each generation's journal segments (records tagged with a
 /// generation index that no retained slot explains extend the youngest
 /// older generation, preserving admission order), and the whole-frame
-/// prefix of its log (a torn tail is dropped). Returns the ring, the log
-/// and the next free generation index, past every slot index and journal
-/// record tag on disk: a reused index would attach a record of a slot that
-/// no longer decodes to the new generation, which already holds its jobs.
+/// prefix of its log (a torn tail is dropped). Returns the ring, the log,
+/// the next free generation index, past every slot index and journal
+/// record tag on disk (a reused index would attach a record of a slot that
+/// no longer decodes to the new generation, which already holds its jobs),
+/// and the number of slot files skipped because they did not decode.
 ///
 /// Every slot and journal file of the cluster is read, whatever its slot
 /// number: a dead fleet with a deeper ring than the recovering config
@@ -739,10 +740,11 @@ fn decode_journal(bytes: &[u8]) -> Vec<(u64, Vec<SimJob>)> {
 pub(crate) fn load_ring(
     dir: &Path,
     cluster: ClusterId,
-) -> HeliosResult<(VecDeque<Generation>, Vec<u8>, u64)> {
+) -> HeliosResult<(VecDeque<Generation>, Vec<u8>, u64, u32)> {
     let mut gens: Vec<Generation> = Vec::new();
     let mut records: Vec<(u64, Vec<SimJob>)> = Vec::new();
     let mut first_skip: Option<(PathBuf, HeliosError)> = None;
+    let mut skipped = 0;
     let mut log = Vec::new();
     for (kind, path) in ring_files(dir, cluster)? {
         // A file deleted since the listing counts as absent.
@@ -756,6 +758,7 @@ pub(crate) fn load_ring(
             RingFile::Slot(_) => match decode_slot(&bytes, cluster) {
                 Ok(generation) => gens.push(generation),
                 Err(e) => {
+                    skipped += 1;
                     first_skip.get_or_insert((path, e));
                 }
             },
@@ -801,7 +804,7 @@ pub(crate) fn load_ring(
         };
         slot.journal.extend(jobs);
     }
-    Ok((gens.into(), log, next_index))
+    Ok((gens.into(), log, next_index, skipped))
 }
 
 #[cfg(test)]
@@ -1073,8 +1076,8 @@ mod tests {
         torn.extend_from_within(..clean_len - 1);
         std::fs::write(&jpath, &torn).expect("tear applied");
 
-        let (ring, log, next) = load_ring(&dir, ClusterId::Saturn).expect("ring loads");
-        assert_eq!(next, 2);
+        let (ring, log, next, skipped) = load_ring(&dir, ClusterId::Saturn).expect("ring loads");
+        assert_eq!((next, skipped), (2, 0));
         assert_eq!(ring.len(), 2);
         assert_eq!(log, m.log.bytes, "the disk log is the in-memory one");
         assert_eq!(
@@ -1099,8 +1102,12 @@ mod tests {
         let mid = cbytes.len() / 2;
         cbytes[mid] ^= 0xFF;
         std::fs::write(&cpath, &cbytes).expect("corruption applied");
-        let (ring, _, _) = load_ring(&dir, ClusterId::Saturn).expect("ring loads");
-        assert_eq!(ring.len(), 1, "corrupt slot dropped");
+        let (ring, _, _, skipped) = load_ring(&dir, ClusterId::Saturn).expect("ring loads");
+        assert_eq!(
+            (ring.len(), skipped),
+            (1, 1),
+            "corrupt slot dropped and counted"
+        );
         assert_eq!(ring[0].index, 0);
         // Its replay still carries every admitted job, in order.
         assert_eq!(
@@ -1142,7 +1149,7 @@ mod tests {
         let mut recovered = 0;
         for cut in 0..=log.len() {
             std::fs::write(&path, &log[..cut]).expect("cut applied");
-            let (ring, loaded, _) = load_ring(&dir, ClusterId::Venus).expect("slots load");
+            let (ring, loaded, _, _) = load_ring(&dir, ClusterId::Venus).expect("slots load");
             let whole = whole_log_prefix(&log[..cut]);
             assert_eq!(
                 loaded.len(),
@@ -1241,7 +1248,7 @@ mod tests {
         // A second recovery, at depth 3, sees slot 2's old generation 5
         // next to the shallow fleet's generation 6: every index on disk
         // is unique, and the newest wins.
-        let (ring, _, next) = load_ring(&dir, cluster).expect("ring loads");
+        let (ring, _, next, _) = load_ring(&dir, cluster).expect("ring loads");
         let indices: Vec<u64> = ring.iter().map(|g| g.index).collect();
         assert_eq!(indices, [4, 5, 6]);
         assert_eq!(next, 7);

@@ -30,6 +30,18 @@
 //!   [`Fleet::advance`] cycle. Submissions racing the virtual clock are
 //!   clamped to the cluster's current horizon, so streamed jobs can never
 //!   trip the kernel's time-regression guard.
+//! * **Control hand-offs poll, then park**: every command
+//!   ([`Fleet::advance`], [`Fleet::drain`], [`Fleet::snapshot`],
+//!   [`Fleet::shutdown`]) is a round trip over two channels — the
+//!   worker's command channel and a one-shot reply channel. Both ends
+//!   wait the same way: up to 100 `try_recv`s, each followed by a
+//!   `yield_now` (about 40 µs on a 2-core host), then a blocking receive
+//!   that parks the thread. A fleet cycle mostly finishes inside the
+//!   poll, so neither side parks and waits to be woken, while an idle
+//!   worker still parks and costs no CPU. The bound is a count, not a
+//!   time, and yielding keeps the wait fair when workers and caller
+//!   share fewer cores than they number. With a [`WatchdogConfig`], the
+//!   caller's timed supervision loop starts once the poll is spent.
 //! * **Queries never pause simulation**: [`Fleet::status`] reads the
 //!   last published [`ClusterStatus`] from shared memory — queue depths
 //!   and per-VC utilization from the kernel's incremental `ClusterStats`,

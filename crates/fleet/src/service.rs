@@ -8,7 +8,7 @@ use crate::config::{
 };
 use crate::retry::RetryConfig;
 use crate::status::{ClusterStatus, StatusKind, StatusReport, WorkerState};
-use crate::worker::{lock, spawn_worker, Boot, Ctrl, RuntimeOpts, Worker};
+use crate::worker::{self, lock, spawn_worker, Boot, Ctrl, RuntimeOpts, Worker};
 use helios_sim::{validate_job, ByteReader, ByteWriter, JobOutcome, Policy, SimJob};
 use helios_trace::{preset, ClusterId, HeliosError, HeliosResult};
 use std::collections::VecDeque;
@@ -100,7 +100,7 @@ impl Fleet {
             .clusters
             .iter()
             .map(|cfg| {
-                let (ring, log, next) = checkpoint::load_ring(dir, cfg.cluster)?;
+                let (ring, log, next, skipped) = checkpoint::load_ring(dir, cfg.cluster)?;
                 resume_worker(
                     cfg.cluster,
                     cfg.policy,
@@ -108,6 +108,7 @@ impl Fleet {
                     &ring,
                     log,
                     next,
+                    skipped,
                 )
             })
             .collect::<HeliosResult<Vec<_>>>()?;
@@ -177,10 +178,11 @@ impl Fleet {
         Ok(())
     }
 
-    /// Wait for a worker's reply. Without a [`WatchdogConfig`] this is a
-    /// plain blocking receive (the legacy behavior). With one, the wait
-    /// doubles as the supervisor: it polls the worker's heartbeat while
-    /// waiting, arms cooperative cancellation when the heartbeat goes
+    /// Wait for a worker's reply, polling before parking
+    /// ([`worker::wait`]). Without a [`WatchdogConfig`] that is the whole
+    /// wait. With one, the wait doubles as the supervisor once the poll
+    /// budget is spent: it checks the worker's heartbeat between timed
+    /// receives, arms cooperative cancellation when the heartbeat goes
     /// flat past `stall_deadline` (a recovering worker counts as making
     /// progress), and — if the worker ignores cancellation for a further
     /// `hang_deadline` — declares it [`WorkerState::Hung`], abandons it,
@@ -188,16 +190,17 @@ impl Fleet {
     /// blocking forever.
     fn await_reply<T>(&self, w: &Worker, rx: &Receiver<T>) -> HeliosResult<T> {
         let Some(wd) = &self.watchdog else {
-            return rx.recv().map_err(|_| w.died_err());
+            return worker::wait(rx).map_err(|_| w.died_err());
         };
-        let poll = (wd.stall_deadline / 8).max(Duration::from_millis(1));
+        let interval = (wd.stall_deadline / 8).max(Duration::from_millis(1));
         let mut last_hb = w.health.hb_events();
         let mut last_state = w.health.state();
         // guard: allow(determinism, reason = "watchdog deadlines are host wall-clock by design; they gate supervision, not kernel state")
         let mut last_progress = Instant::now();
         let mut cancel_since: Option<Instant> = None;
+        let mut polled = Some(worker::poll(rx));
         loop {
-            match rx.recv_timeout(poll) {
+            match polled.take().unwrap_or_else(|| rx.recv_timeout(interval)) {
                 Ok(v) => {
                     // The reply resolves any armed-but-unconsumed
                     // cancellation (e.g. the worker finished right as the
@@ -604,7 +607,9 @@ impl Fleet {
                 max_restarts: DEFAULT_MAX_RESTARTS,
                 watchdog: None,
             };
-            workers.push(resume_worker(cluster, policy, runtime, &ring, log, next)?);
+            workers.push(resume_worker(
+                cluster, policy, runtime, &ring, log, next, 0,
+            )?);
         }
         r.finish()?;
         Ok(Fleet {
@@ -644,7 +649,9 @@ const ENTRY_MIN_BYTES: usize = 2 + 8 + 8;
 /// The one resume path of [`Fleet::restore`] and [`Fleet::recover`]:
 /// recover the newest clean generation of `ring` over `log` and boot a
 /// worker from it that numbers its generations from `next_index`. Kernel
-/// knobs and failure state come from the recovered snapshot.
+/// knobs and failure state come from the recovered snapshot. `skipped`
+/// counts the damaged generations already dropped while reading the ring;
+/// the worker's health counts them with the ones recovery skips.
 fn resume_worker(
     cluster: ClusterId,
     policy: Policy,
@@ -652,8 +659,10 @@ fn resume_worker(
     ring: &VecDeque<Generation>,
     log: Vec<u8>,
     next_index: u64,
+    skipped: u32,
 ) -> HeliosResult<Worker> {
-    let recovery = checkpoint::recover_from(ring, &log, cluster.name())?;
+    let mut recovery = checkpoint::recover_from(ring, &log, cluster.name())?;
+    recovery.fallbacks += skipped;
     let snap = &recovery.snapshot;
     let cfg = ClusterConfig {
         cluster,

@@ -45,7 +45,9 @@ pub struct FleetHealth {
     /// Jobs journaled since the newest checkpoint — the replay cost of a
     /// crash right now.
     pub journal_len: usize,
-    /// Corrupt/undecodable generations skipped across all recoveries.
+    /// Corrupt/undecodable generations skipped across all recoveries,
+    /// including the disk recovery a worker of
+    /// [`Fleet::recover`](crate::Fleet::recover) boots from.
     pub fallbacks: u32,
     /// Wall-clock time spent in recovery since launch, seconds.
     pub recovery_secs_total: f64,

@@ -24,7 +24,9 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{
     AtomicBool, AtomicI64, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering,
 };
-use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
+use std::sync::mpsc::{
+    self, Receiver, RecvError, RecvTimeoutError, Sender, SyncSender, TryRecvError,
+};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::Instant;
@@ -69,7 +71,8 @@ pub(crate) struct RuntimeOpts {
 pub(crate) enum Boot {
     /// A fresh kernel from the cluster config.
     Fresh,
-    /// Resume `recovery` ([`resume`]) and number generations from
+    /// Resume `recovery` ([`resume`]), counting the generations it skipped
+    /// in the worker's `fallbacks`, and number generations from
     /// `resume_index` over `log`, the recovered generation's log prefix.
     /// The recovery comes from a ring read from disk
     /// ([`Fleet::recover`](crate::Fleet::recover)) or from a snapshot
@@ -339,6 +342,44 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
+/// Empty `try_recv`s a control-channel wait makes, yielding the core
+/// after each, before it parks its thread. A fleet cycle is a round trip
+/// (command to the worker, reply to the caller) around about 12 µs of
+/// kernel work in perfbench `fleet`; with both ends parking at once in
+/// `recv`, its median was 40–46 µs on a 2-core host, most of it spent
+/// waking a thread parked on the other core. There one `yield_now` costs
+/// about 0.39 µs, so 100 polls cover about 40 µs, twice the 20-µs median
+/// cycle that polling both ends gives (`fleet.cycle_ms_p50`). The wait
+/// yields rather than spins: the workers and the caller often share
+/// fewer cores than they number, and a pure spin measured 3x slower
+/// there.
+const POLLS_BEFORE_PARKING: u32 = 100;
+
+/// The polling half of [`wait`]: the message if one arrives within
+/// [`POLLS_BEFORE_PARKING`] polls, [`RecvTimeoutError::Disconnected`] as
+/// soon as every sender is gone, and [`RecvTimeoutError::Timeout`] once
+/// the budget is spent and the caller should park.
+pub(crate) fn poll<T>(rx: &Receiver<T>) -> Result<T, RecvTimeoutError> {
+    for _ in 0..POLLS_BEFORE_PARKING {
+        match rx.try_recv() {
+            Ok(message) => return Ok(message),
+            Err(TryRecvError::Disconnected) => return Err(RecvTimeoutError::Disconnected),
+            Err(TryRecvError::Empty) => thread::yield_now(),
+        }
+    }
+    Err(RecvTimeoutError::Timeout)
+}
+
+/// The control protocol's wait, at both ends: [`poll`], then park in the
+/// blocking `recv`.
+pub(crate) fn wait<T>(rx: &Receiver<T>) -> Result<T, RecvError> {
+    match poll(rx) {
+        Ok(message) => Ok(message),
+        Err(RecvTimeoutError::Disconnected) => Err(RecvError),
+        Err(RecvTimeoutError::Timeout) => rx.recv(),
+    }
+}
+
 /// The error every fleet call maps a broken worker channel to.
 pub(crate) fn worker_died(cluster: &str) -> HeliosError {
     HeliosError::invalid_config(
@@ -550,7 +591,10 @@ fn boot_kernel(
             recovery,
             resume_index,
             log,
-        } => (resume(&recovery, ctx)?, resume_index, log),
+        } => {
+            ctx.health.add_fallbacks(recovery.fallbacks);
+            (resume(&recovery, ctx)?, resume_index, log)
+        }
     };
     // The launch generation guarantees the supervisor always has at least
     // one checkpoint to restore — a panic on the very first cycle recovers
@@ -588,7 +632,7 @@ fn supervised_loop(
     loop {
         let cmd = match pending.take() {
             Some(c) => c,
-            None => match ctrl.recv() {
+            None => match wait(&ctrl) {
                 Ok(c) => c,
                 Err(_) => return,
             },
@@ -945,4 +989,55 @@ fn publish(status: &Mutex<ClusterStatus>, cluster: ClusterId, sim: &Simulator<'_
         health: FleetHealth::default(),
     };
     *lock(status) = fresh;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Duration;
+
+    /// Run [`wait`] on `rx` on its own thread. The test reads the answer
+    /// with a deadline, so a wait that never returns fails the test
+    /// instead of wedging it.
+    fn spawn_wait(rx: Receiver<u32>) -> Receiver<Result<u32, RecvError>> {
+        let (answer_tx, answer) = mpsc::channel();
+        thread::spawn(move || {
+            let _ = answer_tx.send(wait(&rx));
+        });
+        answer
+    }
+
+    fn answer_within_a_minute(answer: &Receiver<Result<u32, RecvError>>) -> Result<u32, RecvError> {
+        answer
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the wait neither received nor reported a disconnection within 60 s")
+    }
+
+    #[test]
+    fn a_message_sent_after_the_poll_budget_arrives_through_the_blocking_fallback() {
+        let (tx, rx) = mpsc::channel();
+        // The budget is finite: with a live sender and nothing sent, the
+        // poll gives up and leaves the wait to park.
+        assert_eq!(poll(&rx), Err(RecvTimeoutError::Timeout));
+        let answer = spawn_wait(rx);
+        // 20 ms is some 500 times the ~40-µs poll budget, so the waiting
+        // thread has parked in `recv` by the time the message is sent.
+        thread::sleep(Duration::from_millis(20));
+        tx.send(7).expect("the waiting thread holds the receiver");
+        assert_eq!(answer_within_a_minute(&answer), Ok(7));
+    }
+
+    #[test]
+    fn a_dropped_sender_reports_disconnected_at_once() {
+        let (tx, rx) = mpsc::channel::<u32>();
+        drop(tx);
+        // At once: the first poll reports it instead of spending the budget.
+        assert_eq!(poll(&rx), Err(RecvTimeoutError::Disconnected));
+        assert_eq!(wait(&rx), Err(RecvError));
+        // A sender dropped while the receiver waits, polling or parked.
+        let (tx, rx) = mpsc::channel();
+        let answer = spawn_wait(rx);
+        drop(tx);
+        assert_eq!(answer_within_a_minute(&answer), Err(RecvError));
+    }
 }

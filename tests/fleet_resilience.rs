@@ -410,8 +410,10 @@ fn fleet_recovers_from_disk_ring_after_process_death() {
     bytes[mid] ^= 0x40;
     std::fs::write(&newest, &bytes).expect("corruption applied");
 
-    // Second incarnation resumes from disk and finishes the stream.
+    // Second incarnation resumes from disk and finishes the stream; the
+    // damaged slot it skipped counts as a fallback.
     let second = Fleet::recover(&config).unwrap();
+    assert_eq!(second.status(cluster).unwrap().health.fallbacks, 1);
     let mut replayed = run_streamed(&second, cluster, 2..4, PER_WAVE);
     replayed.extend(second.shutdown().unwrap().pop().unwrap().1);
 
