@@ -13,8 +13,10 @@
 //!
 //! * **Model Update Engine** — [`QssfService::train`] fits the model on
 //!   history, and [`QssfService::assign_priorities`] calls
-//!   [`QssfService::observe`] on every job as the replay clock passes its
-//!   end, so predictions only ever see finished jobs;
+//!   [`QssfService::observe`] on each job submitted in the scoring window
+//!   as the replay clock passes its end, so predictions only ever see
+//!   finished jobs. Jobs submitted before the window that finish inside it
+//!   are never observed, although an online service would see them;
 //! * **Resource Orchestrator** — the kernel's `PriorityPolicy` orders jobs
 //!   by the assigned priorities, and [`CesService::evaluate`] runs the DRS
 //!   control loop over the forecast.

@@ -149,8 +149,12 @@ impl QssfService {
 
     /// Causally assign priorities to every schedulable GPU job submitted in
     /// `[t_lo, t_hi)`, returning simulator jobs ready for the `Priority`
-    /// policy. Finished jobs are observed as the clock passes their end
-    /// times, exactly as the online service would see them.
+    /// policy. Each GPU job submitted in the window is observed once the
+    /// replay clock (the next submission) passes its end. GPU jobs
+    /// submitted before `t_lo` are never observed here, so one that
+    /// finishes inside the window stays unseen, although an online service
+    /// would see it finish; [`train`](Self::train) only warms the rolling
+    /// state with jobs that ended by its own window's end.
     pub fn assign_priorities(&mut self, trace: &Trace, t_lo: i64, t_hi: i64) -> Vec<SimJob> {
         let mut out = Vec::new();
         let mut pending: BinaryHeap<Reverse<(i64, usize)>> = BinaryHeap::new();

@@ -1,6 +1,6 @@
 //! Deterministic chaos injection for the fleet's resilience suites.
 //!
-//! [`ChaosConfig`] schedules three failure modes against every worker of
+//! [`ChaosConfig`] schedules five failure modes against every worker of
 //! a fleet, all derived from one seed so a chaos run is exactly
 //! reproducible:
 //!
@@ -20,9 +20,6 @@
 //!   cancellation (exercising the cancel → restore path), a *hard* hang
 //!   ignores cancellation until the worker is abandoned (exercising the
 //!   [`Hung`](crate::WorkerState::Hung) degraded mode);
-//! * **slow pumps**: scheduled admission cycles sleep a fixed wall-clock
-//!   delay before draining, stretching status staleness without touching
-//!   the virtual clock (digests stay identical);
 //! * **admission panics**: scheduled cycles panic between shard drain
 //!   and journaling — the teardown race window the admission-generation
 //!   acknowledgment closes.
@@ -72,12 +69,6 @@ pub struct ChaosConfig {
     /// *ignoring* cancellation, releasing only when abandoned — the
     /// worker ends up [`Hung`](crate::WorkerState::Hung).
     pub hard_hang_at_events: Vec<u64>,
-    /// Admission-cycle numbers (1-based) that sleep
-    /// [`slow_delay`](Self::slow_delay) of wall time before draining —
-    /// stretching status staleness without touching the virtual clock.
-    pub slow_cycles: Vec<u64>,
-    /// Wall-clock delay applied at each scheduled slow cycle.
-    pub slow_delay: Duration,
     /// Admission-cycle numbers (1-based) that panic *between* shard
     /// drain and journal append (each trips at most once per fleet) —
     /// the exact window where a job accepted by a dying worker
@@ -126,15 +117,6 @@ impl ChaosConfig {
         self
     }
 
-    /// Schedule a slow admission cycle (1-based) delayed by `delay` of
-    /// wall time. The delay is shared by all slow cycles; the last call
-    /// wins.
-    pub fn slow_cycle(mut self, cycle: u64, delay: Duration) -> Self {
-        self.slow_cycles.push(cycle);
-        self.slow_delay = delay;
-        self
-    }
-
     /// Schedule an admission-path panic (1-based cycle number) between
     /// shard drain and journal append.
     pub fn panic_admit_at_cycle(mut self, cycle: u64) -> Self {
@@ -145,12 +127,6 @@ impl ChaosConfig {
     /// True when admission cycle `cycle` should skip shard draining.
     pub(crate) fn stalled(&self, cycle: u64) -> bool {
         self.stall_cycles.contains(&cycle)
-    }
-
-    /// The wall-clock delay for admission cycle `cycle`, or `None` when
-    /// the cycle is not scheduled to run slow.
-    pub(crate) fn slowed(&self, cycle: u64) -> Option<Duration> {
-        self.slow_cycles.contains(&cycle).then_some(self.slow_delay)
     }
 
     /// The corruption seed for generation `index`, or `None` when that

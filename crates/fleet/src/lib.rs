@@ -82,8 +82,8 @@
 //!   (hysteresis prevents flapping). [`Fleet::status_within`] answers
 //!   within a caller deadline, tagging the snapshot
 //!   [`StatusKind::Fresh`], [`Stale`](StatusKind::Stale), or
-//!   [`Degraded`](StatusKind::Degraded). Chaos gains deterministic hang,
-//!   slow-pump, and admission-panic injection.
+//!   [`Degraded`](StatusKind::Degraded). Chaos gains deterministic hang
+//!   and admission-panic injection.
 //!
 //! ```no_run
 //! use helios_fleet::{Fleet, FleetConfig};

@@ -724,13 +724,6 @@ fn pump(
     until: i64,
 ) -> HeliosResult<Step<u64>> {
     ctx.cycle += 1;
-    if let Some((chaos_cfg, _)) = &ctx.chaos {
-        if let Some(delay) = chaos_cfg.slowed(ctx.cycle) {
-            // Slow-pump injection: burn wall time without touching the
-            // virtual clock, so staleness stretches but digests don't.
-            thread::sleep(delay);
-        }
-    }
     let admitted = admit(sim, manager, ctx, true)?;
     sim.run_until(until);
     if sim.take_cancelled() {

@@ -5,12 +5,13 @@ use crate::types::{JobRecord, JobStatus, NamePool};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::{self, BufRead, BufReader, Read, Write};
+use std::str::FromStr;
 
 /// CSV header written by [`write_csv`].
 pub const CSV_HEADER: &str = "job_id,user,vc,gpus,cpus,submit,start,duration,status,name,run";
 
-/// Serialize jobs to CSV. Job names are written as their full display form
-/// (`<base>_<run>` is reconstructed on read from the `name`/`run` columns).
+/// Serialize jobs to CSV. Each job's name is written as its base name in
+/// the `name` column, with its run number in the separate `run` column.
 pub fn write_csv<W: Write>(w: &mut W, jobs: &[JobRecord], names: &NamePool) -> io::Result<()> {
     let mut buf = String::with_capacity(128);
     writeln!(w, "{CSV_HEADER}")?;
@@ -86,8 +87,21 @@ fn perr(line: usize, message: impl Into<String>) -> ReadError {
     })
 }
 
+/// Column `i` of line `row`, parsed as its field's own type.
+fn field<T: FromStr>(fields: &[&str], i: usize, row: usize) -> Result<T, ReadError>
+where
+    T::Err: std::fmt::Display,
+{
+    fields[i].parse().map_err(|e| {
+        let column = CSV_HEADER.split(',').nth(i).unwrap_or("?");
+        perr(row, format!("field {column}: {e}"))
+    })
+}
+
 /// Deserialize jobs from CSV produced by [`write_csv`]. Names are re-interned
-/// (deduplicated) into a fresh [`NamePool`].
+/// (deduplicated) into a fresh [`NamePool`]. Each number is parsed as its
+/// field's own type, so a value out of that type's range is a
+/// [`ParseError`] naming the line and the column.
 pub fn read_csv<R: Read>(r: R) -> Result<(Vec<JobRecord>, NamePool), ReadError> {
     let reader = BufReader::new(r);
     let mut jobs = Vec::new();
@@ -104,28 +118,19 @@ pub fn read_csv<R: Read>(r: R) -> Result<(Vec<JobRecord>, NamePool), ReadError> 
         if line.trim().is_empty() {
             continue;
         }
+        let row = lineno + 1;
         let fields: Vec<&str> = line.split(',').collect();
         if fields.len() != 11 {
             return Err(perr(
-                lineno + 1,
+                row,
                 format!("expected 11 fields, got {}", fields.len()),
             ));
         }
-        let parse_u = |i: usize| -> Result<u64, ReadError> {
-            fields[i]
-                .parse()
-                .map_err(|e| perr(lineno + 1, format!("field {i}: {e}")))
-        };
-        let parse_i = |i: usize| -> Result<i64, ReadError> {
-            fields[i]
-                .parse()
-                .map_err(|e| perr(lineno + 1, format!("field {i}: {e}")))
-        };
         let status = match fields[8] {
             "completed" => JobStatus::Completed,
             "canceled" => JobStatus::Canceled,
             "failed" => JobStatus::Failed,
-            other => return Err(perr(lineno + 1, format!("unknown status {other:?}"))),
+            other => return Err(perr(row, format!("unknown status {other:?}"))),
         };
         let name = match intern.get(fields[9]) {
             Some(&id) => id,
@@ -136,17 +141,17 @@ pub fn read_csv<R: Read>(r: R) -> Result<(Vec<JobRecord>, NamePool), ReadError> 
             }
         };
         jobs.push(JobRecord {
-            id: parse_u(0)?,
-            user: parse_u(1)? as u32,
-            vc: parse_u(2)? as u16,
-            gpus: parse_u(3)? as u32,
-            cpus: parse_u(4)? as u32,
-            submit: parse_i(5)?,
-            start: parse_i(6)?,
-            duration: parse_i(7)?,
+            id: field(&fields, 0, row)?,
+            user: field(&fields, 1, row)?,
+            vc: field(&fields, 2, row)?,
+            gpus: field(&fields, 3, row)?,
+            cpus: field(&fields, 4, row)?,
+            submit: field(&fields, 5, row)?,
+            start: field(&fields, 6, row)?,
+            duration: field(&fields, 7, row)?,
             status,
             name,
-            run: parse_u(10)? as u32,
+            run: field(&fields, 10, row)?,
         });
     }
     Ok((jobs, names))
@@ -227,6 +232,26 @@ mod tests {
         let body = format!("{CSV_HEADER}\n0,1,2,3,4,5,6,7,exploded,x,0\n");
         let err = read_csv(body.as_bytes()).unwrap_err();
         assert!(err.to_string().contains("unknown status"));
+    }
+
+    #[test]
+    fn rejects_out_of_range_integers() {
+        // A VC id one past u16::MAX and a GPU count of 2^32 + 1, which
+        // narrowing would read back as VC 0 and 1 GPU.
+        for (row, column) in [
+            ("0,1,65536,8,4,5,6,7,completed,x,0", "vc"),
+            ("0,1,2,4294967297,4,5,6,7,completed,x,0", "gpus"),
+        ] {
+            let body = format!("{CSV_HEADER}\n{row}\n");
+            let Err(ReadError::Parse(err)) = read_csv(body.as_bytes()) else {
+                panic!("out-of-range {column} must be refused");
+            };
+            assert_eq!(err.line, 2, "{err}");
+            assert!(
+                err.message.starts_with(&format!("field {column}:")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

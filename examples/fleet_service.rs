@@ -29,10 +29,10 @@ fn wave(base_id: u64, n: u64, vcs: u16, submit: i64) -> Vec<SimJob> {
 fn main() -> helios::error::Result<()> {
     // One worker thread per preset, each owning its own incremental
     // `Simulator` under supervision (caught panics restore the last good
-    // checkpoint); `Helios::fleet_service(policy)` is shorthand for the
-    // default topology. Per-cycle auto-checkpointing keeps the in-memory
-    // generation ring warm so recovery never replays more than one
-    // admission cycle.
+    // checkpoint); `FleetConfig::all_presets(policy)` is the default
+    // topology, and `Fleet::launch` starts it. Per-cycle auto-checkpointing
+    // keeps the in-memory generation ring warm so recovery never replays
+    // more than one admission cycle.
     let config = FleetConfig::all_presets(Policy::Fifo)
         .with_checkpoint(CheckpointConfig::default().every_cycles(1));
     let fleet = Fleet::launch(&config)?;

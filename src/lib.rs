@@ -49,7 +49,7 @@
 //! over the kernel's failure injection — see
 //! [`session::Session::with_failures`]), [`fleet`] (sharded,
 //! snapshottable scheduler-as-a-service — launch via
-//! [`Helios::fleet_service`]).
+//! [`fleet::Fleet::launch`]).
 
 pub mod error;
 pub mod prelude;

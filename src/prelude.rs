@@ -10,7 +10,7 @@ pub use crate::session::{
 };
 
 // Substrate types that appear in façade signatures or configs.
-pub use helios_core::{CesEvaluation, CesServiceConfig, QssfConfig};
+pub use helios_core::CesEvaluation;
 pub use helios_faults::{DrainConfig, DrainPolicy, FailurePredictor, Goodput, PredictorConfig};
 pub use helios_fleet::{
     ChaosConfig, CheckpointConfig, ClusterConfig, ClusterStatus, Fleet, FleetConfig, FleetHealth,

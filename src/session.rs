@@ -44,14 +44,13 @@ use helios_faults::{
     PredictorConfig,
 };
 use helios_sim::{
-    jobs_from_trace, schedule_stats, FaultConfig, FaultStats, FifoPolicy, JobOutcome, KernelConfig,
-    Placement, PriorityPolicy, ScheduleStats, SchedulingPolicy, SimObserver, Simulator, SjfPolicy,
-    SrtfPolicy, TiresiasPolicy,
+    jobs_from_trace, schedule_stats, FaultConfig, FaultStats, FifoPolicy, JobOutcome, Placement,
+    PriorityPolicy, ScheduleStats, SchedulingPolicy, SimObserver, Simulator, SjfPolicy, SrtfPolicy,
+    TiresiasPolicy,
 };
 use helios_trace::{
     generate, profile_for, ClusterId, GeneratorConfig, Trace, WorkloadProfile, SECS_PER_DAY,
 };
-use serde_json::json;
 
 /// The clusters of the paper (Table 1 plus the Philly comparison cluster).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -194,141 +193,47 @@ impl Helios {
     pub fn clusters(presets: impl IntoIterator<Item = Preset>) -> FleetBuilder {
         FleetBuilder::new(presets.into_iter().collect())
     }
-
-    /// Launch the scheduler-as-a-service layer: all five presets hosted
-    /// concurrently, each on its own worker thread, fed through sharded
-    /// per-VC ingestion queues with live status/ETA queries and
-    /// whole-fleet snapshot/restore. This is the streaming counterpart
-    /// of the batch pipelines above — see [`crate::fleet`] for the
-    /// architecture and `examples/fleet_service.rs` for a tour.
-    pub fn fleet_service(policy: helios_sim::Policy) -> Result<helios_fleet::Fleet> {
-        helios_fleet::Fleet::launch(&helios_fleet::FleetConfig::all_presets(policy))
-    }
 }
 
-/// Validated knobs shared by single- and multi-cluster builders.
-#[derive(Debug, Clone)]
-struct Knobs {
-    scale: f64,
-    seed: u64,
-    qssf: QssfConfig,
-    ces: CesServiceConfig,
-    placement: Placement,
-    backfill: bool,
-    failures: Option<FaultConfig>,
-}
-
-impl Default for Knobs {
-    fn default() -> Self {
-        Knobs {
-            scale: 0.1,
-            seed: 2020,
-            qssf: QssfConfig::default(),
-            ces: CesServiceConfig::default(),
-            placement: Placement::Consolidate,
-            backfill: false,
-            failures: None,
-        }
-    }
-}
-
-impl Knobs {
-    fn validate(&self) -> Result<()> {
-        GeneratorConfig {
-            scale: self.scale,
-            seed: self.seed,
-        }
-        .validate()?;
-        if !(0.0..=1.0).contains(&self.qssf.lambda) || self.qssf.lambda.is_nan() {
-            return Err(HeliosError::invalid_config(
-                "lambda",
-                format!("must be in [0, 1], got {}", self.qssf.lambda),
-            ));
-        }
-        if let Some(f) = &self.failures {
-            f.validate()?;
-        }
-        Ok(())
-    }
-}
-
-macro_rules! builder_knobs {
-    () => {
-        /// Trace scale in (0, 1]; 1.0 reproduces the paper-size cluster.
-        pub fn scale(mut self, scale: f64) -> Self {
-            self.knobs.scale = scale;
-            self
-        }
-
-        /// Master RNG seed.
-        pub fn seed(mut self, seed: u64) -> Self {
-            self.knobs.seed = seed;
-            self
-        }
-
-        /// Algorithm 1's merge coefficient between rolling and GBDT
-        /// estimates (default 0.5).
-        pub fn lambda(mut self, lambda: f64) -> Self {
-            self.knobs.qssf.lambda = lambda;
-            self
-        }
-
-        /// Full QSSF configuration override.
-        pub fn qssf_config(mut self, cfg: QssfConfig) -> Self {
-            self.knobs.qssf = cfg;
-            self
-        }
-
-        /// Full CES configuration override.
-        pub fn ces_config(mut self, cfg: CesServiceConfig) -> Self {
-            self.knobs.ces = cfg;
-            self
-        }
-
-        /// Node placement strategy (default: Helios-style consolidation).
-        pub fn placement(mut self, placement: Placement) -> Self {
-            self.knobs.placement = placement;
-            self
-        }
-
-        /// Enable EASY backfill in scheduling runs (paper future work).
-        pub fn backfill(mut self, on: bool) -> Self {
-            self.knobs.backfill = on;
-            self
-        }
-
-        /// Inject node failures into every scheduling run (see
-        /// [`helios_sim::FaultConfig`]); `None` is the failure-free
-        /// default. Equivalent to [`Session::with_failures`] at build
-        /// time.
-        pub fn failures(mut self, cfg: Option<helios_sim::FaultConfig>) -> Self {
-            self.knobs.failures = cfg;
-            self
-        }
-    };
-}
+/// The trace every builder starts from: a tenth of the paper-size
+/// cluster, seed 2020.
+const DEFAULT_GENERATOR: GeneratorConfig = GeneratorConfig {
+    scale: 0.1,
+    seed: 2020,
+};
 
 /// Builder for a single-cluster [`Session`].
 pub struct SessionBuilder {
     preset: Preset,
-    knobs: Knobs,
+    generator: GeneratorConfig,
 }
 
 impl SessionBuilder {
     fn new(preset: Preset) -> Self {
         SessionBuilder {
             preset,
-            knobs: Knobs::default(),
+            generator: DEFAULT_GENERATOR,
         }
     }
 
-    builder_knobs!();
+    /// Trace scale in (0, 1]; 1.0 reproduces the paper-size cluster
+    /// (default 0.1).
+    pub fn scale(mut self, scale: f64) -> Self {
+        self.generator.scale = scale;
+        self
+    }
+
+    /// Master RNG seed (default 2020).
+    pub fn seed(mut self, seed: u64) -> Self {
+        self.generator.seed = seed;
+        self
+    }
 
     /// Validate the configuration and produce a [`Session`]. No work
     /// happens yet; [`Session::generate`] materializes the trace.
     pub fn build(self) -> Result<Session> {
-        self.knobs.validate()?;
-        Ok(Session::with_knobs(self.preset, self.knobs))
+        self.generator.validate()?;
+        Ok(Session::new(self.preset, self.generator))
     }
 }
 
@@ -340,7 +245,8 @@ impl SessionBuilder {
 #[derive(Clone)]
 pub struct Session {
     preset: Preset,
-    knobs: Knobs,
+    generator: GeneratorConfig,
+    failures: Option<FaultConfig>,
     trace: Option<Trace>,
     characterization: Option<Characterization>,
     qssf: Option<QssfService>,
@@ -390,10 +296,11 @@ pub struct ScheduleOutcome {
 }
 
 impl Session {
-    fn with_knobs(preset: Preset, knobs: Knobs) -> Session {
+    fn new(preset: Preset, generator: GeneratorConfig) -> Session {
         Session {
             preset,
-            knobs,
+            generator,
+            failures: None,
             trace: None,
             characterization: None,
             qssf: None,
@@ -441,106 +348,62 @@ impl Session {
 
     /// Stage 1: synthesize the cluster trace.
     pub fn generate(&mut self) -> Result<&mut Session> {
-        let cfg = GeneratorConfig {
-            scale: self.knobs.scale,
-            seed: self.knobs.seed,
-        };
-        let trace = generate(&self.preset.profile(), &cfg)
+        let trace = generate(&self.preset.profile(), &self.generator)
             .map_err(|e| e.for_cluster(self.preset.name()))?;
         self.trace = Some(trace);
         Ok(self)
     }
 
-    /// Stage 2: compute the §3 characterization highlights (fused
-    /// single-pass engine; equals the legacy per-figure scans exactly).
+    /// Stage 2: compute the §3 characterization highlights in one fused
+    /// traversal of the trace (see `helios_analysis::fused`).
     pub fn characterize(&mut self) -> Result<&mut Session> {
         let trace = self.trace.as_ref().ok_or(HeliosError::MissingStage {
             stage: "characterize",
             requires: "generate",
         })?;
-        self.characterization = Some(compute_characterization(trace));
+        let f = helios_analysis::characterize(trace);
+        let hourly = &f.daily.hourly_submissions;
+        let (gpu_curve, _) = users::consumption_curves(&f.users);
+        self.characterization = Some(Characterization {
+            peak_hourly_submissions: hourly.iter().cloned().fold(0.0, f64::max),
+            trough_hourly_submissions: hourly.iter().cloned().fold(f64::MAX, f64::min),
+            single_gpu_share: f.job_size_cdf().fraction_at(1.0),
+            single_gpu_time_share: f.job_size_time_cdf().fraction_at(1.0),
+            // `gpu_status` is in percent; normalize to fractions so every
+            // Characterization share field uses the same unit.
+            gpu_status_shares: f.gpu_status.map(|p| p / 100.0),
+            top5_user_gpu_share: users::top_share(&gpu_curve, 0.05),
+            summary: f.summary,
+        });
         Ok(self)
     }
 
-    /// Stage 3a: train the QSSF duration predictor on everything before
-    /// the evaluation window (the paper trains on April–August and
-    /// schedules September).
+    /// Stage 3a: train the QSSF duration predictor
+    /// ([`QssfConfig::default`]) on everything before the evaluation
+    /// window (the paper trains on April–August and schedules September).
     pub fn train_qssf(&mut self) -> Result<&mut Session> {
         let (lo, _) = self.eval_window()?;
         let trace = self.trace.as_ref().expect("eval_window checked generate");
-        let svc = compute_qssf(trace, self.knobs.qssf, lo)
+        let mut svc = QssfService::new(QssfConfig::default());
+        svc.train(trace, 0, lo)
             .map_err(|e| e.for_cluster(self.preset.name()))?;
         self.qssf = Some(svc);
         Ok(self)
     }
 
-    /// Stage 3b: train the CES node-demand forecaster and run the paper's
-    /// DRS evaluation (first three weeks of the evaluation window,
-    /// Fig. 14/15, Table 5).
+    /// Stage 3b: train the CES node-demand forecaster
+    /// ([`CesServiceConfig::default`], scaled to the cluster) and run the
+    /// paper's DRS evaluation over the consolidated node series (first
+    /// three weeks of the evaluation window, Fig. 14/15, Table 5).
     pub fn train_ces(&mut self) -> Result<&mut Session> {
         let (lo, hi) = self.eval_window()?;
         let trace = self.trace.as_ref().expect("eval_window checked generate");
-        let eval = compute_ces(trace, &self.knobs, lo, hi)
-            .map_err(|e| e.for_cluster(self.preset.name()))?;
+        let tag = |e: HeliosError| e.for_cluster(self.preset.name());
+        let series = node_series_from_trace(trace, 600, Placement::Consolidate).map_err(tag)?;
+        let mut svc = CesService::new(CesServiceConfig::default().scaled_to(trace.spec.nodes));
+        let eval_end = (lo + 21 * SECS_PER_DAY).min(hi);
+        let eval = svc.evaluate(trace, &series, lo, eval_end).map_err(tag)?;
         self.ces_eval = Some(eval);
-        Ok(self)
-    }
-
-    /// Fast path through the analysis stages: run [`Session::characterize`],
-    /// [`Session::train_qssf`] and [`Session::train_ces`] **concurrently**
-    /// over rayon — all three depend only on the generated trace, so on a
-    /// multi-core host the wall time of this span collapses to the slowest
-    /// stage instead of their sum. Generates the trace first if needed.
-    ///
-    /// Results are identical to running the stages sequentially (each
-    /// stage is a pure function of the trace).
-    ///
-    /// ```no_run
-    /// use helios::prelude::*;
-    ///
-    /// # fn main() -> helios::error::Result<()> {
-    /// let report = Helios::cluster(Preset::Saturn)
-    ///     .scale(0.1)
-    ///     .build()?
-    ///     .pipeline()? // generate + characterize ∥ train_qssf ∥ train_ces
-    ///     .schedule(SchedulePolicy::Fifo)?
-    ///     .schedule(SchedulePolicy::Qssf)?
-    ///     .report()?;
-    /// println!("{}", report.render());
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn pipeline(&mut self) -> Result<&mut Session> {
-        if self.trace.is_none() {
-            self.generate()?;
-        }
-        let (lo, hi) = self.eval_window()?;
-        let trace = self.trace.as_ref().expect("generated above");
-        let name = self.preset.name();
-        let knobs = &self.knobs;
-        #[allow(clippy::large_enum_variant)] // three short-lived carriers
-        enum StageOut {
-            Char(Characterization),
-            Qssf(QssfService),
-            Ces(CesEvaluation),
-        }
-        use rayon::prelude::*;
-        let results: Vec<Result<StageOut>> = (0..3)
-            .into_par_iter()
-            .with_min_len(1)
-            .map(|stage| match stage {
-                0 => Ok(StageOut::Char(compute_characterization(trace))),
-                1 => compute_qssf(trace, knobs.qssf, lo).map(StageOut::Qssf),
-                _ => compute_ces(trace, knobs, lo, hi).map(StageOut::Ces),
-            })
-            .collect();
-        for result in results {
-            match result.map_err(|e| e.for_cluster(name))? {
-                StageOut::Char(c) => self.characterization = Some(c),
-                StageOut::Qssf(q) => self.qssf = Some(q),
-                StageOut::Ces(e) => self.ces_eval = Some(e),
-            }
-        }
         Ok(self)
     }
 
@@ -551,7 +414,7 @@ impl Session {
         if let Some(f) = &cfg {
             f.validate()?;
         }
-        self.knobs.failures = cfg;
+        self.failures = cfg;
         Ok(self)
     }
 
@@ -570,7 +433,7 @@ impl Session {
     pub fn train_failure_model(&mut self, cfg: &PredictorConfig) -> Result<&mut Session> {
         let (lo, hi) = self.eval_window()?;
         let trace = self.trace.as_ref().expect("eval_window checked generate");
-        let faults = self.knobs.failures.ok_or(HeliosError::MissingStage {
+        let faults = self.failures.ok_or(HeliosError::MissingStage {
             stage: "train_failure_model",
             requires: "with_failures",
         })?;
@@ -587,7 +450,7 @@ impl Session {
     /// baseline calibrated to the failure model's MTBF. The run is
     /// recorded under `DRAIN+<label>`.
     pub fn schedule_drained(&mut self, inner: SchedulePolicy) -> Result<&mut Session> {
-        let faults = self.knobs.failures.ok_or(HeliosError::MissingStage {
+        let faults = self.failures.ok_or(HeliosError::MissingStage {
             stage: "schedule_drained",
             requires: "with_failures",
         })?;
@@ -658,12 +521,8 @@ impl Session {
             ));
         }
         let label = policy.name().to_string();
-        let cfg = KernelConfig {
-            placement: self.knobs.placement,
-            backfill: self.knobs.backfill,
-        };
-        let mut sim = Simulator::with_config(&trace.spec, policy, &cfg);
-        if let Some(faults) = &self.knobs.failures {
+        let mut sim = Simulator::new(&trace.spec, policy);
+        if let Some(faults) = &self.failures {
             sim.enable_faults(faults)
                 .map_err(|e| e.for_cluster(self.preset.name()))?;
         }
@@ -745,8 +604,8 @@ impl Session {
         });
         Ok(SessionReport {
             cluster: self.preset.name().to_string(),
-            scale: self.knobs.scale,
-            seed: self.knobs.seed,
+            scale: self.generator.scale,
+            seed: self.generator.seed,
             nodes: trace.spec.nodes,
             gpus: trace.total_gpus(),
             jobs: trace.jobs.len() as u64,
@@ -758,51 +617,6 @@ impl Session {
             ces,
         })
     }
-}
-
-/// The §3 characterization highlights as a pure function of the trace —
-/// one fused single-pass traversal (see `helios_analysis::fused`).
-fn compute_characterization(trace: &Trace) -> Characterization {
-    let f = helios_analysis::characterize(trace);
-    let peak = f
-        .daily
-        .hourly_submissions
-        .iter()
-        .cloned()
-        .fold(0.0, f64::max);
-    let trough = f
-        .daily
-        .hourly_submissions
-        .iter()
-        .cloned()
-        .fold(f64::MAX, f64::min);
-    let (gpu_curve, _) = users::consumption_curves(&f.users);
-    Characterization {
-        peak_hourly_submissions: peak,
-        trough_hourly_submissions: trough,
-        single_gpu_share: f.job_size_cdf().fraction_at(1.0),
-        single_gpu_time_share: f.job_size_time_cdf().fraction_at(1.0),
-        // `gpu_status` is in percent; normalize to fractions so every
-        // Characterization share field uses the same unit.
-        gpu_status_shares: f.gpu_status.map(|p| p / 100.0),
-        top5_user_gpu_share: users::top_share(&gpu_curve, 0.05),
-        summary: f.summary,
-    }
-}
-
-/// Trained QSSF service as a pure function of the trace.
-fn compute_qssf(trace: &Trace, cfg: QssfConfig, train_hi: i64) -> Result<QssfService> {
-    let mut svc = QssfService::new(cfg);
-    svc.train(trace, 0, train_hi)?;
-    Ok(svc)
-}
-
-/// CES evaluation as a pure function of the trace.
-fn compute_ces(trace: &Trace, knobs: &Knobs, lo: i64, hi: i64) -> Result<CesEvaluation> {
-    let series = node_series_from_trace(trace, 600, knobs.placement)?;
-    let eval_end = (lo + 21 * SECS_PER_DAY).min(hi);
-    let mut svc = CesService::new(knobs.ces.clone().scaled_to(trace.spec.nodes));
-    svc.evaluate(trace, &series, lo, eval_end)
 }
 
 /// One policy row of a report, identified by the policy object's name.
@@ -840,7 +654,7 @@ pub struct CesSummary {
     pub annual_kwh_saved: f64,
 }
 
-/// Everything one session produced, renderable as text or JSON.
+/// Everything one session produced, renderable as aligned text.
 #[derive(Debug, Clone)]
 pub struct SessionReport {
     pub cluster: String,
@@ -931,60 +745,13 @@ impl SessionReport {
         }
         out
     }
-
-    /// Machine-readable rendering.
-    pub fn to_json(&self) -> serde_json::Value {
-        let schedules: Vec<serde_json::Value> = self
-            .schedules
-            .iter()
-            .map(|s| {
-                json!({
-                    "policy": s.label.clone(),
-                    "avg_jct": s.avg_jct,
-                    "avg_queue_delay": s.avg_queue_delay,
-                    "queued_jobs": s.queued_jobs,
-                    "goodput": s.goodput,
-                    "lost_gpu_hours": s.lost_gpu_hours,
-                })
-            })
-            .collect();
-        let mut root = serde_json::Map::new();
-        root.insert("cluster".into(), json!(self.cluster.clone()));
-        root.insert("scale".into(), json!(self.scale));
-        root.insert("seed".into(), json!(self.seed));
-        root.insert("nodes".into(), json!(self.nodes));
-        root.insert("gpus".into(), json!(self.gpus));
-        root.insert("jobs".into(), json!(self.jobs));
-        root.insert("gpu_jobs".into(), json!(self.gpu_jobs));
-        root.insert("schedules".into(), json!(schedules));
-        if let Some(g) = &self.qssf_vs_fifo {
-            root.insert(
-                "qssf_vs_fifo".into(),
-                json!({"jct_gain": g.jct, "queue_gain": g.queue_delay}),
-            );
-        }
-        if let Some(c) = &self.ces {
-            root.insert(
-                "ces".into(),
-                json!({
-                    "smape": c.smape,
-                    "avg_drs_nodes": c.avg_drs_nodes,
-                    "daily_wakeups": c.daily_wakeups,
-                    "baseline_utilization": c.baseline_utilization,
-                    "utilization_with_ces": c.utilization_with_ces,
-                    "annual_kwh_saved": c.annual_kwh_saved,
-                }),
-            );
-        }
-        serde_json::Value::Object(root)
-    }
 }
 
 /// Builder for a parallel multi-cluster (× multi-seed) fan-out.
 pub struct FleetBuilder {
     presets: Vec<Preset>,
     seeds: Vec<u64>,
-    knobs: Knobs,
+    generator: GeneratorConfig,
 }
 
 impl FleetBuilder {
@@ -992,11 +759,21 @@ impl FleetBuilder {
         FleetBuilder {
             presets,
             seeds: Vec::new(),
-            knobs: Knobs::default(),
+            generator: DEFAULT_GENERATOR,
         }
     }
 
-    builder_knobs!();
+    /// Trace scale in (0, 1] for every session (default 0.1).
+    pub fn scale(mut self, scale: f64) -> Self {
+        self.generator.scale = scale;
+        self
+    }
+
+    /// Master RNG seed for every session (default 2020).
+    pub fn seed(mut self, seed: u64) -> Self {
+        self.generator.seed = seed;
+        self
+    }
 
     /// Sweep several generator seeds: the fan-out produces one session
     /// per (cluster, seed) pair, preset-major (`Venus@s1, Venus@s2, …,
@@ -1014,18 +791,20 @@ impl FleetBuilder {
                 "fan-out over zero presets",
             ));
         }
-        self.knobs.validate()?;
+        self.generator.validate()?;
         let seeds = if self.seeds.is_empty() {
-            vec![self.knobs.seed]
+            vec![self.generator.seed]
         } else {
             self.seeds
         };
         let mut sessions = Vec::with_capacity(self.presets.len() * seeds.len());
         for preset in self.presets {
             for &seed in &seeds {
-                let mut knobs = self.knobs.clone();
-                knobs.seed = seed;
-                sessions.push(Session::with_knobs(preset, knobs));
+                let generator = GeneratorConfig {
+                    seed,
+                    ..self.generator
+                };
+                sessions.push(Session::new(preset, generator));
             }
         }
         Ok(sessions)
@@ -1085,18 +864,6 @@ mod tests {
                 "scale {scale}"
             );
         }
-    }
-
-    #[test]
-    fn builder_rejects_invalid_lambda() {
-        let err = Helios::cluster(Preset::Venus).lambda(1.5).build();
-        assert!(matches!(
-            err,
-            Err(HeliosError::InvalidConfig {
-                field: "lambda",
-                ..
-            })
-        ));
     }
 
     #[test]

@@ -132,6 +132,88 @@ fn ces_stage_reports_energy_summary() {
     assert!(ces.daily_wakeups <= ces.vanilla_daily_wakeups + 1e-9);
 }
 
+/// A session's stages run the library defaults: its CES evaluation and its
+/// FIFO and QSSF outcomes equal the services and the kernel called
+/// directly with their default configurations, and a second session on
+/// the same cluster and seed reproduces its characterization.
+#[test]
+fn stages_run_the_library_defaults() {
+    use helios::core::{CesService, CesServiceConfig, QssfConfig, QssfService};
+    use helios::energy::node_series_from_trace;
+    use helios::sim::{jobs_from_trace, simulate_with, KernelConfig};
+    use helios::trace::SECS_PER_DAY;
+
+    let build = || {
+        Helios::cluster(Preset::Venus)
+            .scale(0.04)
+            .seed(11)
+            .build()
+            .unwrap()
+    };
+    let mut session = build();
+    session
+        .generate()
+        .unwrap()
+        .characterize()
+        .unwrap()
+        .train_qssf()
+        .unwrap()
+        .train_ces()
+        .unwrap()
+        .schedule(SchedulePolicy::Fifo)
+        .unwrap()
+        .schedule(SchedulePolicy::Qssf)
+        .unwrap();
+    let trace = session.trace().unwrap();
+    let (lo, hi) = session.eval_window().unwrap();
+
+    // CES: the default service scaled to the cluster, over the
+    // consolidated node series, on the first three weeks of the window.
+    let series = node_series_from_trace(trace, 600, Placement::Consolidate).unwrap();
+    let mut ces = CesService::new(CesServiceConfig::default().scaled_to(trace.spec.nodes));
+    let want = ces
+        .evaluate(trace, &series, lo, (lo + 21 * SECS_PER_DAY).min(hi))
+        .unwrap();
+    let got = session.ces_evaluation().unwrap();
+    assert_eq!(got.smape, want.smape);
+    assert_eq!(got.forecast, want.forecast);
+    assert_eq!(got.guided.drs_node_seconds, want.guided.drs_node_seconds);
+
+    // FIFO and QSSF: the default kernel over the window's jobs, QSSF's
+    // scored by the default service trained on everything before it.
+    let kernel = |jobs: &[SimJob], policy: SchedulePolicy| {
+        simulate_with(&trace.spec, jobs, policy.build(), &KernelConfig::default())
+            .unwrap()
+            .outcomes
+    };
+    let mut qssf = QssfService::new(QssfConfig::default());
+    qssf.train(trace, 0, lo).unwrap();
+    let scored = qssf.assign_priorities(trace, lo, hi);
+    let runs = session.schedule_outcomes();
+    assert_eq!(runs[0].label, "FIFO");
+    assert_eq!(
+        runs[0].outcomes,
+        kernel(&jobs_from_trace(trace, lo, hi), SchedulePolicy::Fifo)
+    );
+    assert_eq!(runs[1].label, "QSSF");
+    assert_eq!(runs[1].outcomes, kernel(&scored, SchedulePolicy::Qssf));
+
+    // Characterization is a function of the cluster and seed alone.
+    let mut again = build();
+    again.generate().unwrap().characterize().unwrap();
+    let (a, b) = (
+        session.characterization().unwrap(),
+        again.characterization().unwrap(),
+    );
+    assert_eq!(a.summary, b.summary);
+    assert_eq!(a.gpu_status_shares, b.gpu_status_shares);
+    assert_eq!(a.single_gpu_share, b.single_gpu_share);
+    assert_eq!(a.single_gpu_time_share, b.single_gpu_time_share);
+    assert_eq!(a.top5_user_gpu_share, b.top5_user_gpu_share);
+    assert_eq!(a.peak_hourly_submissions, b.peak_hourly_submissions);
+    assert_eq!(a.trough_hourly_submissions, b.trough_hourly_submissions);
+}
+
 // ---------------------------------------------------------------------------
 // Invalid input surfaces as typed errors, never panics.
 // ---------------------------------------------------------------------------
@@ -345,66 +427,5 @@ fn tiresias_and_energy_builtins_schedule() {
     for o in outcomes {
         assert!(o.stats.jobs > 0, "{}: scheduled nothing", o.label);
         assert!(o.stats.avg_jct > 0.0);
-    }
-}
-
-/// `Session::pipeline` (characterize ∥ train_qssf ∥ train_ces over rayon)
-/// must produce exactly what the sequential stage chain produces.
-#[test]
-fn pipeline_fast_path_matches_sequential_stages() {
-    let build = || {
-        Helios::cluster(Preset::Venus)
-            .scale(0.04)
-            .seed(11)
-            .build()
-            .unwrap()
-    };
-    let mut seq = build();
-    seq.generate()
-        .unwrap()
-        .characterize()
-        .unwrap()
-        .train_qssf()
-        .unwrap()
-        .train_ces()
-        .unwrap()
-        .schedule(SchedulePolicy::Fifo)
-        .unwrap()
-        .schedule(SchedulePolicy::Qssf)
-        .unwrap();
-    let mut par = build();
-    par.pipeline()
-        .unwrap()
-        .schedule(SchedulePolicy::Fifo)
-        .unwrap()
-        .schedule(SchedulePolicy::Qssf)
-        .unwrap();
-
-    // Characterization equal field for field.
-    let (a, b) = (
-        seq.characterization().unwrap(),
-        par.characterization().unwrap(),
-    );
-    assert_eq!(a.summary, b.summary);
-    assert_eq!(a.gpu_status_shares, b.gpu_status_shares);
-    assert_eq!(a.single_gpu_share, b.single_gpu_share);
-    assert_eq!(a.single_gpu_time_share, b.single_gpu_time_share);
-    assert_eq!(a.top5_user_gpu_share, b.top5_user_gpu_share);
-    assert_eq!(a.peak_hourly_submissions, b.peak_hourly_submissions);
-
-    // CES evaluation equal.
-    let (ca, cb) = (seq.ces_evaluation().unwrap(), par.ces_evaluation().unwrap());
-    assert_eq!(ca.smape, cb.smape);
-    assert_eq!(ca.forecast, cb.forecast);
-    assert_eq!(ca.guided.drs_node_seconds, cb.guided.drs_node_seconds);
-
-    // QSSF-trained scheduling outcomes identical job for job.
-    for (sa, sb) in seq
-        .schedule_outcomes()
-        .iter()
-        .zip(par.schedule_outcomes().iter())
-    {
-        assert_eq!(sa.label, sb.label);
-        assert_eq!(sa.outcomes, sb.outcomes);
     }
 }
