@@ -8,12 +8,14 @@
 //! so a fit does not depend on summation order. Each round's row and
 //! column subsamples come from one ChaCha12 stream, drawn ahead on a
 //! scoped helper thread so the draw overlaps the previous tree; no tree
-//! state feeds a draw, so the model is the same bit for bit.
+//! state feeds a draw, so the model is the same bit for bit. A row or
+//! column is kept when its word `x` passes `(x >> 11) < ceil(p · 2^53)`,
+//! the integer form of `rng.gen::<f64>() < p` on the same word, and one
+//! pass over the rows builds both the subsample and its complement.
 
 use crate::binning::BinnedDataset;
 use crate::tree::{build_tree_in, Tree, TreeParams, TreeWorkspace};
-use rand::Rng;
-use rand::SeedableRng;
+use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 use std::sync::mpsc::{self, Receiver, SyncSender};
 
@@ -190,9 +192,9 @@ impl Gbdt {
                 },
             );
             // Out-of-sample rows take the traversal path.
-            for &r in &out_rows {
-                preds[r as usize] += lr * tree.predict_binned(&data, r as usize);
-            }
+            tree.predict_binned_batch(&data, &out_rows, |r, value| {
+                preds[r as usize] += lr * value;
+            });
             model.trees.push(tree);
 
             // Early stopping on validation RMSE every 5 rounds.
@@ -291,30 +293,15 @@ struct Draw {
 fn draw_rounds(params: &GbdtParams, n: usize, num_features: u16, tx: SyncSender<Draw>) {
     let mut rng = ChaCha12Rng::seed_from_u64(params.seed);
     for _ in 0..params.num_trees {
-        let rows: Vec<u32> = if params.subsample < 1.0 {
-            (0..n as u32)
-                .filter(|_| rng.gen::<f64>() < params.subsample)
-                .collect()
+        let (rows, out_rows) = if params.subsample < 1.0 {
+            draw_rows(&mut rng, n, params.subsample)
         } else {
-            (0..n as u32).collect()
-        };
-        let out_rows: Vec<u32> = if rows.len() < n {
-            let mut out = Vec::with_capacity(n - rows.len());
-            let mut it = rows.iter().copied().peekable();
-            for r in 0..n as u32 {
-                if it.peek() == Some(&r) {
-                    it.next();
-                } else {
-                    out.push(r);
-                }
-            }
-            out
-        } else {
-            Vec::new()
+            ((0..n as u32).collect(), Vec::new())
         };
         let cols: Vec<u16> = if params.colsample < 1.0 {
+            let cut = keep_below(params.colsample);
             let mut chosen: Vec<u16> = (0..num_features)
-                .filter(|_| rng.gen::<f64>() < params.colsample)
+                .filter(|_| rng.next_u64() >> 11 < cut)
                 .collect();
             if chosen.is_empty() {
                 chosen.push(rng.gen_range(0..num_features));
@@ -332,6 +319,37 @@ fn draw_rounds(params: &GbdtParams, n: usize, num_features: u16, tx: SyncSender<
             return;
         }
     }
+}
+
+/// The bound that makes `x >> 11 < keep_below(p)` the same test as
+/// `gen::<f64>() < p` on word `x`: the vendored `rand` maps `x` to
+/// `(x >> 11) · 2^-53`, multiplying by a power of two is exact, and an
+/// integer is below `p · 2^53` exactly when it is below its ceiling. The
+/// cast saturates, so `p ≤ 0` and NaN keep nothing, as the float test does.
+fn keep_below(p: f64) -> u64 {
+    (p * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// Split `0..n` by one word of `rng` per row, in row order: the rows that
+/// pass `gen::<f64>() < p` and the rest, each ascending.
+fn draw_rows(rng: &mut ChaCha12Rng, n: usize, p: f64) -> (Vec<u32>, Vec<u32>) {
+    let cut = keep_below(p);
+    // Kept rows fill the buffer from the front and the rest from the back.
+    // Each row is written at both cursors and only one advances, so no
+    // branch depends on the draw. The cursors never cross: before row `r`,
+    // `front + (n − back) == r < n`.
+    let mut rows = vec![0; n];
+    let (mut front, mut back) = (0, n);
+    for r in 0..n as u32 {
+        let keep = rng.next_u64() >> 11 < cut;
+        rows[front] = r;
+        rows[back - 1] = r;
+        front += keep as usize;
+        back -= !keep as usize;
+    }
+    let mut rest = rows.split_off(front);
+    rest.reverse();
+    (rows, rest)
 }
 
 #[cfg(test)]
@@ -710,6 +728,30 @@ mod tests {
         assert_eq!(fallback, (40, 0xe4f9_0738_be4f_34fb));
         assert_eq!(stopped, (130, 0xa4f0_44f4_af41_d936));
         assert_eq!(small, (23, 0xf1fd_6b62_ca9b_3f61));
+    }
+
+    #[test]
+    fn integer_draw_matches_the_float_draw() {
+        let tiny = 2f64.powi(-53);
+        // 1,000 rows read 1,000 words, across 31 keystream refills.
+        let n = 1000;
+        for p in [tiny, 0.3, 0.5, 0.8, 0.9, 1.0 - tiny] {
+            // The bound is the least integer whose float image reaches p.
+            let cut = keep_below(p);
+            assert!(
+                cut as f64 * tiny >= p && (cut - 1) as f64 * tiny < p,
+                "p {p}"
+            );
+            let mut int_rng = ChaCha12Rng::seed_from_u64(29);
+            let mut float_rng = ChaCha12Rng::seed_from_u64(29);
+            let drawn = draw_rows(&mut int_rng, n, p);
+            let want: (Vec<u32>, Vec<u32>) =
+                (0..n as u32).partition(|_| float_rng.gen::<f64>() < p);
+            assert_eq!(drawn, want, "p {p}");
+            assert_eq!(int_rng.next_u64(), float_rng.next_u64(), "p {p}");
+        }
+        assert_eq!(keep_below(0.0), 0);
+        assert_eq!(keep_below(f64::NAN), 0);
     }
 
     #[test]

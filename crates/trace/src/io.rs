@@ -12,10 +12,24 @@ pub const CSV_HEADER: &str = "job_id,user,vc,gpus,cpus,submit,start,duration,sta
 
 /// Serialize jobs to CSV. Each job's name is written as its base name in
 /// the `name` column, with its run number in the separate `run` column.
+/// Fields are written unquoted, so a job whose base name holds a `,`, `\n`
+/// or `\r` is refused with [`io::ErrorKind::InvalidInput`] naming the job,
+/// before its row is written; the rows before it are already written.
 pub fn write_csv<W: Write>(w: &mut W, jobs: &[JobRecord], names: &NamePool) -> io::Result<()> {
     let mut buf = String::with_capacity(128);
     writeln!(w, "{CSV_HEADER}")?;
     for j in jobs {
+        let name = names.base(j.name);
+        if name.contains([',', '\n', '\r']) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "job {}: base name {name:?} holds a comma or line break, \
+                     which an unquoted CSV field cannot carry",
+                    j.id
+                ),
+            ));
+        }
         buf.clear();
         let _ = write!(
             buf,
@@ -29,7 +43,7 @@ pub fn write_csv<W: Write>(w: &mut W, jobs: &[JobRecord], names: &NamePool) -> i
             j.start,
             j.duration,
             j.status.label(),
-            names.base(j.name),
+            name,
             j.run
         );
         writeln!(w, "{buf}")?;
@@ -208,6 +222,26 @@ mod tests {
             assert_eq!(a.status, b.status);
             assert_eq!(a.duration, b.duration);
             assert_eq!(names.base(a.name), names2.base(b.name));
+        }
+    }
+
+    #[test]
+    fn refuses_a_name_the_reader_would_split() {
+        for bad in ["train,resnet", "train\nresnet", "train\rresnet"] {
+            let (mut jobs, mut names) = sample();
+            jobs[1].name = names.intern(bad.to_string());
+            let mut buf = Vec::new();
+            let err = write_csv(&mut buf, &jobs, &names).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{bad:?}");
+            assert!(
+                err.to_string().starts_with(&format!("job {}:", jobs[1].id)),
+                "{err}"
+            );
+            // The header and the first job's row are written; the refused
+            // row is not.
+            let written = String::from_utf8(buf).unwrap();
+            assert_eq!(written.lines().count(), 2, "{bad:?}");
+            assert!(written.ends_with(",train_resnet50_imagenet,2\n"), "{bad:?}");
         }
     }
 
