@@ -169,8 +169,9 @@ impl Gbdt {
             if rows.len() < 2 * params.min_leaf {
                 break;
             }
-            // Gradients of 1/2 (pred - y)^2, gathered straight into node
-            // order — the full-length gradient vector is never built.
+            // Gradients of 1/2 (pred - y)^2, gathered in subsample order:
+            // `build_tree_in` takes them aligned with `rows` and quantizes
+            // them into its per-row array.
             let grads: Vec<f64> = rows
                 .iter()
                 .map(|&r| preds[r as usize] - targets[r as usize])

@@ -4,12 +4,10 @@
 //! The grower is allocation-light and cache-friendly: node rows live in one
 //! index buffer partitioned in place (stable, via a scratch buffer), and a
 //! partition moves row ids only. Each tree quantizes its gradients once
-//! into an array indexed by row id, so a histogram pass reads them in the
-//! node's ascending row order. A single row-major sweep fills the
-//! histograms of *all* candidate features at once (the binned dataset
-//! stores a row's feature bins contiguously); a large node sweeps its even
-//! and odd rows into two histograms and adds them, so rows that land in
-//! the same bin do not wait on each other's store.
+//! into an array indexed by row id, which a histogram pass reads at each of
+//! the node's rows. A single row-major sweep fills the histograms of *all*
+//! candidate features at once (the binned dataset stores a row's feature
+//! bins contiguously).
 //!
 //! Every histogram sum is exact: each tree quantizes its gradients once to
 //! `i64` fixed point, so sums do not depend on row order, and a split
@@ -275,9 +273,12 @@ pub fn build_tree(
 /// [`build_tree`] with caller-owned buffers and a leaf callback.
 ///
 /// `grads` must be aligned with `rows` (`grads[k]` is the gradient of row
-/// `rows[k]`) and finite. `on_leaf(value, rows)` fires once per created
-/// leaf with the training rows that landed in it — the boosting loop uses
-/// it to update its predictions without re-traversing the tree per row.
+/// `rows[k]`) and finite, and the row ids in `rows` must be distinct: the
+/// gradients are quantized into an array indexed by row id, so a repeated
+/// id keeps only its last gradient. `on_leaf(value, rows)` fires once per
+/// created leaf with the training rows that landed in it — the boosting
+/// loop uses it to update its predictions without re-traversing the tree
+/// per row.
 pub fn build_tree_in(
     ws: &mut TreeWorkspace,
     data: &BinnedDataset,
@@ -288,8 +289,14 @@ pub fn build_tree_in(
     mut on_leaf: impl FnMut(f64, &[u32]),
 ) -> Tree {
     assert_eq!(rows.len(), grads.len(), "rows/grads must be aligned");
-    // The sweep's unchecked indexing relies on these bounds; validating
-    // them once here is O(n), negligible next to a single histogram pass.
+    // The sweep's and the partition's unchecked indexing rely on these
+    // bounds; validating them once here is O(n), negligible next to a
+    // single histogram pass. `num_rows` is a public field, so it is checked
+    // against the stored bins before row ids are checked against it.
+    assert!(
+        data.num_rows.checked_mul(data.num_features()) == Some(data.raw().len()),
+        "binned dataset's row count does not match its bins"
+    );
     assert!(
         rows.iter().all(|&r| (r as usize) < data.num_rows),
         "row id out of range for the binned dataset"
@@ -326,8 +333,8 @@ pub fn build_tree_in(
     }
 }
 
-/// Quantize a tree's gradients to `round(g · 2^k)`, the one of row
-/// `rows[i]` into `out[rows[i]]`; returns their sum and `2^-k`.
+/// Quantize a tree's gradients to `round(g · 2^k)`, writing `grads[i]`'s
+/// to `out[rows[i]]`; returns their sum and `2^-k`.
 /// With `n ≤ 2^b` rows and `max|g| < 2^(e+1)`, `k = 60 − b − e` keeps
 /// `n · max|g| · 2^k ≤ 2^61`: no node sum, sibling difference or split
 /// prefix can overflow. (The clamp keeps `2^±k` normal; a row count large
@@ -468,23 +475,17 @@ impl Grower<'_> {
     }
 
     /// One pass over the node's rows fills the histograms of every
-    /// candidate feature; a node of [`TWO_ACCUMULATOR_ROWS`] rows or more
-    /// sweeps into two.
+    /// candidate feature.
     fn build_hist(&mut self, lo: usize, hi: usize) -> Vec<HistCell> {
         let mut hist = self.take_hist();
-        let mut odd = (hi - lo >= TWO_ACCUMULATOR_ROWS).then(|| self.take_hist());
-        let sweep = Sweep {
-            stride: self.stride,
-            grads: &self.ws.grads,
-            data: self.data,
-            features: self.features,
-        };
-        let rows = &self.idx[lo..hi];
-        match &mut odd {
-            Some(odd) => sweep.two(&mut hist, odd, rows),
-            None => sweep.one(&mut hist, rows),
-        }
-        self.ws.hist_pool.extend(odd);
+        sweep(
+            &mut hist,
+            self.stride,
+            &self.idx[lo..hi],
+            &self.ws.grads,
+            self.data,
+            self.features,
+        );
         hist
     }
 
@@ -550,9 +551,10 @@ impl Grower<'_> {
         let (mut left, mut spill) = (0usize, 0usize);
         for k in 0..idx.len() {
             let r = idx[k];
-            // SAFETY: `r < num_rows` and `feature < nf` (`build_tree_in`
-            // asserts both), so `r * nf ≤ (num_rows − 1) · nf`, which is
-            // below `column.len() = num_rows · nf − feature`.
+            // SAFETY: `r < num_rows`, `feature < nf` and `raw().len() ==
+            // num_rows · nf` (`build_tree_in` asserts all three), so
+            // `r * nf ≤ (num_rows − 1) · nf`, which is below `column.len()
+            // = num_rows · nf − feature`.
             let goes_left = unsafe { *column.get_unchecked(r as usize * nf) } <= bin;
             // Branch-free: write both sides, advance one cursor.
             // SAFETY: both cursors trail `k`: `left + spill == k`, and
@@ -591,23 +593,6 @@ fn subtract(parent: &mut [HistCell], child: &[HistCell]) {
     }
 }
 
-/// Add a second accumulator's histogram into the first, cell by cell.
-fn merge(into: &mut [HistCell], other: &[HistCell]) {
-    for (a, b) in into.iter_mut().zip(other) {
-        a.g += b.g;
-        a.n += b.n;
-    }
-}
-
-/// Nodes with at least this many rows sweep into two histograms (see
-/// [`Sweep::two`]); below it, zeroing and merging the second histogram
-/// weighs more against the rows swept. On a 2-core x86_64 host, two
-/// accumulators swept 40,000 synthetic rows in 82–94% of the time with one
-/// feature and 89–95% with two to four, but 95–110% with sixteen; in the
-/// Saturn scale-0.05 fits (14 and 18 candidate features) the sweep time did
-/// not move beyond run-to-run noise at thresholds from 2,048 rows up.
-const TWO_ACCUMULATOR_ROWS: usize = 4096;
-
 /// Add one row's bins into a histogram set.
 ///
 /// # Safety
@@ -632,77 +617,40 @@ unsafe fn accum_row(
     }
 }
 
-/// The histogram hot loop's inputs: every node row adds its gradient into
-/// the bin cell of each candidate feature.
+/// The histogram hot loop: for every node row, add its gradient into the
+/// bin cell of each candidate feature.
 ///
-/// It uses unchecked indexing; the bounds are structural: `r < num_rows`
-/// (rows come from `0..num_rows`), `grads.len() == num_rows`,
-/// `f < num_features` (feature ids come from the same dataset), and
-/// `bin < stride` (`stride` is the maximum `num_bins` over the candidate
-/// features, and every stored bin is below its mapper's `num_bins`).
-struct Sweep<'a> {
+/// Uses unchecked indexing — the bounds are structural: `r < num_rows`
+/// (rows come from `0..num_rows`), `grads.len() == num_rows` (gradients are
+/// indexed by row id), `f < num_features` (feature ids come from the same
+/// dataset), and `bin < stride` (`stride` is the maximum `num_bins` over
+/// the candidate features, and every stored bin is below its mapper's
+/// `num_bins`).
+#[inline]
+fn sweep(
+    hist: &mut [HistCell],
     stride: usize,
-    /// Fixed-point gradients indexed by row id.
-    grads: &'a [i64],
-    data: &'a BinnedDataset,
-    features: &'a [u16],
-}
-
-impl Sweep<'_> {
-    /// Add row `r` into `hist`.
-    #[inline(always)]
-    fn row(&self, hist: &mut [HistCell], r: u32) {
-        let nf = self.data.num_features();
+    rows: &[u32],
+    grads: &[i64],
+    data: &BinnedDataset,
+    features: &[u16],
+) {
+    let nf = data.num_features();
+    let raw = data.raw();
+    debug_assert!(hist.len() >= features.len() * stride);
+    debug_assert!(features
+        .iter()
+        .all(|&f| (f as usize) < nf && data.mappers[f as usize].num_bins() <= stride));
+    for &r in rows {
         let base = r as usize * nf;
-        debug_assert!(base + nf <= self.data.raw().len() && (r as usize) < self.grads.len());
+        debug_assert!(base + nf <= raw.len() && (r as usize) < grads.len());
         // SAFETY: the structural bounds above hold for every row and
-        // feature; `build_tree_in` asserts the row and feature ids, and
-        // sizes the gradients to the dataset's row count.
+        // feature; `build_tree_in` asserts the row and feature ids and
+        // sizes `grads` to the dataset's row count.
         unsafe {
-            let g = *self.grads.get_unchecked(r as usize);
-            accum_row(
-                hist,
-                self.stride,
-                self.features,
-                self.data.raw().as_ptr().add(base),
-                g,
-            );
+            let g = *grads.get_unchecked(r as usize);
+            accum_row(hist, stride, features, raw.as_ptr().add(base), g);
         }
-    }
-
-    /// Debug builds check the bounds the unchecked indexing relies on.
-    fn check(&self, hist: &[HistCell]) {
-        debug_assert!(hist.len() >= self.features.len() * self.stride);
-        debug_assert!(self
-            .features
-            .iter()
-            .all(|&f| (f as usize) < self.data.num_features()
-                && self.data.mappers[f as usize].num_bins() <= self.stride));
-    }
-
-    /// One accumulator: add every row of `rows` into `hist`.
-    fn one(&self, hist: &mut [HistCell], rows: &[u32]) {
-        self.check(hist);
-        for &r in rows {
-            self.row(hist, r);
-        }
-    }
-
-    /// Two accumulators: rows at even positions go into `hist`, rows at odd
-    /// positions into `odd`, which is then added into `hist`. Integer sums
-    /// merge exactly, so `hist` ends as [`Sweep::one`] leaves it, but two
-    /// consecutive rows that hit the same bin update different cells, and
-    /// the second no longer waits on the first's store.
-    fn two(&self, hist: &mut [HistCell], odd: &mut [HistCell], rows: &[u32]) {
-        self.check(hist);
-        self.check(odd);
-        let mut pairs = rows.chunks_exact(2);
-        for pair in &mut pairs {
-            self.row(hist, pair[0]);
-            self.row(odd, pair[1]);
-        }
-        self.one(hist, pairs.remainder());
-        merge(hist, odd);
     }
 }
 
@@ -842,6 +790,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "row count does not match its bins")]
+    fn refuses_a_row_count_its_bins_do_not_hold() {
+        let x: Vec<f64> = (0..100).map(|i| i as f64).collect();
+        let mut data = BinnedDataset::from_columns(&[x], 64);
+        data.num_rows += 1;
+        let params = TreeParams::default();
+        build_tree(&data, &[0.5; 101], (0..101).collect(), &[0], &params);
+    }
+
+    #[test]
     fn deeper_trees_fit_better() {
         let x: Vec<f64> = (0..500).map(|i| i as f64 / 500.0).collect();
         let y: Vec<f64> = x.iter().map(|&v| (v * 12.0).sin()).collect();
@@ -909,15 +867,9 @@ mod tests {
         let rows: Vec<u32> = (0..1000).collect();
         let mut grads = vec![0; rows.len()];
         quantize(&rows, &y, &mut grads);
-        let sweep = Sweep {
-            stride,
-            grads: &grads,
-            data: &data,
-            features: &features,
-        };
         let hist_of = |rows: &[u32]| {
             let mut hist = vec![HistCell::default(); features.len() * stride];
-            sweep.one(&mut hist, rows);
+            sweep(&mut hist, stride, rows, &grads, &data, &features);
             hist
         };
         for bin in [3u8, 20, 40] {
@@ -932,34 +884,6 @@ mod tests {
             let mut derived = hist_of(&rows);
             subtract(&mut derived, &hist_of(&small));
             assert_eq!(derived, hist_of(&large), "bin {bin}");
-        }
-    }
-
-    #[test]
-    fn two_accumulators_match_one() {
-        let (cols, y) = irregular_data();
-        let data = BinnedDataset::from_columns(&cols, 64);
-        let features = [0u16, 1, 2];
-        let stride = 64;
-        let all: Vec<u32> = (0..1000).collect();
-        let mut grads = vec![0; all.len()];
-        quantize(&all, &y, &mut grads);
-        let sweep = Sweep {
-            stride,
-            grads: &grads,
-            data: &data,
-            features: &features,
-        };
-        let empty = || vec![HistCell::default(); features.len() * stride];
-        // Even and odd counts, over every row and over a strided subset.
-        let every_third: Vec<u32> = (0..1000).step_by(3).collect();
-        for rows in [&all[..], &all[..999], &every_third[..], &all[..1]] {
-            let mut one = empty();
-            sweep.one(&mut one, rows);
-            let (mut two, mut odd) = (empty(), empty());
-            sweep.two(&mut two, &mut odd, rows);
-            assert!(one.iter().any(|c| c.n > 0));
-            assert_eq!(two, one, "{} rows", rows.len());
         }
     }
 
